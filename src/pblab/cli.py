@@ -24,6 +24,7 @@ from .experiment import (
     load_config,
     run_experiment,
 )
+from .jsonio import write_json
 from .seeds import derive_int
 
 
@@ -39,12 +40,6 @@ def _args_hash(args) -> str:
 
     payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _load_dataset(data_path, vocab_path):
@@ -82,9 +77,7 @@ def cmd_sample(args) -> int:
     balanced, imbalanced, overlap = sampler_mod.sample_paired(pool, joint, args.n, seed=args.seed)
     corpus_mod.save_jsonl(balanced, vocab, manifest.add(out / "balanced.jsonl"))
     corpus_mod.save_jsonl(imbalanced, vocab, manifest.add(out / "imbalanced.jsonl"))
-    plan_bal = sampler_mod.plan_counts(sampler_mod.preset("uniform", L, C), args.n, args.seed)
-    plan_imb = sampler_mod.plan_counts(joint, args.n, args.seed)
-    sampler_mod.write_plan_json(plan_bal, plan_imb, overlap, manifest.add(out / "plan.json"))
+    sampler_mod.write_plan_json(overlap, manifest.add(out / "plan.json"))
     manifest.write()
     print(f"overlap {overlap.overlap_achieved}/{args.n}")
     return 0
@@ -104,7 +97,7 @@ def cmd_train(args) -> int:
     params, report = training_mod.train(data, val, vocab, config)
     model_mod.save(params, manifest.add(out / "checkpoint.pbl"), vocab_hash=vocab.content_hash(),
                    manifest={"seed": args.seed, "weighting": args.weighting})
-    _write_json(manifest.add(out / "train_report.json"), report.to_dict())
+    write_json(manifest.add(out / "train_report.json"), report.to_dict())
     manifest.write()
     print(f"selected epoch {report.selected_epoch}, val accuracy {report.final.get('val_accuracy')}")
     return 0
@@ -116,7 +109,7 @@ def cmd_eval(args) -> int:
     vocab, data = _load_dataset(args.data, args.vocab)
     params, _ = model_mod.load(args.checkpoint, vocab)
     metrics = training_mod.evaluate(params, data, n_languages=vocab.n_languages, n_classes=vocab.n_classes)
-    training_mod.write_metrics_json(metrics, manifest.add(out / "metrics.json"))
+    write_json(manifest.add(out / "metrics.json"), metrics.to_dict())
     training_mod.write_pred_dist_csv(metrics, manifest.add(out / "pred_dist.csv"),
                                      vocab.lang_names, vocab.label_names)
     manifest.write()
@@ -131,7 +124,7 @@ def cmd_probe(args) -> int:
     params, _ = model_mod.load(args.checkpoint, vocab)
     report = probe_mod.probe_model(params, data, k=args.k, seed=args.seed, l2=args.l2,
                                    max_iters=args.max_iters, tol=args.tol)
-    probe_mod.write_probe_json(report, manifest.add(out / "probe.json"))
+    write_json(manifest.add(out / "probe.json"), report.to_dict())
     probe_mod.append_probe_csv(manifest.add(out / "probe.csv"), args.model_tag, args.corpus_tag,
                                report, header=True)
     manifest.write()

@@ -10,6 +10,7 @@ information, which downstream attribution analyses can be checked against.
 import json
 from dataclasses import dataclass
 
+from .jsonio import write_json
 from .seeds import derive_rng
 
 TOKEN_CATEGORIES = ("signal_pos", "signal_other", "filler", "foreign")
@@ -245,9 +246,7 @@ def ground_truth_category(vocab: Vocab, token: int, language: int, label: int) -
 
 
 def save_vocab(vocab: Vocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(vocab.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, vocab.to_dict())
 
 
 def load_vocab(path) -> Vocab:

@@ -27,6 +27,7 @@ from . import model as model_mod
 from . import probe as probe_mod
 from . import sampler as sampler_mod
 from . import training as training_mod
+from .jsonio import write_json
 from .seeds import derive_int
 
 ARMS = ("balanced", "imbalanced", "imbalanced_cw")
@@ -55,7 +56,7 @@ CONFIG_SCHEMA = {
     "train": {
         "epochs": "int", "batch_size": "int", "lr": "float, decays linearly to 0",
         "mask_entropy_coeff": "float >= 0, weight of the masked-input entropy loss",
-        "embed_dim": "int", "hidden_dim": "int", "val_every": "int", "max_len": "int",
+        "embed_dim": "int", "hidden_dim": "int", "val_every": "int",
     },
     "explain": {
         "theta": "float > 0, neutral-band threshold",
@@ -75,7 +76,7 @@ DEFAULTS = {
     "name": "experiment",
     "train": {
         "epochs": 20, "batch_size": 32, "lr": 0.1, "mask_entropy_coeff": 0.0,
-        "embed_dim": 32, "hidden_dim": 32, "val_every": 1, "max_len": 32,
+        "embed_dim": 32, "hidden_dim": 32, "val_every": 1,
     },
     "explain": {
         "theta": 0.01, "target_labels": [0], "max_datapoints": 120,
@@ -172,10 +173,7 @@ class Manifest:
     def write(self) -> None:
         self.entry["finished_unix"] = time.time()
         self.entry["wall_seconds"] = self.entry["finished_unix"] - self.entry["started_unix"]
-        path = self.root / "manifest.json"
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.entry, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(self.root / "manifest.json", self.entry)
 
 
 def _package_version() -> str:
@@ -185,12 +183,6 @@ def _package_version() -> str:
         return version("pblab")
     except Exception:
         return "unknown"
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def joint_from_config(joint_cfg: dict, L: int, C: int) -> sampler_mod.JointSpec:
@@ -283,9 +275,7 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
     subsets_dir.mkdir(exist_ok=True)
     corpus_mod.save_jsonl(balanced, vocab, manifest.add(subsets_dir / "balanced.jsonl"))
     corpus_mod.save_jsonl(imbalanced, vocab, manifest.add(subsets_dir / "imbalanced.jsonl"))
-    plan_bal = sampler_mod.plan_counts(sampler_mod.preset("uniform", L, C), config.train_size, seed)
-    plan_imb = sampler_mod.plan_counts(joint, config.train_size, seed)
-    sampler_mod.write_plan_json(plan_bal, plan_imb, overlap, manifest.add(subsets_dir / "plan.json"))
+    sampler_mod.write_plan_json(overlap, manifest.add(subsets_dir / "plan.json"))
     record["overlap"] = overlap.to_dict()
 
     arm_data = {"balanced": balanced, "imbalanced": imbalanced, "imbalanced_cw": imbalanced}
@@ -304,17 +294,16 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
             val_every=int(config.train["val_every"]),
             embed_dim=int(config.train["embed_dim"]),
             hidden_dim=int(config.train["hidden_dim"]),
-            max_len=int(config.train["max_len"]),
         )
         params, report = training_mod.train(arm_data[arm], val, vocab, tcfg)
         model_mod.save(
             params, manifest.add(arm_dir / "checkpoint.pbl"), vocab_hash=vocab.content_hash(),
             manifest={"arm": arm, "seed": seed, "config_hash": config.content_hash()},
         )
-        _write_json(manifest.add(arm_dir / "train_report.json"), report.to_dict())
+        write_json(manifest.add(arm_dir / "train_report.json"), report.to_dict())
 
         metrics = training_mod.evaluate(params, test, n_languages=L, n_classes=C)
-        training_mod.write_metrics_json(metrics, manifest.add(arm_dir / "metrics.json"))
+        write_json(manifest.add(arm_dir / "metrics.json"), metrics.to_dict())
         training_mod.write_pred_dist_csv(
             metrics, manifest.add(arm_dir / "pred_dist.csv"), vocab.lang_names, vocab.label_names
         )
@@ -459,7 +448,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     root = Path(out_dir if out_dir is not None else config.out_dir)
     root.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(root, config.content_hash())
-    _write_json(manifest.add(root / "config.json"), config.to_dict())
+    write_json(manifest.add(root / "config.json"), config.to_dict())
 
     records, failures = [], []
     for seed in config.seeds:
@@ -475,7 +464,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
         "failures": failures,
         "aggregate": aggregate(records),
     }
-    _write_json(manifest.add(root / "summary.json"), summary)
+    write_json(manifest.add(root / "summary.json"), summary)
     write_summary_csvs(records, root, manifest)
     manifest.write()
     return summary

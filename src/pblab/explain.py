@@ -13,13 +13,13 @@ exact engine stays cheap up to the default 12-token limit.
 """
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, forward_means
+from .jsonio import write_json
+from .model import ModelParams, forward_means, pack_tokens
 from .seeds import derive_rng
 
 CATEGORIES = ("pos", "neg", "neutral")
@@ -43,19 +43,10 @@ class ShapExplanation:
         return float(self.values.sum() + self.base)
 
 
-def _token_means(params: ModelParams, tokens) -> tuple:
-    emb = params.embedding.astype(np.float64)
-    idx = np.asarray(tokens, dtype=int)
-    if idx.size == 0:
-        raise ValueError("empty token sequence")
-    if idx.min() < 0 or idx.max() > params.mask_id:
-        raise ValueError("token id outside embedding table")
-    return emb[idx], emb[params.mask_id]
-
-
-def _coalition_probs(params: ModelParams, presence: np.ndarray, tok_emb: np.ndarray,
-                     mask_emb: np.ndarray, label: int) -> np.ndarray:
-    """v(A) for a (batch, n) boolean presence matrix, one batched forward pass."""
+def _coalition_probs(params: ModelParams, presence: np.ndarray, ids: np.ndarray, label: int) -> np.ndarray:
+    """v(A) for a (batch, n) boolean presence matrix over packed ``ids``, one batched forward pass."""
+    tok_emb = params.embedding[ids].astype(np.float64)
+    mask_emb = params.embedding[params.mask_id].astype(np.float64)
     n = presence.shape[1]
     n_present = presence.sum(axis=1, keepdims=True)
     means = (presence @ tok_emb + (n - n_present) * mask_emb) / n
@@ -78,11 +69,11 @@ def shapley_exact(params: ModelParams, tokens, label: int,
         )
     if not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
-    tok_emb, mask_emb = _token_means(params, tokens)
+    ids, _ = pack_tokens([tokens], params.mask_id)
 
     masks = np.arange(2**n, dtype=np.uint32)
     presence = (masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    v = _coalition_probs(params, presence.astype(np.float64), tok_emb, mask_emb, label)
+    v = _coalition_probs(params, presence.astype(np.float64), ids, label)
 
     sizes = presence.sum(axis=1)
     fact = [math.factorial(k) for k in range(n + 1)]
@@ -110,7 +101,7 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
     n = len(tokens)
     if not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
-    tok_emb, mask_emb = _token_means(params, tokens)
+    ids, _ = pack_tokens([tokens], params.mask_id)
 
     if permutations is None:
         if n_permutations < 1:
@@ -129,7 +120,7 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
     steps = np.tile(np.arange(n), P)
     presence[rows, steps + 1, perms.ravel()] = 1.0
     presence = np.cumsum(presence, axis=1)
-    v = _coalition_probs(params, presence.reshape(P * (n + 1), n), tok_emb, mask_emb, label)
+    v = _coalition_probs(params, presence.reshape(P * (n + 1), n), ids, label)
     v = v.reshape(P, n + 1)
 
     marginals = np.diff(v, axis=1)  # marginal of perms[p, k] at step k
@@ -217,9 +208,7 @@ class CumulativeDiffReport:
         }
 
     def write_sidecar(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.sidecar_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.sidecar_dict())
 
 
 def cumulative_diff(params_bal: ModelParams, params_cmp: ModelParams, examples,

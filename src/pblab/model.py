@@ -12,6 +12,7 @@ as a flat little-endian float32 payload in declared order.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -20,6 +21,7 @@ CHECKPOINT_VERSION = 1
 
 # Payload order is part of the file format.
 PARAM_FIELDS = ("embedding", "hidden_w", "hidden_b", "out_w", "out_b")
+DIM_FIELDS = ("vocab_size", "embed_dim", "hidden_dim", "n_classes")
 
 
 @dataclass
@@ -114,36 +116,47 @@ def forward_means(params: ModelParams, means: np.ndarray):
     return probs, pooled
 
 
-def mean_embedding(params: ModelParams, tokens) -> np.ndarray:
-    emb = params.embedding.astype(np.float64)
-    idx = np.asarray(tokens, dtype=int)
-    if idx.size == 0:
+def pack_tokens(sequences, mask_id: int):
+    """The token layout of every pass: flat int64 ids plus one length per sequence.
+
+    This is the one token-id range check: no sequence may be empty and every
+    id must index the embedding table (the mask id included).
+    """
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    if lengths.size == 0:
+        raise ValueError("empty example list")
+    if (lengths == 0).any():
         raise ValueError("empty token sequence")
-    if idx.min() < 0 or idx.max() > params.mask_id:
+    ids = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
+    if ids.min() < 0 or ids.max() > mask_id:
         raise ValueError("token id outside embedding table")
-    return emb[idx].mean(axis=0)
+    return ids, lengths
+
+
+def take_sequences(ids: np.ndarray, lengths: np.ndarray, idx):
+    """The packed layout of sequences ``idx`` (in that order) of a packed layout."""
+    sel = lengths[idx]
+    ends = np.cumsum(sel)
+    starts = np.cumsum(lengths) - lengths
+    return ids[np.arange(ends[-1]) + np.repeat(starts[idx] - (ends - sel), sel)], sel
+
+
+def mean_embeddings(params: ModelParams, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(n, d) float64 mean embedding of every packed sequence."""
+    starts = np.cumsum(lengths) - lengths
+    return np.add.reduceat(params.embedding[ids].astype(np.float64), starts, axis=0) / lengths[:, None]
 
 
 def forward(params: ModelParams, tokens) -> ForwardOutput:
     """Pure forward pass; the mask id is a valid input token."""
-    probs, pooled = forward_means(params, mean_embedding(params, tokens)[None, :])
+    probs, pooled = forward_means(params, mean_embeddings(params, *pack_tokens([tokens], params.mask_id)))
     return ForwardOutput(probs=probs[0], pooled=pooled[0])
 
 
 def forward_examples(params: ModelParams, examples):
     """Vectorized forward over a list of examples -> (probs (B, C), pooled (B, h))."""
-    if not examples:
-        raise ValueError("empty example list")
-    emb = params.embedding.astype(np.float64)
-    lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.int64)
-    if (lengths == 0).any():
-        raise ValueError("empty token sequence")
-    flat = np.concatenate([np.asarray(ex.tokens, dtype=np.int64) for ex in examples])
-    if flat.min() < 0 or flat.max() > params.mask_id:
-        raise ValueError("token id outside embedding table")
-    sums = np.zeros((len(examples), params.embed_dim))
-    np.add.at(sums, np.repeat(np.arange(len(examples)), lengths), emb[flat])
-    return forward_means(params, sums / lengths[:, None])
+    ids, lengths = pack_tokens([ex.tokens for ex in examples], params.mask_id)
+    return forward_means(params, mean_embeddings(params, ids, lengths))
 
 
 def apply_mask(tokens, mask_positions, mask_id: int) -> tuple:
@@ -165,12 +178,7 @@ def save(params: ModelParams, path, vocab_hash: str = "", manifest: dict | None 
     params.validate()
     header = {
         "version": CHECKPOINT_VERSION,
-        "dims": {
-            "vocab_size": params.vocab_size,
-            "embed_dim": params.embed_dim,
-            "hidden_dim": params.hidden_dim,
-            "n_classes": params.n_classes,
-        },
+        "dims": {key: getattr(params, key) for key in DIM_FIELDS},
         "vocab_hash": vocab_hash,
         "manifest": manifest or {},
     }
@@ -200,9 +208,15 @@ def load(path, vocab=None):
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise ValueError(f"{path}: corrupted header") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: corrupted header")
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
-        dims = header["dims"]
+        dims = header.get("dims")
+        if not isinstance(dims, dict) or not all(
+            type(dims.get(key)) is int and dims[key] > 0 for key in DIM_FIELDS
+        ):
+            raise ValueError(f"{path}: header 'dims' must give {', '.join(DIM_FIELDS)} as positive integers")
         shapes = {
             "embedding": (dims["vocab_size"] + 1, dims["embed_dim"]),
             "hidden_w": (dims["embed_dim"], dims["hidden_dim"]),

@@ -7,8 +7,7 @@ cross-validation.
 """
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,19 +28,11 @@ class ProbeReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "fold_accuracies": self.fold_accuracies,
-            "mean_accuracy": self.mean_accuracy,
-            "n_per_language": self.n_per_language,
-            "l2": self.l2,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def extract_features(params: ModelParams, dataset):
     """One pooled vector per example -> (features (n, h), language ids (n,))."""
-    if not dataset:
-        raise ValueError("empty dataset")
     _, pooled = forward_examples(params, dataset)
     langs = np.array([ex.language for ex in dataset], dtype=np.int64)
     return pooled, langs
@@ -146,12 +137,6 @@ def probe_model(params: ModelParams, dataset, k: int = 5, seed: int = 0, l2: flo
     """Extract pooled features from ``dataset`` and cross-validate the language probe."""
     features, langs = extract_features(params, dataset)
     return cross_validate(features, langs, k=k, seed=seed, l2=l2, max_iters=max_iters, tol=tol)
-
-
-def write_probe_json(report: ProbeReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def append_probe_csv(path, model_tag: str, corpus_tag: str, report: ProbeReport, header: bool = False) -> None:

@@ -5,11 +5,11 @@ number of datapoints (per-cell min), so that any downstream difference
 between models is attributable to the joint distribution alone.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import write_json
 from .seeds import derive_rng
 
 PRESETS = ("uniform", "amazon_skew", "xnli_skew")
@@ -150,14 +150,8 @@ class OverlapReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "counts_balanced": np.asarray(self.counts_balanced).tolist(),
-            "counts_imbalanced": np.asarray(self.counts_imbalanced).tolist(),
-            "overlap_max": self.overlap_max,
-            "overlap_achieved": self.overlap_achieved,
-            "n": self.n,
-            "seed": self.seed,
-        }
+        return {**vars(self), "counts_balanced": np.asarray(self.counts_balanced).tolist(),
+                "counts_imbalanced": np.asarray(self.counts_imbalanced).tolist()}
 
 
 def sample_paired(pool, spec_imbal: JointSpec, n: int, seed: int = 0):
@@ -245,12 +239,9 @@ def split_eval(pool, n_val: int, n_test: int, seed: int = 0, exclude_ids=frozens
     return val, test
 
 
-def write_plan_json(plan_bal: SubsetPlan, plan_imb: SubsetPlan, report: OverlapReport, path) -> None:
-    payload = {
-        "plan_balanced": plan_bal.to_dict(),
-        "plan_imbalanced": plan_imb.to_dict(),
-        "overlap": report.to_dict(),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+def write_plan_json(report: OverlapReport, path) -> None:
+    """plan.json: both subset plans, read back from the overlap report, and the report."""
+    plans = {tag: SubsetPlan(counts=counts, n=report.n, seed=report.seed).to_dict()
+             for tag, counts in (("plan_balanced", report.counts_balanced),
+                                 ("plan_imbalanced", report.counts_imbalanced))}
+    write_json(path, {**plans, "overlap": report.to_dict()})

@@ -9,14 +9,22 @@ differences (``grad_check``).
 """
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
 
-from .model import PARAM_FIELDS, ModelParams, forward_examples, init_params, softmax
+from .model import (
+    PARAM_FIELDS,
+    ModelParams,
+    forward,
+    forward_examples,
+    init_params,
+    mean_embeddings,
+    pack_tokens,
+    softmax,
+    take_sequences,
+)
 from .seeds import derive_rng
 
 PROB_CLAMP = 1e-12
@@ -72,7 +80,6 @@ class TrainConfig:
     val_every: int = 1                   # validate every k epochs
     embed_dim: int = 32
     hidden_dim: int = 32
-    max_len: int = 32                    # upper bound for the sampled all-mask length
 
     def validate(self) -> None:
         if self.epochs < 0 or self.batch_size < 1:
@@ -101,77 +108,64 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         return {
-            "epochs": [
-                {"epoch": e.epoch, "train_loss": e.train_loss, "val_loss": e.val_loss}
-                for e in self.epochs
-            ],
+            "epochs": [asdict(e) for e in self.epochs],
             "selected_epoch": self.selected_epoch,
             "selected_val_loss": self.selected_val_loss,
             "final": self.final,
         }
 
 
-class _Batch:
-    """Flat token layout for vectorized forward/backward over a list of examples."""
-
-    def __init__(self, examples):
-        if not examples:
-            raise ValueError("empty batch")
-        self.n = len(examples)
-        self.lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.int64)
-        self.flat_tokens = np.concatenate([np.asarray(ex.tokens, dtype=np.int64) for ex in examples])
-        self.owner = np.repeat(np.arange(self.n), self.lengths)
-        self.starts = np.concatenate([[0], np.cumsum(self.lengths)])
-        self.labels = np.array([ex.label for ex in examples], dtype=np.int64)
-        self.langs = np.array([ex.language for ex in examples], dtype=np.int64)
-
-    def subset(self, idx) -> "_Batch":
-        sub = _Batch.__new__(_Batch)
-        idx = np.asarray(idx)
-        sub.n = len(idx)
-        sub.lengths = self.lengths[idx]
-        flat_idx = np.concatenate([np.arange(self.starts[i], self.starts[i + 1]) for i in idx])
-        sub.flat_tokens = self.flat_tokens[flat_idx]
-        sub.owner = np.repeat(np.arange(sub.n), sub.lengths)
-        sub.starts = np.concatenate([[0], np.cumsum(sub.lengths)])
-        sub.labels = self.labels[idx]
-        sub.langs = self.langs[idx]
-        return sub
+HEAD_FIELDS = PARAM_FIELDS[1:]  # every parameter array but the embedding table
 
 
-def _as_float64(params: ModelParams) -> dict:
-    return {name: getattr(params, name).astype(np.float64) for name in PARAM_FIELDS}
+def _head_float64(params: ModelParams) -> dict:
+    return {name: getattr(params, name).astype(np.float64) for name in HEAD_FIELDS}
 
 
-def _example_weights(batch: _Batch, weights: WeightTable | None) -> np.ndarray:
+def _labels_and_weights(examples, weights: WeightTable | None):
+    labels = np.array([ex.label for ex in examples], dtype=np.int64)
     if weights is None:
-        return np.ones(batch.n)
-    return weights.w[batch.langs, batch.labels]
+        return labels, np.ones(labels.size)
+    langs = np.array([ex.language for ex in examples], dtype=np.int64)
+    return labels, weights.w[langs, labels]
 
 
-def _loss_and_grad(arrs: dict, batch: _Batch, w_ex: np.ndarray, lam: float, mask_len: int,
-                   want_grad: bool):
+def _pooling(ids: np.ndarray, lengths: np.ndarray, mask_id: int | None):
+    """A batch's distinct embedding rows and its (B, U) token-count matrix N.
+
+    ``N @ emb[rows] / lengths`` is every example's mean embedding, and
+    ``N.T @ (dx / lengths)`` maps a gradient on those means back onto the
+    rows. With ``mask_id`` given, the mask row is among the rows, last (it
+    is the largest id).
+    """
+    rows, inv = np.unique(ids, return_inverse=True)
+    if mask_id is not None and rows[-1] != mask_id:
+        rows = np.append(rows, mask_id)
+    B, U = lengths.size, rows.size
+    owner = np.repeat(np.arange(B), lengths)
+    return rows, np.bincount(owner * U + inv, minlength=B * U).reshape(B, U).astype(np.float64)
+
+
+def _loss_and_grad(arrs: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.ndarray,
+                   lam: float, want_grad: bool):
     """Weighted CE + lambda * masked-input entropy, and its exact gradient.
 
-    ``arrs`` are float64 parameter arrays; probabilities are clamped to
-    PROB_CLAMP inside logs and the gradient honors the clamp.
+    ``arrs`` holds the float64 hidden/output arrays, ``x`` the (B, d) mean
+    embeddings and ``x_m`` the mask row, the mean embedding of an all-mask
+    input of any length (read only when lambda != 0). In place of an
+    embedding gradient the result holds ``x`` (dL/dx) and ``mask``
+    (dL/dx_m). Probabilities are clamped to PROB_CLAMP inside logs and the
+    gradient honors the clamp.
     """
-    emb, w_h, b_h, w_o, b_o = (arrs[n] for n in PARAM_FIELDS)
-    B = batch.n
-
-    sums = np.zeros((B, emb.shape[1]))
-    np.add.at(sums, batch.owner, emb[batch.flat_tokens])
-    x = sums / batch.lengths[:, None]
+    w_h, b_h, w_o, b_o = (arrs[n] for n in HEAD_FIELDS)
+    B = x.shape[0]
     hid = np.tanh(x @ w_h + b_h)
     probs = softmax(hid @ w_o + b_o)
-    p_true = probs[np.arange(B), batch.labels]
+    p_true = probs[np.arange(B), labels]
     ce = float(np.mean(w_ex * -np.log(np.maximum(p_true, PROB_CLAMP))))
 
     value = ce
     if lam != 0.0:
-        if mask_len < 1:
-            raise ValueError("mask_len must be >= 1")
-        x_m = emb[-1]  # mean of mask_len identical mask rows
         hid_m = np.tanh(x_m @ w_h + b_h)
         q = softmax(hid_m @ w_o + b_o)
         l_mask = float(np.sum(q * np.log(np.maximum(q, PROB_CLAMP))))
@@ -180,19 +174,17 @@ def _loss_and_grad(arrs: dict, batch: _Batch, w_ex: np.ndarray, lam: float, mask
     if not want_grad or not math.isfinite(value):
         return value, None
 
-    grads = {n: np.zeros_like(arrs[n]) for n in PARAM_FIELDS}
+    grads = {}
     # CE branch: examples whose clamped p_true hit the floor have zero gradient.
     active = p_true > PROB_CLAMP
     dz = probs * (w_ex * active)[:, None] / B
-    dz[np.arange(B), batch.labels] -= w_ex * active / B
-    grads["out_w"] += hid.T @ dz
-    grads["out_b"] += dz.sum(axis=0)
-    dhid = dz @ w_o.T
-    da = dhid * (1.0 - hid**2)
-    grads["hidden_w"] += x.T @ da
-    grads["hidden_b"] += da.sum(axis=0)
-    dx = da @ w_h.T
-    np.add.at(grads["embedding"], batch.flat_tokens, dx[batch.owner] / batch.lengths[batch.owner, None])
+    dz[np.arange(B), labels] -= w_ex * active / B
+    grads["out_w"] = hid.T @ dz
+    grads["out_b"] = dz.sum(axis=0)
+    da = (dz @ w_o.T) * (1.0 - hid**2)
+    grads["hidden_w"] = x.T @ da
+    grads["hidden_b"] = da.sum(axis=0)
+    grads["x"] = da @ w_h.T
 
     if lam != 0.0:
         g = np.log(np.maximum(q, PROB_CLAMP)) + (q > PROB_CLAMP)
@@ -202,32 +194,36 @@ def _loss_and_grad(arrs: dict, batch: _Batch, w_ex: np.ndarray, lam: float, mask
         da_m = (dz_m @ w_o.T) * (1.0 - hid_m**2)
         grads["hidden_w"] += np.outer(x_m, da_m)
         grads["hidden_b"] += da_m
-        grads["embedding"][-1] += w_h @ da_m
+        grads["mask"] = w_h @ da_m
 
     return value, grads
 
 
+def _row_grads(counts: np.ndarray, lengths: np.ndarray, grads: dict, lam: float) -> np.ndarray:
+    """The gradient on a batch's embedding rows; the mask row is last when lambda != 0."""
+    g_rows = counts.T @ (grads["x"] / lengths[:, None])
+    if lam != 0.0:
+        g_rows[-1] += grads["mask"]
+    return g_rows
+
+
 def loss(params: ModelParams, batch_examples, weights: WeightTable | None = None,
-         mask_entropy_coeff: float = 0.0, mask_len: int = 1) -> float:
+         mask_entropy_coeff: float = 0.0) -> float:
     """Scalar training loss on a batch of examples."""
-    batch = _Batch(batch_examples)
+    ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
     value, _ = _loss_and_grad(
-        _as_float64(params), batch, _example_weights(batch, weights),
-        mask_entropy_coeff, mask_len, want_grad=False,
+        _head_float64(params), mean_embeddings(params, ids, lengths),
+        params.embedding[params.mask_id].astype(np.float64),
+        *_labels_and_weights(batch_examples, weights), mask_entropy_coeff, want_grad=False,
     )
     if not math.isfinite(value):
-        raise FloatingPointError(f"non-finite loss {value!r} on batch of {batch.n}")
+        raise FloatingPointError(f"non-finite loss {value!r} on batch of {lengths.size}")
     return value
 
 
-def mask_entropy_loss(params: ModelParams, mask_len: int = 1) -> float:
+def mask_entropy_loss(params: ModelParams) -> float:
     """l_mask = sum_c q_c log q_c on an all-mask input; always in [-ln C, 0]."""
-    arrs = _as_float64(params)
-    x_m = arrs["embedding"][-1]
-    hid_m = np.tanh(x_m @ arrs["hidden_w"] + arrs["hidden_b"])
-    q = softmax(hid_m @ arrs["out_w"] + arrs["out_b"])
-    if mask_len < 1:
-        raise ValueError("mask_len must be >= 1")
+    q = forward(params, [params.mask_id]).probs
     return float(np.sum(q * np.log(np.maximum(q, PROB_CLAMP))))
 
 
@@ -242,6 +238,8 @@ def train(data, val, vocab, config: TrainConfig):
     The returned parameters are the snapshot from the epoch with the lowest
     validation loss (earliest epoch on ties). Deterministic given
     ``config.seed``. Divergence (non-finite loss) raises with epoch/step.
+    A step rewrites only the embedding rows its batch reads (plus the mask
+    row when the entropy loss is on); the rest of the table stays bit-identical.
     """
     config.validate()
     if not data or not val:
@@ -259,18 +257,16 @@ def train(data, val, vocab, config: TrainConfig):
     if config.epochs == 0:
         return params, report
 
-    full = _Batch(data)
-    w_full = _example_weights(full, weights)
-    val_batch = _Batch(val)
-    w_val = np.ones(val_batch.n)
+    ids, lengths = pack_tokens([ex.tokens for ex in data], params.mask_id)
+    labels, w_full = _labels_and_weights(data, weights)
 
     rng_shuffle = derive_rng(config.seed, "train", "shuffle")
-    rng_masklen = derive_rng(config.seed, "train", "masklen")
+    lam = config.mask_entropy_coeff
+    mask_id = params.mask_id if lam != 0.0 else None
 
     n = len(data)
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
-    arrs = _as_float64(params)
 
     best_val = math.inf
     best_params = None
@@ -280,26 +276,27 @@ def train(data, val, vocab, config: TrainConfig):
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch = full.subset(idx)
-            mask_len = int(rng_masklen.integers(1, config.max_len + 1))
+            batch_ids, batch_lengths = take_sequences(ids, lengths, idx)
+            rows, counts = _pooling(batch_ids, batch_lengths, mask_id)
+            emb = params.embedding[rows].astype(np.float64)
+            arrs = _head_float64(params)
             value, grads = _loss_and_grad(
-                arrs, batch, w_full[idx], config.mask_entropy_coeff, mask_len, want_grad=True
+                arrs, counts @ emb / batch_lengths[:, None], emb[-1], labels[idx], w_full[idx], lam,
+                want_grad=True,
             )
             if not math.isfinite(value):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
             lr = learning_rate(config.lr, step, total_steps)
-            for name in PARAM_FIELDS:
-                # Parameters live on the float32 grid (checkpoint dtype).
-                updated = (arrs[name] - lr * grads[name]).astype(np.float32)
-                setattr(params, name, updated)
-                arrs[name] = updated.astype(np.float64)
+            # Parameters live on the float32 grid (checkpoint dtype).
+            params.embedding[rows] = emb - lr * _row_grads(counts, batch_lengths, grads, lam)
+            for name in HEAD_FIELDS:
+                setattr(params, name, (arrs[name] - lr * grads[name]).astype(np.float32))
             epoch_losses.append(value)
             step += 1
 
         val_loss = None
         if (epoch + 1) % config.val_every == 0 or epoch == config.epochs - 1:
-            val_value, _ = _loss_and_grad(arrs, val_batch, w_val, 0.0, 1, want_grad=False)
-            val_loss = float(val_value)
+            val_loss = loss(params, val)
             if val_loss < best_val:
                 best_val = val_loss
                 best_params = params.copy()
@@ -321,43 +318,32 @@ class EvalMetrics:
     n_per_language: list
 
     def to_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "per_language_accuracy": self.per_language_accuracy,
-            "pred_dist": self.pred_dist.tolist(),
-            "n_per_language": self.n_per_language,
-        }
+        return {**vars(self), "pred_dist": self.pred_dist.tolist()}
 
 
-def evaluate(params: ModelParams, test, n_languages: int | None = None,
-             n_classes: int | None = None) -> EvalMetrics:
-    """Accuracy overall and per language, plus the per-language predicted-label distribution."""
-    if not test:
-        raise ValueError("empty test set")
-    if n_languages is None:
-        n_languages = max(ex.language for ex in test) + 1
-    if n_classes is None:
-        n_classes = params.n_classes
-    batch = _Batch(test)
+def evaluate(params: ModelParams, test, n_languages: int, n_classes: int) -> EvalMetrics:
+    """Accuracy overall and per language, plus the per-language predicted-label distribution.
+
+    The (n_languages, n_classes) table comes from the caller: a language with
+    no test examples keeps its row, as NaN, and a count of 0.
+    """
     probs, _ = forward_examples(params, test)
     preds = probs.argmax(axis=1)
+    langs = np.array([ex.language for ex in test], dtype=np.int64)
+    if langs.max() >= n_languages or n_classes != params.n_classes:
+        raise ValueError(f"test set or model does not fit the {n_languages} x {n_classes} table")
 
-    correct = preds == batch.labels
-    per_lang_acc = []
-    n_per_lang = []
-    dist = np.zeros((n_languages, n_classes))
-    for lang in range(n_languages):
-        sel = batch.langs == lang
-        n_lang = int(sel.sum())
-        n_per_lang.append(n_lang)
-        per_lang_acc.append(float(correct[sel].mean()) if n_lang else float("nan"))
-        for c in range(n_classes):
-            dist[lang, c] = float((preds[sel] == c).sum()) / n_lang if n_lang else float("nan")
+    correct = preds == np.array([ex.label for ex in test], dtype=np.int64)
+    n_lang = np.bincount(langs, minlength=n_languages)
+    cells = np.bincount(langs * n_classes + preds, minlength=n_languages * n_classes)
+    with np.errstate(invalid="ignore"):  # 0/0: a language without examples gets NaN
+        dist = cells.reshape(n_languages, n_classes) / n_lang[:, None]
+        per_lang_acc = np.bincount(langs, weights=correct, minlength=n_languages) / n_lang
     return EvalMetrics(
         overall_accuracy=float(correct.mean()),
-        per_language_accuracy=per_lang_acc,
+        per_language_accuracy=per_lang_acc.tolist(),
         pred_dist=dist,
-        n_per_language=n_per_lang,
+        n_per_language=n_lang.tolist(),
     )
 
 
@@ -373,14 +359,15 @@ def prediction_skew_spearman(metrics: EvalMetrics, joint_probs) -> float:
         raise ValueError("table shapes differ")
     if np.allclose(a, a[0]) or np.allclose(b, b[0]):
         return 0.0
-    rho = stats.spearmanr(a, b).statistic
+    rho = np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1]
     return float(rho) if math.isfinite(rho) else 0.0
 
 
-def write_metrics_json(metrics: EvalMetrics, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(metrics.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their ranks."""
+    _, inv, counts = np.unique(a, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inv]
 
 
 def write_pred_dist_csv(metrics: EvalMetrics, path, lang_names=None, label_names=None) -> None:
@@ -403,41 +390,45 @@ class GradCheckResult:
 
 
 def grad_check(params: ModelParams, batch_examples, weights: WeightTable | None = None,
-               mask_entropy_coeff: float = 0.0, mask_len: int = 1, n_samples: int = 150,
+               mask_entropy_coeff: float = 0.0, n_samples: int = 150,
                step: float = 1e-4, seed: int = 0) -> GradCheckResult:
-    """Compare the analytic gradient to central finite differences.
+    """Compare the analytic gradient of a training step to central finite differences.
 
     Checks a seeded sample of parameter coordinates spread over all arrays.
     Relative error uses max(|analytic|, |fd|, 1e-6) in the denominator so a
     converged (near-zero-gradient) point is judged on absolute error.
     """
-    batch = _Batch(batch_examples)
-    w_ex = _example_weights(batch, weights)
-    arrs = _as_float64(params)
-    _, grads = _loss_and_grad(arrs, batch, w_ex, mask_entropy_coeff, mask_len, want_grad=True)
+    lam = mask_entropy_coeff
+    ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
+    rows, counts = _pooling(ids, lengths, params.mask_id if lam != 0.0 else None)
+    labels, w_ex = _labels_and_weights(batch_examples, weights)
+    arrs = {name: getattr(params, name).astype(np.float64) for name in PARAM_FIELDS}
 
-    sizes = {name: arrs[name].size for name in PARAM_FIELDS}
-    total = sum(sizes.values())
+    def loss_at(want_grad: bool):
+        emb = arrs["embedding"]
+        return _loss_and_grad(arrs, counts @ emb[rows] / lengths[:, None], emb[-1], labels, w_ex, lam, want_grad)
+
+    _, grads = loss_at(want_grad=True)
+    grads["embedding"] = np.zeros_like(arrs["embedding"])
+    grads["embedding"][rows] = _row_grads(counts, lengths, grads, lam)
+
+    # Coordinates are numbered across all arrays in PARAM_FIELDS order; array k starts at starts[k].
+    starts = np.cumsum([0] + [arrs[name].size for name in PARAM_FIELDS])
+    total = int(starts[-1])
     rng = derive_rng(seed, "grad_check")
     flat_indices = rng.choice(total, size=min(n_samples, total), replace=False)
-
-    def locate(flat: int):
-        for name in PARAM_FIELDS:
-            if flat < sizes[name]:
-                return name, flat
-            flat -= sizes[name]
-        raise AssertionError
 
     max_rel = 0.0
     max_abs = 0.0
     for flat in sorted(int(i) for i in flat_indices):
-        name, offset = locate(flat)
+        k = int(np.searchsorted(starts, flat, side="right")) - 1
+        name, offset = PARAM_FIELDS[k], flat - int(starts[k])
         ref = arrs[name].ravel()
         orig = ref[offset]
         ref[offset] = orig + step
-        up, _ = _loss_and_grad(arrs, batch, w_ex, mask_entropy_coeff, mask_len, want_grad=False)
+        up, _ = loss_at(want_grad=False)
         ref[offset] = orig - step
-        down, _ = _loss_and_grad(arrs, batch, w_ex, mask_entropy_coeff, mask_len, want_grad=False)
+        down, _ = loss_at(want_grad=False)
         ref[offset] = orig
         fd = (up - down) / (2.0 * step)
         an = grads[name].ravel()[offset]

@@ -71,6 +71,17 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert "nope" in record["error"]
 
 
+def test_eval_checkpoint_without_dims_exits_1(corpus_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.pbl"
+    bad.write_bytes(b'PBL1{"version": 1}\n')
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(corpus_dir / "corpus.jsonl"),
+               "--vocab", str(corpus_dir / "vocab.json"), "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == "ValueError"
+
+
 def test_experiment_print_schema(capsys):
     rc = main(["experiment", "--print-schema"])
     assert rc == 0

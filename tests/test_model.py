@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,28 @@ def test_params_validation():
     params.hidden_b = np.array([np.nan] * 4, dtype=np.float32)
     with pytest.raises(ValueError, match="non-finite"):
         params.validate()
+
+
+@pytest.mark.parametrize("dims", [
+    None,
+    "not an object",
+    {"embed_dim": 4, "hidden_dim": 4, "n_classes": 2},
+    {"vocab_size": 4, "embed_dim": 4, "hidden_dim": 4, "n_classes": 0},
+    {"vocab_size": 4, "embed_dim": -1, "hidden_dim": 4, "n_classes": 2},
+    {"vocab_size": 4, "embed_dim": 4, "hidden_dim": 4.0, "n_classes": 2},
+    {"vocab_size": True, "embed_dim": 4, "hidden_dim": 4, "n_classes": 2},
+    {"vocab_size": "4", "embed_dim": 4, "hidden_dim": 4, "n_classes": 2},
+])
+def test_load_rejects_bad_dims(tmp_path, dims):
+    header = {"version": 1} if dims is None else {"version": 1, "dims": dims}
+    path = tmp_path / "m.pbl"
+    path.write_bytes(b"PBL1" + json.dumps(header).encode() + b"\n")
+    with pytest.raises(ValueError, match="dims"):
+        load(path)
+
+
+def test_load_rejects_non_object_header(tmp_path):
+    path = tmp_path / "m.pbl"
+    path.write_bytes(b"PBL1[1, 2]\n")
+    with pytest.raises(ValueError, match="corrupted header"):
+        load(path)

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,8 +105,8 @@ def test_loss_includes_lambda_term(corpus223):
     vocab, examples = corpus223
     params = random_params(vocab)
     base = loss(params, examples[:8])
-    lam = loss(params, examples[:8], mask_entropy_coeff=0.5, mask_len=3)
-    assert lam == pytest.approx(base + 0.5 * mask_entropy_loss(params, 3), abs=1e-12)
+    lam = loss(params, examples[:8], mask_entropy_coeff=0.5)
+    assert lam == pytest.approx(base + 0.5 * mask_entropy_loss(params), abs=1e-12)
 
 
 def test_loss_nonfinite_params_abort(corpus223):
@@ -148,7 +153,7 @@ def test_grad_check_weighted_and_entropy(corpus223):
     params = random_params(vocab)
     weights = compute_weights(count_cells(examples, 2, 3))
     res = grad_check(params, examples[:6], weights=weights, mask_entropy_coeff=1.0,
-                     mask_len=4, n_samples=120, seed=2)
+                     n_samples=120, seed=2)
     assert res.max_rel_error < 1e-4
 
 
@@ -271,3 +276,58 @@ def test_prediction_skew_spearman_signs():
     anti = M(joint[::-1] * 2)
     assert prediction_skew_spearman(anti, joint) < -0.99
     assert prediction_skew_spearman(M(np.full((2, 3), 1 / 6)), joint) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 5)])
+def test_prediction_skew_spearman_matches_scipy(shape):
+    from scipy import stats
+
+    rng = np.random.default_rng(sum(shape))
+    compared = 0
+    for trial in range(300):
+        a = rng.integers(0, 4, size=shape) / 4.0  # few distinct values: many ties
+        b = rng.integers(0, 3, size=shape) / 3.0 if trial % 2 else rng.random(shape)
+        got = prediction_skew_spearman(SimpleNamespace(pred_dist=a), b)
+        if np.allclose(a, a.flat[0]) or np.allclose(b, b.flat[0]):
+            assert got == 0.0
+            continue
+        assert abs(got - stats.spearmanr(a.ravel(), b.ravel()).statistic) <= 1e-12
+        compared += 1
+    assert compared > 250
+
+
+def test_import_pblab_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", "import sys, pblab; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_evaluate_keeps_row_of_missing_language(corpus223):
+    vocab, examples = corpus223
+    first_language = [ex for ex in examples if ex.language == 0]
+    metrics = evaluate(random_params(vocab), first_language, 2, 3)
+    assert metrics.pred_dist.shape == (2, 3)
+    assert not np.isnan(metrics.pred_dist[0]).any()
+    assert np.isnan(metrics.pred_dist[1]).all()
+    assert metrics.n_per_language == [len(first_language), 0]
+    with pytest.raises(ValueError, match="table"):
+        evaluate(random_params(vocab), examples, 1, 3)
+    with pytest.raises(ValueError, match="table"):
+        evaluate(random_params(vocab), examples, 2, 2)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_train_step_writes_only_batch_rows(corpus223, lam):
+    vocab, examples = corpus223
+    batch = examples[:32]
+    config = TrainConfig(epochs=1, batch_size=32, mask_entropy_coeff=lam, seed=3)
+    params, report = train(batch, examples[32:40], vocab, config)  # one epoch of one step
+    assert report.selected_epoch == 0
+    init = init_params(vocab.size, 3, config.embed_dim, config.hidden_dim,
+                       rng=derive_rng(config.seed, "train", "init"))
+    read = {t for ex in batch for t in ex.tokens} | ({vocab.mask_id} if lam else set())
+    changed = {i for i in range(vocab.size + 1)
+               if not np.array_equal(params.embedding[i], init.embedding[i])}
+    assert changed == read
