@@ -8,6 +8,8 @@ from .explain import (
     TokenCategories,
     categorize,
     cumulative_diff,
+    diff_report,
+    explain_arm,
     shapley_exact,
     shapley_sampled,
 )
@@ -29,7 +31,7 @@ from .training import (
 __all__ = [
     "CorpusSpec", "Example", "Vocab", "generate_corpus", "ground_truth_category", "load_jsonl",
     "CumulativeDiffReport", "EngineConfig", "ShapExplanation", "TokenCategories",
-    "categorize", "cumulative_diff", "shapley_exact", "shapley_sampled",
+    "categorize", "cumulative_diff", "diff_report", "explain_arm", "shapley_exact", "shapley_sampled",
     "ForwardOutput", "ModelParams", "forward", "forward_masked", "init_params",
     "ProbeReport", "cross_validate", "extract_features", "fit_logreg", "probe_model",
     "JointSpec", "SubsetPlan", "plan_counts", "preset", "sample_paired", "split_eval",

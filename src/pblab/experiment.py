@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,9 +62,9 @@ CONFIG_SCHEMA = {
     "explain": {
         "theta": "float > 0, neutral-band threshold",
         "target_labels": "list of label ids explained for every datapoint",
-        "max_datapoints": "int, per-seed cap on explained test datapoints",
-        "exact_limit": "int, max tokens for the exact engine",
-        "n_permutations": "int, permutation count for longer inputs",
+        "max_datapoints": "int, per-seed cap on explained test datapoints (of any length)",
+        "exact_limit": "int, inputs up to this many tokens get exact Shapley values, longer ones sampled",
+        "n_permutations": "int, permutations the sampled engine draws per input longer than exact_limit",
     },
     "probe": {
         "k": "int, folds", "l2": "float", "max_iters": "int", "tol": "float",
@@ -102,12 +103,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         raw = copy.deepcopy(raw)
         for key in ("seeds", "corpus", "joint", "train_size", "val_size", "test_size", "out_dir"):
             if key not in raw:
                 raise ValueError(f"config missing required key {key!r}")
-        if not raw["seeds"]:
-            raise ValueError("seeds must be non-empty")
+        seeds = raw["seeds"]
+        if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
+            raise ValueError("seeds must be a non-empty list of ints")
+        for key in ("train_size", "val_size", "test_size"):
+            if type(raw[key]) is not int:
+                raise ValueError(f"{key!r} must be an int")
+        for section in ("corpus", "joint", "train", "explain", "probe"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ValueError(f"config section {section!r} must be an object")
         merged = {}
         for section, defaults in DEFAULTS.items():
             if isinstance(defaults, dict):
@@ -121,12 +131,12 @@ class ExperimentConfig:
                 merged[section] = raw.get(section, defaults)
         return cls(
             name=merged["name"],
-            seeds=[int(s) for s in raw["seeds"]],
+            seeds=seeds,
             corpus=raw["corpus"],
             joint=raw["joint"],
-            train_size=int(raw["train_size"]),
-            val_size=int(raw["val_size"]),
-            test_size=int(raw["test_size"]),
+            train_size=raw["train_size"],
+            val_size=raw["val_size"],
+            test_size=raw["test_size"],
             train=merged["train"],
             explain=merged["explain"],
             probe=merged["probe"],
@@ -229,8 +239,8 @@ def _build_corpus(config: ExperimentConfig, seed: int, out: Path, manifest: Mani
     return vocab, examples, True
 
 
-def _shap_subset(test, max_datapoints: int, exact_limit: int):
-    """Deterministic per-language subsample of explainable (short enough) datapoints.
+def _shap_subset(test, max_datapoints: int):
+    """Deterministic per-language subsample of test datapoints, of any length.
 
     Examples are taken round-robin across the (language, label) cells so the
     cap never skews the subsample toward particular true labels.
@@ -241,11 +251,8 @@ def _shap_subset(test, max_datapoints: int, exact_limit: int):
     for lang in langs:
         cells: dict = {}
         for ex in test:
-            if ex.language == lang and len(ex.tokens) <= exact_limit:
+            if ex.language == lang:
                 cells.setdefault(ex.label, []).append(ex)
-        if not cells:
-            raise ValueError(f"no test datapoints of language {lang} within exact_limit; "
-                             "raise exact_limit or n_max")
         ordered = [sorted(cell, key=lambda ex: ex.id) for _, cell in sorted(cells.items())]
         picks = []
         rank = 0
@@ -353,16 +360,14 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         n_permutations=int(config.explain["n_permutations"]),
         seed=derive_int(seed, "shapdiff"),
     )
-    shap_data = _shap_subset(test, int(config.explain["max_datapoints"]),
-                             int(config.explain["exact_limit"]))
+    shap_data = _shap_subset(test, int(config.explain["max_datapoints"]))
     record["shapdiff"] = {"n_datapoints": len(shap_data)}
+    labels = [int(t) for t in config.explain["target_labels"]]
+    expl = {arm: explain_mod.explain_arm(arm_params[arm], shap_data, engine, target_labels=labels, model_tag=arm)
+            for arm in ARMS}
     for other, tag in (("imbalanced", "bal_vs_imbal"), ("imbalanced_cw", "bal_vs_imbal_cw")):
-        report = explain_mod.cumulative_diff(
-            arm_params["balanced"], arm_params[other], shap_data,
-            y_mode="fixed", target_labels=[int(t) for t in config.explain["target_labels"]],
-            theta=float(config.explain["theta"]), engine=engine,
-            model_tags=("bal", other),
-        )
+        report = explain_mod.diff_report(shap_data, expl["balanced"], expl[other], engine,
+                                         theta=float(config.explain["theta"]), model_tags=("bal", other))
         report.write_csv(manifest.add(shap_dir / f"{tag}.csv"))
         report.write_sidecar(manifest.add(shap_dir / f"{tag}.json"))
         record["shapdiff"][tag] = {
@@ -452,10 +457,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
 
     records, failures = [], []
     for seed in config.seeds:
+        seed_dir = root / f"seed_{seed}"
         try:
-            records.append(run_seed(config, seed, root / f"seed_{seed}"))
+            records.append(run_seed(config, seed, seed_dir))
         except Exception as e:  # a failing seed must not take down the others
             failures.append({"seed": seed, "error": f"{type(e).__name__}: {e}"})
+            seed_dir.mkdir(parents=True, exist_ok=True)
+            write_json(manifest.add(seed_dir / "error.json"),
+                       {"type": type(e).__name__, "message": str(e), "traceback": traceback.format_exc()})
 
     summary = {
         "name": config.name,

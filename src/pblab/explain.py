@@ -7,9 +7,9 @@ same length. Attributions satisfy sum_i S(t_i) + b = p(T, y): exactly for
 the exact engine, and enforced by uniform residual redistribution for the
 permutation-sampled engine (downstream category sums rely on additivity).
 
-For one explanation all 2^n (or P * (n+1)) coalition states are evaluated
-in a single batched forward pass over precomputed mean embeddings, so the
-exact engine stays cheap up to the default 12-token limit.
+The exact engine evaluates all 2^n coalitions in one batched forward pass
+(cheap up to the default 12-token limit); the sampled engine keeps one running
+embedding sum per permutation, so its memory is O(P * (n + d)) at any length.
 """
 
 import csv
@@ -36,6 +36,7 @@ class ShapExplanation:
     base: float          # probability of the label on the all-mask input
     label: int
     model_tag: str = ""
+    engine: str = ""     # "exact" or "sampled": the engine that computed the values
 
     @property
     def prediction(self) -> float:
@@ -43,14 +44,10 @@ class ShapExplanation:
         return float(self.values.sum() + self.base)
 
 
-def _coalition_probs(params: ModelParams, presence: np.ndarray, ids: np.ndarray, label: int) -> np.ndarray:
-    """v(A) for a (batch, n) boolean presence matrix over packed ``ids``, one batched forward pass."""
-    tok_emb = params.embedding[ids].astype(np.float64)
+def _coalition_values(params: ModelParams, sums: np.ndarray, n_present, n: int, label: int) -> np.ndarray:
+    """v(A) from the (batch, d) sums of A's present token embeddings and |A| (an int or a (batch, 1) column)."""
     mask_emb = params.embedding[params.mask_id].astype(np.float64)
-    n = presence.shape[1]
-    n_present = presence.sum(axis=1, keepdims=True)
-    means = (presence @ tok_emb + (n - n_present) * mask_emb) / n
-    probs, _ = forward_means(params, means)
+    probs, _ = forward_means(params, (sums + (n - n_present) * mask_emb) / n)
     return probs[:, label]
 
 
@@ -70,12 +67,13 @@ def shapley_exact(params: ModelParams, tokens, label: int,
     if not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
     ids, _ = pack_tokens([tokens], params.mask_id)
+    tok_emb = params.embedding[ids].astype(np.float64)
 
     masks = np.arange(2**n, dtype=np.uint32)
     presence = (masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    v = _coalition_probs(params, presence.astype(np.float64), ids, label)
-
     sizes = presence.sum(axis=1)
+    v = _coalition_values(params, presence.astype(np.float64) @ tok_emb, sizes[:, None], n, label)
+
     fact = [math.factorial(k) for k in range(n + 1)]
     coeff = np.array([fact[k] * fact[n - 1 - k] / fact[n] for k in range(n)])
 
@@ -84,7 +82,7 @@ def shapley_exact(params: ModelParams, tokens, label: int,
         without = np.flatnonzero(presence[:, i] == 0)
         with_i = without + (1 << i)
         values[i] = np.sum(coeff[sizes[without]] * (v[with_i] - v[without]))
-    return ShapExplanation(values=values, base=float(v[0]), label=label, model_tag=model_tag)
+    return ShapExplanation(values=values, base=float(v[0]), label=label, model_tag=model_tag, engine="exact")
 
 
 def shapley_sampled(params: ModelParams, tokens, label: int,
@@ -113,25 +111,23 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
         if perms.ndim != 2 or perms.shape[1] != n:
             raise ValueError("permutations must be sequences over all token positions")
     P = perms.shape[0]
+    tok_emb = params.embedding[ids].astype(np.float64)
 
-    # presence[p, k] = coalition after inserting the first k tokens of permutation p.
-    presence = np.zeros((P, n + 1, n))
-    rows = np.repeat(np.arange(P), n)
-    steps = np.tile(np.arange(n), P)
-    presence[rows, steps + 1, perms.ravel()] = 1.0
-    presence = np.cumsum(presence, axis=1)
-    v = _coalition_probs(params, presence.reshape(P * (n + 1), n), ids, label)
-    v = v.reshape(P, n + 1)
+    # v[p, k] = value of the coalition of the first k tokens of permutation p.
+    sums = np.zeros((P, params.embed_dim))
+    v = np.empty((P, n + 1))
+    for k in range(n + 1):
+        if k:
+            sums += tok_emb[perms[:, k - 1]]
+        v[:, k] = _coalition_values(params, sums, k, n, label)
 
     marginals = np.diff(v, axis=1)  # marginal of perms[p, k] at step k
-    values = np.zeros(n)
-    np.add.at(values, perms.ravel(), marginals.ravel())
-    values /= P
+    values = np.bincount(perms.ravel(), weights=marginals.ravel(), minlength=n) / P
 
     base = float(v[0, 0])
     full = float(v[0, n])
     values += (full - base - values.sum()) / n
-    return ShapExplanation(values=values, base=base, label=label, model_tag=model_tag)
+    return ShapExplanation(values=values, base=base, label=label, model_tag=model_tag, engine="sampled")
 
 
 @dataclass
@@ -183,6 +179,7 @@ class CumulativeDiffReport:
     theta: float = DEFAULT_THETA
     y_mode: str = "fixed"
     engine: dict = field(default_factory=dict)
+    explanations: dict = field(default_factory=dict)  # engine name -> (datapoint, label) pairs it explained
 
     def mean_diff(self, language: int, label: int, category: str) -> float:
         return self.rows[(language, label, category)][0]
@@ -200,6 +197,7 @@ class CumulativeDiffReport:
             "theta": self.theta,
             "y_mode": self.y_mode,
             "engine": self.engine,
+            "explanations": self.explanations,
             "base_values": {
                 str(label): {tag: mean for tag, mean in per_model.items()}
                 for label, per_model in sorted(self.base_values.items())
@@ -211,43 +209,37 @@ class CumulativeDiffReport:
         write_json(path, self.sidecar_dict())
 
 
-def cumulative_diff(params_bal: ModelParams, params_cmp: ModelParams, examples,
-                    y_mode: str = "fixed", target_labels=None, theta: float = DEFAULT_THETA,
-                    engine: EngineConfig | None = None,
-                    model_tags: tuple = ("bal", "cmp")) -> CumulativeDiffReport:
-    """Average per-category sum of S_cmp - S_bal, grouped by language.
-
-    ``params_bal`` is the reference model whose values define the token
-    categories; ``params_cmp`` is the model under comparison. With
-    ``y_mode="fixed"`` every datapoint is explained for each target label
-    (all labels when ``target_labels`` is None) and report rows carry that
-    label; with ``y_mode="true"`` each datapoint uses its own label.
-    """
-    if engine is None:
-        engine = EngineConfig()
-    params_a, params_b = params_bal, params_cmp
-    if params_a.embedding.shape != params_b.embedding.shape or params_a.n_classes != params_b.n_classes:
-        raise ValueError("models do not share vocabulary/dimensions")
+def explain_arm(params: ModelParams, examples, engine: EngineConfig, y_mode: str = "fixed",
+                target_labels=None, model_tag: str = "") -> list:
+    """One model's explanations, per datapoint one for each label: with ``y_mode="fixed"`` the
+    ``target_labels`` (all labels when None), with ``y_mode="true"`` the datapoint's own label."""
     if not examples:
         raise ValueError("empty dataset")
     if y_mode not in ("fixed", "true"):
         raise ValueError(f"unknown y_mode {y_mode!r}")
-    if y_mode == "fixed":
-        labels = list(target_labels) if target_labels is not None else list(range(params_a.n_classes))
-    else:
-        labels = None
+    labels = list(target_labels) if target_labels is not None else list(range(params.n_classes))
+    if y_mode == "fixed" and not labels:
+        raise ValueError("target_labels must be non-empty")
+    return [[engine.explain(params, ex.tokens, label, model_tag)
+             for label in (labels if y_mode == "fixed" else (ex.label,))]
+            for ex in examples]
 
+
+def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, theta: float = DEFAULT_THETA,
+                y_mode: str = "fixed", model_tags: tuple = ("bal", "cmp")) -> CumulativeDiffReport:
+    """Average per-category sum of S_cmp - S_bal by language, by arithmetic alone over two
+    ``explain_arm`` results for ``examples``; ``expl_bal``'s values define the token categories."""
     sums: dict = {}
     counts: dict = {}
     base_acc: dict = {}
     cat_counts = {c: 0 for c in CATEGORIES}
-    total_tokens = 0
+    explanations = {"exact": 0, "sampled": 0}
 
     tag_a, tag_b = model_tags
-
-    def accumulate(ex, label):
-        expl_a = engine.explain(params_a, ex.tokens, label, model_tag=tag_a)
-        expl_b = engine.explain(params_b, ex.tokens, label, model_tag=tag_b)
+    pairs = ((ex, a, b) for ex, row_a, row_b in zip(examples, expl_bal, expl_cmp, strict=True)
+             for a, b in zip(row_a, row_b, strict=True))
+    for ex, expl_a, expl_b in pairs:
+        label = expl_a.label
         cats = categorize(expl_a, theta).categories
         diff = expl_b.values - expl_a.values
         per_cat = {c: 0.0 for c in CATEGORIES}
@@ -262,24 +254,32 @@ def cumulative_diff(params_bal: ModelParams, params_cmp: ModelParams, examples,
         ba[tag_a] += expl_a.base
         ba[tag_b] += expl_b.base
         ba["n"] += 1
+        explanations[expl_a.engine] += 1
 
-    for ex in examples:
-        if y_mode == "fixed":
-            for label in labels:
-                accumulate(ex, label)
-        else:
-            accumulate(ex, ex.label)
-        total_tokens += len(ex.tokens) * (len(labels) if labels else 1)
-
-    report = CumulativeDiffReport(
+    return CumulativeDiffReport(
         rows={k: (sums[k] / counts[k], counts[k]) for k in sums},
         base_values={
             label: {tag: acc[tag] / acc["n"] for tag in model_tags}
             for label, acc in base_acc.items()
         },
-        split_fractions={c: cat_counts[c] / total_tokens for c in CATEGORIES},
+        split_fractions={c: cat_counts[c] / sum(cat_counts.values()) for c in CATEGORIES},
         theta=theta,
         y_mode=y_mode,
         engine=engine.to_dict(),
+        explanations=explanations,
     )
-    return report
+
+
+def cumulative_diff(params_bal: ModelParams, params_cmp: ModelParams, examples,
+                    y_mode: str = "fixed", target_labels=None, theta: float = DEFAULT_THETA,
+                    engine: EngineConfig | None = None,
+                    model_tags: tuple = ("bal", "cmp")) -> CumulativeDiffReport:
+    """``diff_report`` of ``explain_arm`` on both models: ``params_bal`` is the reference
+    model whose values define the token categories, ``params_cmp`` the compared one."""
+    if engine is None:
+        engine = EngineConfig()
+    if params_bal.embedding.shape != params_cmp.embedding.shape or params_bal.n_classes != params_cmp.n_classes:
+        raise ValueError("models do not share vocabulary/dimensions")
+    expl_bal = explain_arm(params_bal, examples, engine, y_mode, target_labels, model_tags[0])
+    expl_cmp = explain_arm(params_cmp, examples, engine, y_mode, target_labels, model_tags[1])
+    return diff_report(examples, expl_bal, expl_cmp, engine, theta, y_mode, model_tags)

@@ -72,7 +72,7 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(*(getattr(self, name).copy() for name in PARAM_FIELDS))
 
-    def allclose(self, other: "ModelParams") -> bool:
+    def array_equal(self, other: "ModelParams") -> bool:
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in PARAM_FIELDS)
 
 

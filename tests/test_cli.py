@@ -51,7 +51,7 @@ def test_train_zero_epochs_checkpoint_is_init(corpus_dir, tmp_path):
     vocab = load_vocab(corpus_dir / "vocab.json")
     params, _ = load_checkpoint(out / "checkpoint.pbl", vocab)
     expected = init_params(vocab.size, 3, rng=derive_rng(7, "train", "init"))
-    assert params.allclose(expected)
+    assert params.array_equal(expected)
     report = json.loads((out / "train_report.json").read_text())
     assert report["epochs"] == []
 
@@ -103,6 +103,20 @@ def test_experiment_missing_corpus_file(tmp_path, capsys):
     assert rc == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert "missing.jsonl" in summary["failures"][0]["error"]
+
+
+def test_experiment_malformed_config_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "name": "x", "seeds": [0], "corpus": {}, "joint": {"preset": "uniform"},
+        "train_size": 12, "val_size": 6, "test_size": 6, "train": 5, "out_dir": str(tmp_path / "out"),
+    }))
+    rc = main(["experiment", "--config", str(cfg_path)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and "'train'" in record["error"]
 
 
 def test_probe_and_shapdiff_cli(corpus_dir, tmp_path):

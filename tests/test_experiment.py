@@ -127,6 +127,11 @@ def test_failing_seed_recorded_others_proceed(tmp_path):
     assert summary["failures"][0]["seed"] == 0
     assert "need" in summary["failures"][0]["error"]
     assert summary["per_seed"] == []
+    error = json.loads((tmp_path / "fail" / "seed_0" / "error.json").read_text())
+    assert error["type"] == "ValueError" and "need" in error["message"]
+    assert "in sample_paired" in error["traceback"]
+    manifest = json.loads((tmp_path / "fail" / "manifest.json").read_text())
+    assert "seed_0/error.json" in manifest["artifacts"]
 
 
 def test_config_validation_errors(tmp_path):
@@ -136,6 +141,74 @@ def test_config_validation_errors(tmp_path):
         tiny_config(tmp_path, train={"epochs": 1, "nope": 2})
     with pytest.raises(ValueError, match="missing required key"):
         ExperimentConfig.from_dict({"seeds": [0]})
+
+
+@pytest.mark.parametrize("raw", [
+    [1, 2],
+    {"seeds": 5},
+    {"seeds": [0.5]},
+    {"train": 5},
+    {"explain": [1]},
+    {"probe": "k=3"},
+    {"corpus": 3},
+    {"joint": ["uniform"]},
+    {"train_size": [120]},
+], ids=["top-level list", "seeds int", "seeds float", "train int", "explain list", "probe str",
+        "corpus int", "joint list", "train_size list"])
+def test_config_malformed_values_rejected(tmp_path, raw):
+    """A config value of the wrong JSON type is a ValueError naming it, never a TypeError."""
+    if isinstance(raw, dict):
+        base = tiny_config(tmp_path).to_dict()
+        base.update(raw)
+        raw = base
+    with pytest.raises(ValueError, match="config|seeds|train_size"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_each_arm_explained_once(tmp_path, monkeypatch):
+    """run_seed makes 3 arms x datapoints x labels engine calls: the balanced arm is not re-explained."""
+    from pblab import explain
+
+    calls = []
+
+    def counted(engine_fn):
+        def wrapper(params, *args, **kwargs):
+            calls.append(params)
+            return engine_fn(params, *args, **kwargs)
+        return wrapper
+
+    for name in ("shapley_exact", "shapley_sampled"):
+        monkeypatch.setattr(explain, name, counted(getattr(explain, name)))
+    config = tiny_config(tmp_path / "once", explain={"target_labels": [0, 2], "max_datapoints": 6,
+                                                     "exact_limit": 5, "n_permutations": 20})
+    summary = run_experiment(config)
+    assert summary["failures"] == []
+    n_datapoints = summary["per_seed"][0]["shapdiff"]["n_datapoints"]
+    assert len(calls) == 3 * n_datapoints * 2
+    assert len({id(params) for params in calls}) == 3
+
+
+def test_long_datapoints_explained_by_sampled_engine(tmp_path):
+    config = tiny_config(tmp_path / "long", explain={"target_labels": [0], "max_datapoints": 12,
+                                                     "exact_limit": 5, "n_permutations": 50})
+    summary = run_experiment(config)
+    assert summary["failures"] == []
+    seed_dir = tmp_path / "long" / "seed_0"
+    vocab = load_vocab(seed_dir / "corpus" / "vocab.json")
+    _, pool = load_jsonl(seed_dir / "corpus" / "corpus.jsonl", vocab)
+    from pblab.experiment import _shap_subset
+    from pblab.sampler import split_eval
+
+    _, test = split_eval(pool, config.val_size, config.test_size, seed=0)
+    explained = _shap_subset(test, 12)
+    assert max(len(ex.tokens) for ex in explained) > 5
+    n_pairs = summary["per_seed"][0]["shapdiff"]["n_datapoints"]
+    for tag in ("bal_vs_imbal", "bal_vs_imbal_cw"):
+        sidecar = json.loads((seed_dir / "shapdiff" / f"{tag}.json").read_text())
+        counts = sidecar["explanations"]
+        assert counts["exact"] > 0 and counts["sampled"] > 0
+        assert counts["exact"] + counts["sampled"] == n_pairs
+        assert counts["sampled"] == sum(len(ex.tokens) > 5 for ex in explained)
 
 
 def test_config_hash_ignores_out_dir(tmp_path):

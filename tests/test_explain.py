@@ -247,3 +247,18 @@ def test_engine_dispatch():
     long = engine.explain(params, tuple(range(6)), 0)
     sampled = shapley_sampled(params, tuple(range(6)), 0, n_permutations=300, seed=0)
     assert np.array_equal(long.values, sampled.values)
+
+
+def test_sampled_memory_bounded_on_long_input():
+    """The sampled engine keeps one running sum per permutation, not a P x (n+1) x n coalition tensor."""
+    import tracemalloc
+
+    params = make_params(200, seed=3, d=32, h=32)
+    tokens = tuple(int(t) for t in np.random.default_rng(4).integers(0, 200, 150))
+    tracemalloc.start()
+    try:
+        shapley_sampled(params, tokens, 0, n_permutations=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

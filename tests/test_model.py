@@ -123,7 +123,7 @@ def test_save_load_bitwise(tmp_path, vocab):
     path = tmp_path / "m.pbl"
     save(params, path, vocab_hash=vocab.content_hash(), manifest={"note": "test"})
     loaded, header = load(path, vocab)
-    assert params.allclose(loaded)
+    assert params.array_equal(loaded)
     assert all(getattr(loaded, n).dtype == np.float32 for n in ("embedding", "out_w"))
     assert header["manifest"]["note"] == "test"
 

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["acceptance_seed", "explain_long"])
+@pytest.mark.parametrize("workload", ["acceptance_seed", "explain_long", "ingest_cli"])
 def test_benchmark_smoke_traced(workload):
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
            "--seed", "1", "--seconds", "0", "--scale", "smoke", "--trace", "1"]

@@ -193,7 +193,7 @@ def test_train_zero_epochs_returns_init(corpus223):
     params, report = train(examples[:60], examples[60:80], vocab, config)
     expected = init_params(vocab.size, 3, config.embed_dim, config.hidden_dim,
                            rng=derive_rng(config.seed, "train", "init"))
-    assert params.allclose(expected)
+    assert params.array_equal(expected)
     assert report.epochs == [] and report.selected_epoch is None
 
 
@@ -202,7 +202,7 @@ def test_train_deterministic_bitwise(corpus223):
     config = TrainConfig(epochs=3, seed=11)
     p1, r1 = train(examples[:120], examples[120:160], vocab, config)
     p2, r2 = train(examples[:120], examples[120:160], vocab, TrainConfig(epochs=3, seed=11))
-    assert p1.allclose(p2)
+    assert p1.array_equal(p2)
     assert r1.to_dict() == r2.to_dict()
 
 
@@ -226,7 +226,7 @@ def test_train_weighting_changes_model(corpus223):
     _, imbal, _ = sample_paired(pool, preset("xnli_skew", 2, 3), 120, seed=1)
     p_plain, _ = train(imbal, pool[:30], vocab, TrainConfig(epochs=3, seed=4))
     p_cw, _ = train(imbal, pool[:30], vocab, TrainConfig(epochs=3, seed=4, weighting="per_language"))
-    assert not p_plain.allclose(p_cw)
+    assert not p_plain.array_equal(p_cw)
 
 
 # ---------------------------------------------------------------- evaluation
