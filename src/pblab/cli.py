@@ -122,8 +122,7 @@ def cmd_probe(args) -> int:
     manifest = Manifest(out, _args_hash(args), args.seed)
     vocab, data = _load_dataset(args.data, args.vocab)
     params, _ = model_mod.load(args.checkpoint, vocab)
-    report = probe_mod.probe_model(params, data, k=args.k, seed=args.seed, l2=args.l2,
-                                   max_iters=args.max_iters, tol=args.tol)
+    report = probe_mod.probe_model(params, data, k=args.k, seed=args.seed, l2=args.l2)
     write_json(manifest.add(out / "probe.json"), report.to_dict())
     probe_mod.append_probe_csv(manifest.add(out / "probe.csv"), args.model_tag, args.corpus_tag,
                                report, header=True)
@@ -234,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", default=None)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--l2", type=float, default=probe_mod.DEFAULT_L2)
-    p.add_argument("--max-iters", type=int, default=probe_mod.DEFAULT_MAX_ITERS)
-    p.add_argument("--tol", type=float, default=probe_mod.DEFAULT_TOL)
     p.add_argument("--model-tag", default="model")
     p.add_argument("--corpus-tag", default="data")
     p.add_argument("--seed", type=int, default=0)

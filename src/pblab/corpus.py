@@ -16,6 +16,12 @@ from .seeds import derive_rng
 TOKEN_CATEGORIES = ("signal_pos", "signal_other", "filler", "foreign")
 
 
+def _id_lists(value, count: int) -> bool:
+    """True when ``value`` is a list of ``count`` lists of int token ids."""
+    return (isinstance(value, list) and len(value) == count
+            and all(isinstance(ids, list) and all(type(t) is int for t in ids) for ids in value))
+
+
 @dataclass(frozen=True)
 class Vocab:
     """Token inventory plus language/label dictionaries.
@@ -82,8 +88,19 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vocab":
+        if not isinstance(d, dict):
+            raise ValueError("vocabulary must be a JSON object")
+        for key, kinds in (("tokens", (str,)), ("languages", (str,)), ("labels", (str, int))):
+            if not isinstance(d.get(key), list) or not all(type(x) in kinds for x in d[key]):
+                raise ValueError(f"vocabulary {key!r} must be a list of {' or '.join(k.__name__ for k in kinds)}")
         filler = signal = None
         if "filler_sets" in d and "signal_sets" in d:
+            L, C = len(d["languages"]), len(d["labels"])
+            if not _id_lists(d["filler_sets"], L):
+                raise ValueError(f"vocabulary 'filler_sets' must be {L} lists of token ids, one per language")
+            if not (isinstance(d["signal_sets"], list) and len(d["signal_sets"]) == L
+                    and all(_id_lists(per_lang, C) for per_lang in d["signal_sets"])):
+                raise ValueError(f"vocabulary 'signal_sets' must be {L} lists of {C} lists of token ids")
             filler = tuple(frozenset(s) for s in d["filler_sets"])
             signal = tuple(tuple(frozenset(s) for s in per_lang) for per_lang in d["signal_sets"])
         vocab = cls(

@@ -67,7 +67,7 @@ CONFIG_SCHEMA = {
         "n_permutations": "int, permutations the sampled engine draws per input longer than exact_limit",
     },
     "probe": {
-        "k": "int, folds", "l2": "float", "max_iters": "int", "tol": "float",
+        "k": "int, folds", "l2": "float",
         "holdout_per_language": "int, size of the fresh uniform probe corpus (synthetic only)",
     },
     "out_dir": "output root directory",
@@ -83,7 +83,7 @@ DEFAULTS = {
         "theta": 0.01, "target_labels": [0], "max_datapoints": 120,
         "exact_limit": 12, "n_permutations": 2000,
     },
-    "probe": {"k": 5, "l2": 1.0, "max_iters": 1000, "tol": 1e-6, "holdout_per_language": 500},
+    "probe": {"k": 5, "l2": 1.0, "holdout_per_language": 500},
 }
 
 
@@ -125,7 +125,9 @@ class ExperimentConfig:
                 value.update(raw.get(section, {}))
                 unknown = set(value) - set(defaults)
                 if unknown:
-                    raise ValueError(f"unknown keys in {section!r}: {sorted(unknown)}")
+                    raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+                for key, default in defaults.items():
+                    _check_value(f"{section}.{key}", value[key], default)
                 merged[section] = value
             else:
                 merged[section] = raw.get(section, defaults)
@@ -154,6 +156,18 @@ class ExperimentConfig:
         d = self.to_dict()
         d.pop("out_dir")  # location does not change the experiment
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _check_value(name: str, value, default) -> None:
+    """A section value must have its default's type: an int, a number, or a list of ints."""
+    if isinstance(default, list):
+        ok, kind = isinstance(value, list) and all(type(v) is int for v in value), "a list of ints"
+    elif isinstance(default, float):
+        ok, kind = type(value) in (int, float), "a number"
+    else:
+        ok, kind = type(value) is int, "an int"
+    if not ok:
+        raise ValueError(f"config value {name} must be {kind}, got {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -346,7 +360,6 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
             report = probe_mod.probe_model(
                 arm_params[arm], dataset, k=int(config.probe["k"]),
                 seed=derive_int(seed, "probe", arm, corpus_tag), l2=float(config.probe["l2"]),
-                max_iters=int(config.probe["max_iters"]), tol=float(config.probe["tol"]),
             )
             probe_mod.append_probe_csv(path, arm, corpus_tag, report, header=header)
             header = False

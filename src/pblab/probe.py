@@ -1,9 +1,8 @@
 """Language separability of the latent space, measured by a logistic-regression probe.
 
 Features are the model's pooled hidden vectors; the probe predicts language
-ids with multinomial logistic regression (zero init, full-batch gradient
-descent, L2 on the weights but not the intercept) under stratified k-fold
-cross-validation.
+ids with multinomial logistic regression (zero init, Newton's method, L2 on
+the weights but not the intercept) under stratified k-fold cross-validation.
 """
 
 import csv
@@ -15,8 +14,8 @@ from .model import ModelParams, forward_examples, softmax
 from .seeds import derive_rng
 
 DEFAULT_L2 = 1.0
-DEFAULT_MAX_ITERS = 1000
 DEFAULT_TOL = 1e-6
+NEWTON_STEPS = 50  # a fit from zero converges in well under this
 
 
 @dataclass
@@ -38,13 +37,13 @@ def extract_features(params: ModelParams, dataset):
     return pooled, langs
 
 
-def fit_logreg(features, labels, l2: float = DEFAULT_L2, max_iters: int = DEFAULT_MAX_ITERS,
-               tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Multinomial logistic regression by full-batch gradient descent.
+def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Multinomial logistic regression by Newton's method, from zero.
 
-    Objective: mean cross-entropy + l2/(2n) * ||W||^2 (intercept
-    unregularized). Zero initialization and a Lipschitz step size make the
-    fit deterministic. Returns stacked (d+1, K) weights, last row intercept.
+    Objective: mean cross-entropy + l2/(2n) * ||W||^2, intercept unregularized.
+    Each step is halved until the objective does not rise. Stops at max
+    |gradient| <= tol; raises ValueError if NEWTON_STEPS steps do not get there.
+    Returns stacked (d+1, K) weights, last row intercept.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -56,24 +55,31 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, max_iters: int = DEFAUL
     K = int(classes.max()) + 1
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
+    ridge = np.append(np.full(d, l2 / n), 0.0)
+
+    def objective(W):
+        Z = Xb @ W
+        Z -= Z.max(axis=1, keepdims=True)
+        return (np.log(np.exp(Z).sum(axis=1)) - Z[np.arange(n), y]).mean() + 0.5 * ridge @ (W * W).sum(axis=1)
+
     W = np.zeros((d + 1, K))
-    onehot = np.zeros((n, K))
-    onehot[np.arange(n), y] = 1.0
-
-    # Softmax CE Hessian is bounded by (1/2) X^T X / n; add the ridge term.
-    smax = np.linalg.norm(Xb, ord=2)
-    lipschitz = 0.5 * smax**2 / n + l2 / n
-    step = 1.0 / lipschitz
-
-    reg_mask = np.ones((d + 1, 1))
-    reg_mask[d] = 0.0
-    for _ in range(max_iters):
+    for _ in range(NEWTON_STEPS):
         P = softmax(Xb @ W)
-        grad = Xb.T @ (P - onehot) / n + (l2 / n) * W * reg_mask
+        grad = Xb.T @ (P - np.eye(K)[y]) / n + ridge[:, None] * W
         if np.abs(grad).max() <= tol:
-            break
-        W -= step * grad
-    return W
+            return W
+        # Hessian block (a, b) is Xb^T diag(P_a (1[a=b] - P_b)) Xb / n, plus the ridge on the diagonal.
+        H = np.block([[Xb.T @ (Xb * (P[:, [a]] * ((a == b) - P[:, [b]]))) for b in range(K)] for a in range(K)])
+        H = H / n + np.diag(np.tile(ridge, K))
+        # H is singular along "shift every intercept alike", which the gradient has no part of;
+        # adding that direction to H leaves the step none either, so the intercepts sum to zero.
+        H[d::d + 1, d::d + 1] += 1.0
+        step = np.linalg.lstsq(H, -grad.T.ravel(), rcond=None)[0].reshape(K, d + 1).T
+        t, f = 1.0, objective(W)
+        while objective(W + t * step) > f:
+            t /= 2
+        W = W + t * step
+    raise ValueError(f"probe fit did not reach max |gradient| <= {tol} in {NEWTON_STEPS} Newton steps")
 
 
 def predict_logreg(W: np.ndarray, features) -> np.ndarray:
@@ -104,8 +110,7 @@ def stratified_folds(labels, k: int, seed: int = 0):
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
-def cross_validate(features, labels, k: int = 5, seed: int = 0, l2: float = DEFAULT_L2,
-                   max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL) -> ProbeReport:
+def cross_validate(features, labels, k: int = 5, seed: int = 0, l2: float = DEFAULT_L2) -> ProbeReport:
     """Stratified k-fold probe accuracy; every example is scored exactly once."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -120,7 +125,7 @@ def cross_validate(features, labels, k: int = 5, seed: int = 0, l2: float = DEFA
         train_idx = np.array(sorted(set(range(len(y))) - set(held.tolist())), dtype=np.int64)
         if np.unique(y[train_idx]).size < langs.size:
             raise ValueError(f"fold {f}: training folds miss a language; too few examples per language")
-        W = fit_logreg(X[train_idx], y[train_idx], l2=l2, max_iters=max_iters, tol=tol)
+        W = fit_logreg(X[train_idx], y[train_idx], l2=l2)
         preds = predict_logreg(W, X[held])
         accs.append(float((preds == y[held]).mean()) if held.size else float("nan"))
     return ProbeReport(
@@ -132,11 +137,10 @@ def cross_validate(features, labels, k: int = 5, seed: int = 0, l2: float = DEFA
     )
 
 
-def probe_model(params: ModelParams, dataset, k: int = 5, seed: int = 0, l2: float = DEFAULT_L2,
-                max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL) -> ProbeReport:
+def probe_model(params: ModelParams, dataset, k: int = 5, seed: int = 0, l2: float = DEFAULT_L2) -> ProbeReport:
     """Extract pooled features from ``dataset`` and cross-validate the language probe."""
     features, langs = extract_features(params, dataset)
-    return cross_validate(features, langs, k=k, seed=seed, l2=l2, max_iters=max_iters, tol=tol)
+    return cross_validate(features, langs, k=k, seed=seed, l2=l2)
 
 
 def append_probe_csv(path, model_tag: str, corpus_tag: str, report: ProbeReport, header: bool = False) -> None:

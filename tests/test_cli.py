@@ -82,6 +82,30 @@ def test_eval_checkpoint_without_dims_exits_1(corpus_dir, tmp_path, capsys):
     assert json.loads(lines[0])["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda v: [v],
+    lambda v: {},
+    lambda v: {**v, "tokens": "abc"},
+    lambda v: {**v, "languages": None},
+    lambda v: {**v, "labels": [[0]]},
+    lambda v: {**v, "filler_sets": 5},
+    lambda v: {**v, "filler_sets": v["filler_sets"][:1]},
+    lambda v: {**v, "signal_sets": [[["x"]]] * len(v["signal_sets"])},
+], ids=["list", "empty object", "tokens str", "languages null", "labels nested",
+        "filler_sets int", "filler_sets short", "signal_sets str ids"])
+def test_sample_malformed_vocab_exits_1(corpus_dir, tmp_path, capsys, mutate):
+    vocab = json.loads((corpus_dir / "vocab.json").read_text())
+    bad = tmp_path / "v.json"
+    bad.write_text(json.dumps(mutate(vocab)))
+    rc = main(["sample", "--data", str(corpus_dir / "corpus.jsonl"), "--vocab", str(bad),
+               "--preset", "uniform", "--n", "60", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and "vocabulary" in record["error"]
+
+
 def test_experiment_print_schema(capsys):
     rc = main(["experiment", "--print-schema"])
     assert rc == 0

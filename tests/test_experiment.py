@@ -153,8 +153,14 @@ def test_config_validation_errors(tmp_path):
     {"corpus": 3},
     {"joint": ["uniform"]},
     {"train_size": [120]},
+    {"train": {"epochs": "a"}},
+    {"train": {"batch_size": True}},
+    {"probe": {"l2": "x"}},
+    {"explain": {"target_labels": 0}},
+    {"probe": {"max_iters": 1000}},
 ], ids=["top-level list", "seeds int", "seeds float", "train int", "explain list", "probe str",
-        "corpus int", "joint list", "train_size list"])
+        "corpus int", "joint list", "train_size list", "train.epochs str", "train.batch_size bool",
+        "probe.l2 str", "explain.target_labels int", "probe.max_iters unknown"])
 def test_config_malformed_values_rejected(tmp_path, raw):
     """A config value of the wrong JSON type is a ValueError naming it, never a TypeError."""
     if isinstance(raw, dict):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pblab.corpus import CorpusSpec, generate_corpus
-from pblab.model import ModelParams
+from pblab.model import ModelParams, softmax
 from pblab.probe import (
     cross_validate,
     extract_features,
@@ -51,7 +51,7 @@ def test_fit_identical_features_predicts_prior():
     # is the majority class.
     X = np.ones((100, 4))
     y = np.array([0] * 70 + [1] * 30)
-    W = fit_logreg(X, y, max_iters=2000)
+    W = fit_logreg(X, y)
     preds = predict_logreg(W, X)
     assert (preds == y).mean() == pytest.approx(0.7, abs=1e-12)
     assert (preds == 0).all()
@@ -61,10 +61,62 @@ def test_large_l2_shrinks_weights_to_prior():
     X, y = clusters(n_per=60)
     y = np.array([0] * 80 + [1] * 40)  # unbalanced priors
     W_small = fit_logreg(X, y, l2=1e-3)
-    W_huge = fit_logreg(X, y, l2=1e9, max_iters=5000)
+    W_huge = fit_logreg(X, y, l2=1e9)
     assert np.abs(W_huge[:-1]).max() < 1e-3 < np.abs(W_small[:-1]).max()
     # intercept is unregularized: predictions collapse to the majority class
     assert (predict_logreg(W_huge, X) == 0).all()
+
+
+def ridge_objective(X, y, l2, K):
+    """Mean cross-entropy + l2/(2n) ||W||^2 (intercept unregularized) and its gradient, on flat W."""
+    n, d = X.shape
+    Xb = np.hstack([X, np.ones((n, 1))])
+
+    def f(w):
+        W = w.reshape(d + 1, K)
+        Z = Xb @ W
+        lse = Z.max(axis=1) + np.log(np.exp(Z - Z.max(axis=1, keepdims=True)).sum(axis=1))
+        P = np.exp(Z - lse[:, None])
+        P[np.arange(n), y] -= 1.0
+        Wreg = W.copy()
+        Wreg[-1] = 0.0
+        value = (lse - Z[np.arange(n), y]).mean() + 0.5 * l2 / n * (Wreg * Wreg).sum()
+        return value, (Xb.T @ P / n + l2 / n * Wreg).ravel()
+
+    return f
+
+
+def probabilities(W, X):
+    return softmax(np.hstack([X, np.ones((X.shape[0], 1))]) @ W)
+
+
+def overlapping(K, n=300, d=6, seed=0):
+    """K Gaussian classes that overlap a little, so even a small l2 has a finite optimum far from zero."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0, 1.2, (K, d))
+    y = rng.integers(0, K, n)
+    return means[y] + rng.normal(0, 1, (n, d)), y
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_fit_matches_lbfgs_oracle_and_converges(K):
+    from scipy.optimize import minimize
+
+    X, y = overlapping(K)
+    W = fit_logreg(X, y, l2=1e-3)
+    f = ridge_objective(X, y, 1e-3, K)
+    ref = minimize(f, np.zeros((X.shape[1] + 1) * K), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 20000, "ftol": 0.0, "gtol": 1e-12})
+    assert np.abs(f(ref.x)[1]).max() <= 1e-7
+    W_ref = ref.x.reshape(-1, K)
+    assert np.abs(probabilities(W, X) - probabilities(W_ref, X)).max() <= 1e-6
+    assert np.abs(f(W.ravel())[1]).max() <= 1e-6
+
+
+def test_fit_unreachable_tol_raises():
+    X, y = overlapping(3)
+    with pytest.raises(ValueError, match="Newton steps"):
+        fit_logreg(X, y, tol=0.0)
 
 
 def test_fit_single_language_error():
