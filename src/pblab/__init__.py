@@ -26,6 +26,7 @@ from .training import (
     grad_check,
     loss,
     train,
+    train_arms,
 )
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
     "ProbeReport", "cross_validate", "extract_features", "fit_logreg", "probe_model",
     "JointSpec", "SubsetPlan", "plan_counts", "preset", "sample_paired", "split_eval",
     "EvalMetrics", "TrainConfig", "TrainReport", "WeightTable",
-    "compute_weights", "evaluate", "grad_check", "loss", "train",
+    "compute_weights", "evaluate", "grad_check", "loss", "train", "train_arms",
 ]
 
 __version__ = "0.1.0"

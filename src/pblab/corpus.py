@@ -327,7 +327,9 @@ def load_jsonl(path, vocab: Vocab | None = None):
                 if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                     raise ValueError(f"{path}: line {lineno}: 'tokens' must be a list of strings")
             elif "text" in rec:
-                tokens = str(rec["text"]).split()
+                if not isinstance(rec["text"], str):
+                    raise ValueError(f"{path}: line {lineno}: 'text' must be a string")
+                tokens = rec["text"].split()
             else:
                 raise ValueError(f"{path}: line {lineno}: need 'tokens' or 'text'")
             if not tokens:
@@ -338,6 +340,9 @@ def load_jsonl(path, vocab: Vocab | None = None):
                 raise ValueError(f"{path}: line {lineno}: duplicate id {ex_id!r}")
             seen_ids.add(ex_id)
 
+            for field in ("lang", "label"):
+                if type(rec[field]) not in (str, int):
+                    raise ValueError(f"{path}: line {lineno}: {field!r} must be a string or an int")
             lang_key = str(rec["lang"])
             label_key = str(rec["label"])
             if fresh:

@@ -17,6 +17,7 @@ import hashlib
 import json
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -194,6 +195,14 @@ class Manifest:
             self.entry["artifacts"].append(rel)
         return Path(path)
 
+    @contextmanager
+    def stage(self, stage: str, arm: str | None = None, corpus: str | None = None):
+        """Time one pipeline stage into the manifest's ``stages`` list."""
+        start = time.perf_counter()
+        yield
+        self.entry.setdefault("stages", []).append(
+            {"stage": stage, "arm": arm, "corpus": corpus, "seconds": time.perf_counter() - start})
+
     def write(self) -> None:
         self.entry["finished_unix"] = time.time()
         self.entry["wall_seconds"] = self.entry["finished_unix"] - self.entry["started_unix"]
@@ -283,52 +292,50 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
     manifest = Manifest(seed_dir, config.content_hash(), seed)
     record = {"seed": seed}
 
-    vocab, pool, synthetic = _build_corpus(config, seed, seed_dir / "corpus", manifest)
+    with manifest.stage("corpus", corpus="original"):
+        vocab, pool, synthetic = _build_corpus(config, seed, seed_dir / "corpus", manifest)
     L, C = vocab.n_languages, vocab.n_classes
     joint = joint_from_config(config.joint, L, C)
 
-    val, test = sampler_mod.split_eval(pool, config.val_size, config.test_size, seed=seed)
-    eval_ids = {ex.id for ex in val} | {ex.id for ex in test}
-    train_pool = [ex for ex in pool if ex.id not in eval_ids]
-
-    balanced, imbalanced, overlap = sampler_mod.sample_paired(train_pool, joint, config.train_size, seed=seed)
-    subsets_dir = seed_dir / "subsets"
-    subsets_dir.mkdir(exist_ok=True)
-    corpus_mod.save_jsonl(balanced, vocab, manifest.add(subsets_dir / "balanced.jsonl"))
-    corpus_mod.save_jsonl(imbalanced, vocab, manifest.add(subsets_dir / "imbalanced.jsonl"))
-    sampler_mod.write_plan_json(overlap, manifest.add(subsets_dir / "plan.json"))
+    with manifest.stage("sample"):
+        val, test = sampler_mod.split_eval(pool, config.val_size, config.test_size, seed=seed)
+        eval_ids = {ex.id for ex in val} | {ex.id for ex in test}
+        train_pool = [ex for ex in pool if ex.id not in eval_ids]
+        balanced, imbalanced, overlap = sampler_mod.sample_paired(train_pool, joint, config.train_size, seed=seed)
+        subsets_dir = seed_dir / "subsets"
+        subsets_dir.mkdir(exist_ok=True)
+        corpus_mod.save_jsonl(balanced, vocab, manifest.add(subsets_dir / "balanced.jsonl"))
+        corpus_mod.save_jsonl(imbalanced, vocab, manifest.add(subsets_dir / "imbalanced.jsonl"))
+        sampler_mod.write_plan_json(overlap, manifest.add(subsets_dir / "plan.json"))
     record["overlap"] = overlap.to_dict()
 
+    # The three arms train in lockstep; imbalanced and imbalanced_cw share one subset.
     arm_data = {"balanced": balanced, "imbalanced": imbalanced, "imbalanced_cw": imbalanced}
+    tconfigs = [
+        training_mod.TrainConfig(**config.train, weighting="per_language" if arm == "imbalanced_cw" else "none",
+                                 seed=derive_int(seed, "train", arm))
+        for arm in ARMS
+    ]
+    with manifest.stage("train"):
+        trained = training_mod.train_arms([arm_data[arm] for arm in ARMS], val, vocab, tconfigs)
     arm_params = {}
     record["arms"] = {}
-    for arm in ARMS:
+    for arm, (params, report) in zip(ARMS, trained):
         arm_dir = seed_dir / "arms" / arm
         arm_dir.mkdir(parents=True, exist_ok=True)
-        tcfg = training_mod.TrainConfig(
-            epochs=int(config.train["epochs"]),
-            batch_size=int(config.train["batch_size"]),
-            lr=float(config.train["lr"]),
-            weighting="per_language" if arm == "imbalanced_cw" else "none",
-            mask_entropy_coeff=float(config.train["mask_entropy_coeff"]),
-            seed=derive_int(seed, "train", arm),
-            val_every=int(config.train["val_every"]),
-            embed_dim=int(config.train["embed_dim"]),
-            hidden_dim=int(config.train["hidden_dim"]),
-        )
-        params, report = training_mod.train(arm_data[arm], val, vocab, tcfg)
-        model_mod.save(
-            params, manifest.add(arm_dir / "checkpoint.pbl"), vocab_hash=vocab.content_hash(),
-            manifest={"arm": arm, "seed": seed, "config_hash": config.content_hash()},
-        )
-        write_json(manifest.add(arm_dir / "train_report.json"), report.to_dict())
+        with manifest.stage("evaluate", arm=arm):
+            model_mod.save(
+                params, manifest.add(arm_dir / "checkpoint.pbl"), vocab_hash=vocab.content_hash(),
+                manifest={"arm": arm, "seed": seed, "config_hash": config.content_hash()},
+            )
+            write_json(manifest.add(arm_dir / "train_report.json"), report.to_dict())
 
-        metrics = training_mod.evaluate(params, test, n_languages=L, n_classes=C)
-        write_json(manifest.add(arm_dir / "metrics.json"), metrics.to_dict())
-        training_mod.write_pred_dist_csv(
-            metrics, manifest.add(arm_dir / "pred_dist.csv"), vocab.lang_names, vocab.label_names
-        )
-        masked = model_mod.forward(params, [params.mask_id]).probs
+            metrics = training_mod.evaluate(params, test, n_languages=L, n_classes=C)
+            write_json(manifest.add(arm_dir / "metrics.json"), metrics.to_dict())
+            training_mod.write_pred_dist_csv(
+                metrics, manifest.add(arm_dir / "pred_dist.csv"), vocab.lang_names, vocab.label_names
+            )
+            masked = model_mod.forward(params, [params.mask_id]).probs
         record["arms"][arm] = {
             "accuracy": metrics.overall_accuracy,
             "per_language_accuracy": metrics.per_language_accuracy,
@@ -345,11 +352,12 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
     probe_dir.mkdir(exist_ok=True)
     probe_corpora = {"original": test}
     if synthetic:
-        holdout_spec = corpus_spec_from_config(config.corpus, derive_int(seed, "probe_holdout"))
-        per_cell = int(config.probe["holdout_per_language"]) // C
-        if per_cell < 1:
-            raise ValueError("holdout_per_language must be at least n_classes")
-        _, holdout = corpus_mod.generate_corpus(holdout_spec, per_cell)
+        with manifest.stage("corpus", corpus="holdout"):
+            holdout_spec = corpus_spec_from_config(config.corpus, derive_int(seed, "probe_holdout"))
+            per_cell = int(config.probe["holdout_per_language"]) // C
+            if per_cell < 1:
+                raise ValueError("holdout_per_language must be at least n_classes")
+            _, holdout = corpus_mod.generate_corpus(holdout_spec, per_cell)
         probe_corpora["holdout"] = holdout
     record["probe"] = {}
     for corpus_tag, dataset in probe_corpora.items():
@@ -357,10 +365,11 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         header = True
         record["probe"][corpus_tag] = {}
         for arm in ARMS:
-            report = probe_mod.probe_model(
-                arm_params[arm], dataset, k=int(config.probe["k"]),
-                seed=derive_int(seed, "probe", arm, corpus_tag), l2=float(config.probe["l2"]),
-            )
+            with manifest.stage("probe", arm=arm, corpus=corpus_tag):
+                report = probe_mod.probe_model(
+                    arm_params[arm], dataset, k=int(config.probe["k"]),
+                    seed=derive_int(seed, "probe", arm, corpus_tag), l2=float(config.probe["l2"]),
+                )
             probe_mod.append_probe_csv(path, arm, corpus_tag, report, header=header)
             header = False
             record["probe"][corpus_tag][arm] = report.mean_accuracy
@@ -376,8 +385,11 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
     shap_data = _shap_subset(test, int(config.explain["max_datapoints"]))
     record["shapdiff"] = {"n_datapoints": len(shap_data)}
     labels = [int(t) for t in config.explain["target_labels"]]
-    expl = {arm: explain_mod.explain_arm(arm_params[arm], shap_data, engine, target_labels=labels, model_tag=arm)
-            for arm in ARMS}
+    expl = {}
+    for arm in ARMS:
+        with manifest.stage("explain", arm=arm):
+            expl[arm] = explain_mod.explain_arm(arm_params[arm], shap_data, engine, target_labels=labels,
+                                                model_tag=arm)
     for other, tag in (("imbalanced", "bal_vs_imbal"), ("imbalanced_cw", "bal_vs_imbal_cw")):
         report = explain_mod.diff_report(shap_data, expl["balanced"], expl[other], engine,
                                          theta=float(config.explain["theta"]), model_tags=("bal", other))

@@ -133,18 +133,72 @@ def pack_tokens(sequences, mask_id: int):
     return ids, lengths
 
 
-def take_sequences(ids: np.ndarray, lengths: np.ndarray, idx):
-    """The packed layout of sequences ``idx`` (in that order) of a packed layout."""
-    sel = lengths[idx]
+def batch_layout(ids: np.ndarray, lengths: np.ndarray, order: np.ndarray, batch_size: int, mask_id: int,
+                 with_mask: bool):
+    """Every mini-batch of ``order`` as its distinct embedding rows plus its token-count cells.
+
+    ``ids``/``lengths`` are a packed layout (``pack_tokens``). Batch b holds
+    sequences ``order[b * batch_size:][:batch_size]``. Its rows are
+    ``rows[row_ptr[b]:row_ptr[b + 1]]``, ascending; ``with_mask`` puts the
+    mask row among them, last (it is the largest id). Its (B_b, U_b) count
+    matrix N is the bincount of ``cells[tok_ptr[b]:tok_ptr[b + 1]]``:
+    ``N @ emb[rows] / lengths`` is every sequence's mean embedding, and
+    ``N.T @ (dx / lengths)`` maps a gradient on those means back onto the rows.
+    One sort over (batch, id) keys serves every batch. The arrays are int32
+    whenever every key fits; the ``del``s keep the transient memory to a few
+    token-length arrays.
+    """
+    n, width = order.size, mask_id + 1
+    n_batches = -(-n // batch_size)
+    dtype = np.int32 if n_batches * width < 2**31 else np.int64
+    sel = lengths[order]
     ends = np.cumsum(sel)
-    starts = np.cumsum(lengths) - lengths
-    return ids[np.arange(ends[-1]) + np.repeat(starts[idx] - (ends - sel), sel)], sel
+    seq_batch = np.arange(n, dtype=dtype) // batch_size
+    # Token t of the permuted layout is ids[t + shift of its sequence]; its key is batch * width + id.
+    n_tok = int(ends[-1])
+    at = np.arange(n_tok, dtype=dtype)
+    at += np.repeat((np.cumsum(lengths)[order] - ends).astype(dtype), sel)
+    keys = np.empty(n_tok + (n_batches if with_mask else 0), dtype=dtype)
+    keys[:n_tok] = np.repeat(seq_batch * width, sel)
+    keys[:n_tok] += ids[at]
+    del at
+    batch_base = np.arange(n_batches + 1, dtype=dtype) * width
+    if with_mask:  # one mask key per batch, after the tokens
+        keys[n_tok:] = batch_base[:-1] + mask_id
+    # Sorting the keys gives the rows; each key's place among them is scattered back in place.
+    perm = keys.argsort()
+    rows = keys[perm]
+    first = np.concatenate([[True], rows[1:] != rows[:-1]])
+    rows = rows[first]
+    rank = np.cumsum(first, dtype=dtype)
+    rank -= 1
+    keys[perm] = rank
+    del perm, first, rank
+    row_ptr = np.searchsorted(rows, batch_base).astype(dtype)
+    width_b = np.diff(row_ptr)
+    # A token's cell is (its sequence's place in the batch) * U_b + (its row's place among the batch's rows).
+    cells = keys[:n_tok]
+    cells += np.repeat((np.arange(n, dtype=dtype) % batch_size) * width_b[seq_batch] - row_ptr[seq_batch], sel)
+    rows -= np.repeat(batch_base[:-1], width_b)
+    tok_ptr = np.concatenate([[0], ends])[np.minimum(np.arange(n_batches + 1) * batch_size, n)]
+    return rows, row_ptr.tolist(), cells, tok_ptr.tolist()
+
+
+def batch_counts(layout, b: int, n_seqs: int):
+    """Batch b's embedding rows and its (n_seqs, U) float64 token-count matrix."""
+    rows, row_ptr, cells, tok_ptr = layout
+    rows = rows[row_ptr[b] : row_ptr[b + 1]]
+    counts = np.bincount(cells[tok_ptr[b] : tok_ptr[b + 1]], minlength=n_seqs * rows.size)
+    return rows, counts.reshape(n_seqs, rows.size).astype(np.float64)
 
 
 def mean_embeddings(params: ModelParams, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """(n, d) float64 mean embedding of every packed sequence."""
     starts = np.cumsum(lengths) - lengths
-    return np.add.reduceat(params.embedding[ids].astype(np.float64), starts, axis=0) / lengths[:, None]
+    table = params.embedding
+    # Widen whichever is smaller, the table or the gathered rows; the float64 values are the same.
+    rows = table.astype(np.float64)[ids] if table.shape[0] < ids.size else table[ids].astype(np.float64)
+    return np.add.reduceat(rows, starts, axis=0) / lengths[:, None]
 
 
 def forward(params: ModelParams, tokens) -> ForwardOutput:

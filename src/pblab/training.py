@@ -17,13 +17,15 @@ import numpy as np
 from .model import (
     PARAM_FIELDS,
     ModelParams,
+    batch_counts,
+    batch_layout,
     forward,
     forward_examples,
+    forward_means,
     init_params,
     mean_embeddings,
     pack_tokens,
     softmax,
-    take_sequences,
 )
 from .seeds import derive_rng
 
@@ -116,10 +118,9 @@ class TrainReport:
 
 
 HEAD_FIELDS = PARAM_FIELDS[1:]  # every parameter array but the embedding table
-
-
-def _head_float64(params: ModelParams) -> dict:
-    return {name: getattr(params, name).astype(np.float64) for name in HEAD_FIELDS}
+# Settings every arm of one lockstep call must share: they fix the step count,
+# the learning-rate schedule, the loss and the stacked head shapes.
+LOCKSTEP_FIELDS = ("epochs", "batch_size", "lr", "mask_entropy_coeff", "embed_dim", "hidden_dim")
 
 
 def _labels_and_weights(examples, weights: WeightTable | None):
@@ -130,95 +131,94 @@ def _labels_and_weights(examples, weights: WeightTable | None):
     return labels, weights.w[langs, labels]
 
 
-def _pooling(ids: np.ndarray, lengths: np.ndarray, mask_id: int | None):
-    """A batch's distinct embedding rows and its (B, U) token-count matrix N.
-
-    ``N @ emb[rows] / lengths`` is every example's mean embedding, and
-    ``N.T @ (dx / lengths)`` maps a gradient on those means back onto the
-    rows. With ``mask_id`` given, the mask row is among the rows, last (it
-    is the largest id).
-    """
-    rows, inv = np.unique(ids, return_inverse=True)
-    if mask_id is not None and rows[-1] != mask_id:
-        rows = np.append(rows, mask_id)
-    B, U = lengths.size, rows.size
-    owner = np.repeat(np.arange(B), lengths)
-    return rows, np.bincount(owner * U + inv, minlength=B * U).reshape(B, U).astype(np.float64)
+def _pack_train(data, mask_id: int):
+    """(ids, lengths, labels) of a training set; ids in the smallest dtype that holds ``mask_id``."""
+    ids, lengths = pack_tokens([ex.tokens for ex in data], mask_id)
+    return ids.astype(np.min_scalar_type(mask_id)), lengths.astype(np.int32), _labels_and_weights(data, None)[0]
 
 
 def _loss_and_grad(arrs: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.ndarray,
                    lam: float, want_grad: bool):
-    """Weighted CE + lambda * masked-input entropy, and its exact gradient.
+    """Weighted CE + lambda * masked-input entropy of K models, and its exact gradient.
 
-    ``arrs`` holds the float64 hidden/output arrays, ``x`` the (B, d) mean
-    embeddings and ``x_m`` the mask row, the mean embedding of an all-mask
-    input of any length (read only when lambda != 0). In place of an
-    embedding gradient the result holds ``x`` (dL/dx) and ``mask``
-    (dL/dx_m). Probabilities are clamped to PROB_CLAMP inside logs and the
-    gradient honors the clamp.
+    Every array is stacked over the K models: ``arrs`` holds the float64
+    (K, ...) hidden/output arrays, ``x`` the (K, B, d) mean embeddings,
+    ``x_m`` the (K, d) mask rows, the mean embedding of an all-mask input of
+    any length (read, and needed, only when lambda != 0), and
+    ``labels``/``w_ex`` are (K, B). Returns the K loss values and, in place
+    of an embedding gradient, ``x`` (dL/dx) and ``mask`` (dL/dx_m).
+    Probabilities are clamped to PROB_CLAMP inside logs and the gradient
+    honors the clamp. Each model's numbers are bit-identical to those of a
+    pass over that model alone.
     """
     w_h, b_h, w_o, b_o = (arrs[n] for n in HEAD_FIELDS)
-    B = x.shape[0]
-    hid = np.tanh(x @ w_h + b_h)
-    probs = softmax(hid @ w_o + b_o)
-    p_true = probs[np.arange(B), labels]
-    ce = float(np.mean(w_ex * -np.log(np.maximum(p_true, PROB_CLAMP))))
+    K, B = labels.shape
+    w_hT, w_oT = w_h.transpose(0, 2, 1), w_o.transpose(0, 2, 1)
+    hid = np.tanh(x @ w_h + b_h[:, None])
+    probs = softmax(hid @ w_o + b_o[:, None])
+    true = (np.arange(K)[:, None], np.arange(B), labels)
+    p_true = probs[true]
+    values = np.add.reduce(w_ex * -np.log(np.maximum(p_true, PROB_CLAMP)), axis=1) / B  # np.mean, bit for bit
 
-    value = ce
     if lam != 0.0:
-        hid_m = np.tanh(x_m @ w_h + b_h)
-        q = softmax(hid_m @ w_o + b_o)
-        l_mask = float(np.sum(q * np.log(np.maximum(q, PROB_CLAMP))))
-        value += lam * l_mask
+        hid_m = np.tanh(x_m[:, None] @ w_h + b_h[:, None])
+        q = softmax(hid_m @ w_o + b_o[:, None])
+        values = values + lam * np.sum(q * np.log(np.maximum(q, PROB_CLAMP)), axis=2)[:, 0]
 
-    if not want_grad or not math.isfinite(value):
-        return value, None
+    if not want_grad or not np.isfinite(values).all():
+        return values, None
 
     grads = {}
     # CE branch: examples whose clamped p_true hit the floor have zero gradient.
-    active = p_true > PROB_CLAMP
-    dz = probs * (w_ex * active)[:, None] / B
-    dz[np.arange(B), labels] -= w_ex * active / B
-    grads["out_w"] = hid.T @ dz
-    grads["out_b"] = dz.sum(axis=0)
-    da = (dz @ w_o.T) * (1.0 - hid**2)
-    grads["hidden_w"] = x.T @ da
-    grads["hidden_b"] = da.sum(axis=0)
-    grads["x"] = da @ w_h.T
+    w_act = w_ex * (p_true > PROB_CLAMP)
+    dz = probs * w_act[:, :, None] / B
+    dz[true] -= w_act / B
+    grads["out_w"] = hid.transpose(0, 2, 1) @ dz
+    grads["out_b"] = dz.sum(axis=1)
+    da = (dz @ w_oT) * (1.0 - hid**2)
+    grads["hidden_w"] = x.transpose(0, 2, 1) @ da
+    grads["hidden_b"] = da.sum(axis=1)
+    grads["x"] = da @ w_hT
 
     if lam != 0.0:
         g = np.log(np.maximum(q, PROB_CLAMP)) + (q > PROB_CLAMP)
-        dz_m = lam * q * (g - np.dot(g, q))
-        grads["out_w"] += np.outer(hid_m, dz_m)
-        grads["out_b"] += dz_m
-        da_m = (dz_m @ w_o.T) * (1.0 - hid_m**2)
-        grads["hidden_w"] += np.outer(x_m, da_m)
-        grads["hidden_b"] += da_m
-        grads["mask"] = w_h @ da_m
+        dz_m = lam * q * (g - g @ q.transpose(0, 2, 1))
+        grads["out_w"] += hid_m.transpose(0, 2, 1) * dz_m
+        grads["out_b"] += dz_m[:, 0]
+        da_m = (dz_m @ w_oT) * (1.0 - hid_m**2)
+        grads["hidden_w"] += x_m[:, :, None] * da_m
+        grads["hidden_b"] += da_m[:, 0]
+        grads["mask"] = (w_h @ da_m.transpose(0, 2, 1))[:, :, 0]
 
-    return value, grads
+    return values, grads
 
 
-def _row_grads(counts: np.ndarray, lengths: np.ndarray, grads: dict, lam: float) -> np.ndarray:
-    """The gradient on a batch's embedding rows; the mask row is last when lambda != 0."""
-    g_rows = counts.T @ (grads["x"] / lengths[:, None])
-    if lam != 0.0:
-        g_rows[-1] += grads["mask"]
+def _row_grads(counts: np.ndarray, lengths: np.ndarray, g_x: np.ndarray, g_mask) -> np.ndarray:
+    """The gradient on a batch's embedding rows; ``g_mask`` (lambda != 0) goes to the last row."""
+    g_rows = counts.T @ (g_x / lengths[:, None])
+    if g_mask is not None:
+        g_rows[-1] += g_mask
     return g_rows
+
+
+def _packed_loss(params: ModelParams, ids, lengths, labels, w_ex, lam: float) -> float:
+    """``loss`` on an already packed set of sequences."""
+    values, _ = _loss_and_grad(
+        {name: getattr(params, name).astype(np.float64)[None] for name in HEAD_FIELDS},
+        mean_embeddings(params, ids, lengths)[None], params.embedding[params.mask_id].astype(np.float64)[None],
+        labels[None], w_ex[None], lam, want_grad=False,
+    )
+    value = float(values[0])
+    if not math.isfinite(value):
+        raise FloatingPointError(f"non-finite loss {value!r} on batch of {lengths.size}")
+    return value
 
 
 def loss(params: ModelParams, batch_examples, weights: WeightTable | None = None,
          mask_entropy_coeff: float = 0.0) -> float:
     """Scalar training loss on a batch of examples."""
     ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
-    value, _ = _loss_and_grad(
-        _head_float64(params), mean_embeddings(params, ids, lengths),
-        params.embedding[params.mask_id].astype(np.float64),
-        *_labels_and_weights(batch_examples, weights), mask_entropy_coeff, want_grad=False,
-    )
-    if not math.isfinite(value):
-        raise FloatingPointError(f"non-finite loss {value!r} on batch of {lengths.size}")
-    return value
+    return _packed_loss(params, ids, lengths, *_labels_and_weights(batch_examples, weights), mask_entropy_coeff)
 
 
 def mask_entropy_loss(params: ModelParams) -> float:
@@ -235,79 +235,127 @@ def learning_rate(lr0: float, step: int, total_steps: int) -> float:
 def train(data, val, vocab, config: TrainConfig):
     """SGD over shuffled mini-batches; returns (params, report).
 
-    The returned parameters are the snapshot from the epoch with the lowest
-    validation loss (earliest epoch on ties). Deterministic given
-    ``config.seed``. Divergence (non-finite loss) raises with epoch/step.
-    A step rewrites only the embedding rows its batch reads (plus the mask
-    row when the entropy loss is on); the rest of the table stays bit-identical.
+    The one-arm case of ``train_arms``.
     """
-    config.validate()
-    if not data or not val:
+    return train_arms([data], val, vocab, [config])[0]
+
+
+def train_arms(datasets, val, vocab, configs):
+    """Train K models in lockstep, arm k on ``datasets[k]`` with ``configs[k]``; returns [(params, report)].
+
+    Every arm gets what training it alone would give, bit for bit: its own
+    embedding table, init and shuffle streams from its ``config.seed``, class
+    weights, validation-based selection and report. Only the hidden/output
+    weights are stacked, so each step's forward and backward run once over
+    (K, B, d). The arms must share ``LOCKSTEP_FIELDS`` and their train size;
+    anything else is a ``ValueError``.
+
+    An arm's returned parameters are the snapshot from the epoch with the
+    lowest validation loss (earliest epoch on ties). Divergence (non-finite
+    loss) raises with epoch/step. A step rewrites only the embedding rows its
+    batch reads (plus the mask row when the entropy loss is on); the rest of
+    the table stays bit-identical.
+    """
+    if not configs or len(datasets) != len(configs):
+        raise ValueError("train_arms needs one dataset per config, and at least one arm")
+    for config in configs:
+        config.validate()
+    if not val or not all(datasets):
         raise ValueError("train and validation sets must be non-empty")
+    first = configs[0]
+    differing = [f for f in LOCKSTEP_FIELDS if any(getattr(c, f) != getattr(first, f) for c in configs)]
+    if differing:
+        raise ValueError(f"arms trained in lockstep must share {', '.join(differing)}")
+    n = len(datasets[0])
+    if any(len(data) != n for data in datasets):
+        raise ValueError("arms trained in lockstep must have equal train sizes")
 
-    weights = None
-    if config.weighting == "per_language":
-        weights = compute_weights(count_cells(data, vocab.n_languages, vocab.n_classes))
+    arms = [
+        init_params(vocab.size, vocab.n_classes, first.embed_dim, first.hidden_dim,
+                    rng=derive_rng(config.seed, "train", "init"))
+        for config in configs
+    ]
+    reports = [TrainReport() for _ in configs]
+    if first.epochs == 0:
+        return list(zip(arms, reports))
 
-    params = init_params(
-        vocab.size, vocab.n_classes, config.embed_dim, config.hidden_dim,
-        rng=derive_rng(config.seed, "train", "init"),
-    )
-    report = TrainReport()
-    if config.epochs == 0:
-        return params, report
+    mask_id = vocab.size
+    # One packed layout per distinct dataset: the imbalanced arms with and without weights share theirs.
+    distinct = {id(data): data for data in datasets}
+    packed = {key: _pack_train(data, mask_id) for key, data in distinct.items()}
+    sets = [packed[id(data)] for data in datasets]
+    ones = np.ones(n)
+    weights = [
+        _labels_and_weights(data, compute_weights(count_cells(data, vocab.n_languages, vocab.n_classes)))[1]
+        if config.weighting == "per_language" else ones
+        for data, config in zip(datasets, configs)
+    ]
+    val_ids, val_lengths = pack_tokens([ex.tokens for ex in val], mask_id)
+    val_labels = _labels_and_weights(val, None)[0]
+    val_ones = np.ones(val_labels.size)
 
-    ids, lengths = pack_tokens([ex.tokens for ex in data], params.mask_id)
-    labels, w_full = _labels_and_weights(data, weights)
+    shuffles = [derive_rng(config.seed, "train", "shuffle") for config in configs]
+    head = {name: np.stack([getattr(arm, name) for arm in arms]) for name in HEAD_FIELDS}  # float32 (K, ...)
+    steps_per_epoch = math.ceil(n / first.batch_size)
+    best = [None] * len(configs)
+    for epoch in range(first.epochs):
+        orders = [rng.permutation(n) for rng in shuffles]
+        epoch_losses = _train_epoch(arms, head, sets, weights, orders, first, epoch, steps_per_epoch)
+        for k, (config, report) in enumerate(zip(configs, reports)):
+            val_loss = None
+            if (epoch + 1) % config.val_every == 0 or epoch == first.epochs - 1:
+                current = ModelParams(arms[k].embedding, *(head[name][k] for name in HEAD_FIELDS))
+                val_loss = _packed_loss(current, val_ids, val_lengths, val_labels, val_ones, 0.0)
+                if best[k] is None or val_loss < report.selected_val_loss:
+                    best[k] = current.copy()
+                    report.selected_epoch = epoch
+                    report.selected_val_loss = val_loss
+            report.epochs.append(EpochStats(epoch=epoch, train_loss=float(np.mean(epoch_losses[k])),
+                                            val_loss=val_loss))
 
-    rng_shuffle = derive_rng(config.seed, "train", "shuffle")
-    lam = config.mask_entropy_coeff
-    mask_id = params.mask_id if lam != 0.0 else None
+    for selected, report in zip(best, reports):
+        probs, _ = forward_means(selected, mean_embeddings(selected, val_ids, val_lengths))
+        report.final = {"val_accuracy": float((probs.argmax(axis=1) == val_labels).mean())}
+    return list(zip(best, reports))
 
-    n = len(data)
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
 
-    best_val = math.inf
-    best_params = None
-    step = 0
-    for epoch in range(config.epochs):
-        order = rng_shuffle.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch_ids, batch_lengths = take_sequences(ids, lengths, idx)
-            rows, counts = _pooling(batch_ids, batch_lengths, mask_id)
-            emb = params.embedding[rows].astype(np.float64)
-            arrs = _head_float64(params)
-            value, grads = _loss_and_grad(
-                arrs, counts @ emb / batch_lengths[:, None], emb[-1], labels[idx], w_full[idx], lam,
-                want_grad=True,
-            )
-            if not math.isfinite(value):
-                raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
-            lr = learning_rate(config.lr, step, total_steps)
-            # Parameters live on the float32 grid (checkpoint dtype).
-            params.embedding[rows] = emb - lr * _row_grads(counts, batch_lengths, grads, lam)
-            for name in HEAD_FIELDS:
-                setattr(params, name, (arrs[name] - lr * grads[name]).astype(np.float32))
-            epoch_losses.append(value)
-            step += 1
+def _train_epoch(arms, head: dict, sets, weights, orders, config: TrainConfig, epoch: int,
+                 steps_per_epoch: int) -> np.ndarray:
+    """One epoch of lockstep SGD, arm k visiting ``sets[k]`` in ``orders[k]``; returns the (K, steps) losses.
 
-        val_loss = None
-        if (epoch + 1) % config.val_every == 0 or epoch == config.epochs - 1:
-            val_loss = loss(params, val)
-            if val_loss < best_val:
-                best_val = val_loss
-                best_params = params.copy()
-                report.selected_epoch = epoch
-                report.selected_val_loss = val_loss
-        report.epochs.append(EpochStats(epoch=epoch, train_loss=float(np.mean(epoch_losses)), val_loss=val_loss))
-
-    selected = best_params if best_params is not None else params
-    metrics = evaluate(selected, val, n_languages=vocab.n_languages, n_classes=vocab.n_classes)
-    report.final = {"val_accuracy": metrics.overall_accuracy}
-    return selected, report
+    The epoch's layouts live only as long as this call.
+    """
+    bs, lam = config.batch_size, config.mask_entropy_coeff
+    layouts = [batch_layout(ids, lens, order, bs, arms[0].mask_id, lam != 0.0)
+               for (ids, lens, _), order in zip(sets, orders)]
+    lengths = np.stack([lens[order] for (_, lens, _), order in zip(sets, orders)])
+    labels = np.stack([labs[order] for (_, _, labs), order in zip(sets, orders)])
+    w_ex = np.stack([w[order] for w, order in zip(weights, orders)])
+    losses = np.empty((len(arms), steps_per_epoch))
+    for b in range(steps_per_epoch):
+        step = epoch * steps_per_epoch + b
+        lens = lengths[:, b * bs : (b + 1) * bs]
+        x = np.empty(lens.shape + (config.embed_dim,))
+        batches = []
+        for k, arm in enumerate(arms):
+            rows, counts = batch_counts(layouts[k], b, lens.shape[1])
+            emb = arm.embedding[rows].astype(np.float64)
+            np.divide(counts @ emb, lens[k, :, None], out=x[k])
+            batches.append((rows, counts, emb))
+        arrs = {name: a.astype(np.float64) for name, a in head.items()}
+        x_m = np.stack([emb[-1] for _, _, emb in batches]) if lam != 0.0 else None
+        losses[:, b], grads = _loss_and_grad(arrs, x, x_m, labels[:, b * bs : (b + 1) * bs],
+                                             w_ex[:, b * bs : (b + 1) * bs], lam, want_grad=True)
+        if grads is None:
+            raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
+        lr = learning_rate(config.lr, step, config.epochs * steps_per_epoch)
+        # Parameters live on the float32 grid (checkpoint dtype).
+        for k, (rows, counts, emb) in enumerate(batches):
+            g_mask = grads["mask"][k] if lam != 0.0 else None
+            arms[k].embedding[rows] = emb - lr * _row_grads(counts, lens[k], grads["x"][k], g_mask)
+        for name in HEAD_FIELDS:
+            head[name] = (arrs[name] - lr * grads[name]).astype(np.float32)
+    return losses
 
 
 @dataclass
@@ -400,17 +448,22 @@ def grad_check(params: ModelParams, batch_examples, weights: WeightTable | None 
     """
     lam = mask_entropy_coeff
     ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
-    rows, counts = _pooling(ids, lengths, params.mask_id if lam != 0.0 else None)
+    layout = batch_layout(ids, lengths, np.arange(lengths.size), lengths.size, params.mask_id, lam != 0.0)
+    rows, counts = batch_counts(layout, 0, lengths.size)
     labels, w_ex = _labels_and_weights(batch_examples, weights)
     arrs = {name: getattr(params, name).astype(np.float64) for name in PARAM_FIELDS}
 
     def loss_at(want_grad: bool):
         emb = arrs["embedding"]
-        return _loss_and_grad(arrs, counts @ emb[rows] / lengths[:, None], emb[-1], labels, w_ex, lam, want_grad)
+        values, grads = _loss_and_grad(
+            {name: arrs[name][None] for name in HEAD_FIELDS}, (counts @ emb[rows] / lengths[:, None])[None],
+            emb[-1][None], labels[None], w_ex[None], lam, want_grad,
+        )
+        return float(values[0]), grads and {name: g[0] for name, g in grads.items()}
 
     _, grads = loss_at(want_grad=True)
     grads["embedding"] = np.zeros_like(arrs["embedding"])
-    grads["embedding"][rows] = _row_grads(counts, lengths, grads, lam)
+    grads["embedding"][rows] = _row_grads(counts, lengths, grads["x"], grads.get("mask"))
 
     # Coordinates are numbered across all arrays in PARAM_FIELDS order; array k starts at starts[k].
     starts = np.cumsum([0] + [arrs[name].size for name in PARAM_FIELDS])

@@ -106,6 +106,18 @@ def test_sample_malformed_vocab_exits_1(corpus_dir, tmp_path, capsys, mutate):
     assert record["type"] == "ValueError" and "vocabulary" in record["error"]
 
 
+def test_sample_mistyped_record_exits_1(corpus_dir, tmp_path, capsys):
+    bad = tmp_path / "d.jsonl"
+    bad.write_text('{"id": "a", "lang": ["L0"], "label": "0", "tokens": ["t"]}\n')
+    rc = main(["sample", "--data", str(bad), "--preset", "uniform", "--n", "6",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and "'lang' must be a string" in record["error"]
+
+
 def test_experiment_print_schema(capsys):
     rc = main(["experiment", "--print-schema"])
     assert rc == 0

@@ -146,6 +146,32 @@ def test_load_errors_name_line_and_id(tmp_path):
         load_jsonl(path)
 
 
+@pytest.mark.parametrize("record, field", [
+    ({"id": "a", "lang": ["x"], "label": "0", "tokens": ["t"]}, "lang"),
+    ({"id": "a", "lang": {"x": 1}, "label": "0", "tokens": ["t"]}, "lang"),
+    ({"id": "a", "lang": None, "label": "0", "tokens": ["t"]}, "lang"),
+    ({"id": "a", "lang": 1.5, "label": "0", "tokens": ["t"]}, "lang"),
+    ({"id": "a", "lang": "x", "label": [0], "tokens": ["t"]}, "label"),
+    ({"id": "a", "lang": "x", "label": True, "tokens": ["t"]}, "label"),
+    ({"id": "a", "lang": "x", "label": "0", "text": 7}, "text"),
+    ({"id": "a", "lang": "x", "label": "0", "text": ["t"]}, "text"),
+], ids=["lang list", "lang object", "lang null", "lang float", "label list", "label bool",
+        "text int", "text list"])
+def test_load_rejects_mistyped_fields(tmp_path, record, field):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=f"line 1: '{field}' must be a string"):
+        load_jsonl(path)
+
+
+def test_load_accepts_int_lang_and_label(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"id": "a", "lang": 3, "label": 0, "text": "t u"}\n')
+    vocab, examples = load_jsonl(path)
+    assert vocab.lang_names == ("3",) and vocab.label_names == ("0",)
+    assert examples[0].tokens == (0, 1)
+
+
 def test_load_ignores_unknown_fields(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"id": "a", "lang": "fr", "label": "x", "tokens": ["t"], "extra": 42}\n')

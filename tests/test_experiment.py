@@ -61,6 +61,20 @@ def test_manifest_lists_every_artifact(tiny_run):
     assert on_disk == listed
 
 
+def test_manifest_times_every_stage(tiny_run):
+    _, out, _ = tiny_run
+    stages = json.loads((out / "seed_0" / "manifest.json").read_text())["stages"]
+    assert all(set(s) == {"stage", "arm", "corpus", "seconds"} and s["seconds"] >= 0 for s in stages)
+    arms = ["balanced", "imbalanced", "imbalanced_cw"]
+    assert [(s["stage"], s["arm"], s["corpus"]) for s in stages] == (
+        [("corpus", None, "original"), ("sample", None, None), ("train", None, None)]
+        + [("evaluate", arm, None) for arm in arms]
+        + [("corpus", None, "holdout")]
+        + [("probe", arm, tag) for tag in ("original", "holdout") for arm in arms]
+        + [("explain", arm, None) for arm in arms]
+    )
+
+
 def test_arms_train_on_sampled_ids(tiny_run):
     config, out, _ = tiny_run
     seed_dir = out / "seed_0"

@@ -23,6 +23,7 @@ from pblab.training import (
     mask_entropy_loss,
     prediction_skew_spearman,
     train,
+    train_arms,
 )
 
 
@@ -331,3 +332,75 @@ def test_train_step_writes_only_batch_rows(corpus223, lam):
     changed = {i for i in range(vocab.size + 1)
                if not np.array_equal(params.embedding[i], init.embedding[i])}
     assert changed == read
+
+
+# ---------------------------------------------------------------- lockstep arms
+
+@pytest.fixture(scope="module")
+def paired223(corpus223):
+    vocab, pool = corpus223
+    val, test = split_eval(pool, 30, 30, seed=0)
+    held_out = {ex.id for ex in val} | {ex.id for ex in test}
+    train_pool = [ex for ex in pool if ex.id not in held_out]
+    balanced, imbalanced, _ = sample_paired(train_pool, preset("xnli_skew", 2, 3), 96, seed=3)
+    return vocab, balanced, imbalanced, val
+
+
+def arm_configs(lam, **overrides):
+    return [TrainConfig(epochs=3, batch_size=16, mask_entropy_coeff=lam, seed=40 + k,
+                        weighting="per_language" if k == 2 else "none", **overrides) for k in range(3)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_train_arms_equals_separate_training(paired223, lam):
+    vocab, balanced, imbalanced, val = paired223
+    datasets = [balanced, imbalanced, imbalanced]  # the acceptance arms: plain, plain, per_language
+    configs = arm_configs(lam)
+    together = train_arms(datasets, val, vocab, configs)
+    for data, config, (params, report) in zip(datasets, configs, together):
+        alone, alone_report = train(data, val, vocab, config)
+        assert params.array_equal(alone)
+        assert report.to_dict() == alone_report.to_dict()
+        # The mask row is trained only by the entropy term, and per arm.
+        assert np.any(params.embedding[vocab.mask_id] != 0) == (lam != 0.0)
+    if lam != 0.0:
+        masks = [params.embedding[vocab.mask_id] for params, _ in together]
+        assert not np.array_equal(masks[0], masks[1]) and not np.array_equal(masks[1], masks[2])
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 8), ("mask_entropy_coeff", 0.1), ("epochs", 2),
+                                          ("lr", 0.2), ("hidden_dim", 16)])
+def test_train_arms_rejects_unshared_settings(paired223, field, value):
+    vocab, balanced, imbalanced, val = paired223
+    configs = arm_configs(0.0)
+    configs[1] = TrainConfig(**{**vars(configs[1]), field: value})
+    with pytest.raises(ValueError, match=field):
+        train_arms([balanced, imbalanced, imbalanced], val, vocab, configs)
+
+
+def test_train_arms_rejects_unequal_train_sizes(paired223):
+    vocab, balanced, imbalanced, val = paired223
+    with pytest.raises(ValueError, match="equal train sizes"):
+        train_arms([balanced, imbalanced[:-1], imbalanced], val, vocab, arm_configs(0.0))
+    with pytest.raises(ValueError, match="one dataset per config"):
+        train_arms([balanced, imbalanced], val, vocab, arm_configs(0.0))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_lockstep_step_writes_only_each_arms_batch_rows(corpus223, lam):
+    vocab, examples = corpus223
+    by_lang = [[ex for ex in examples if ex.language == lang][:32] for lang in range(2)]
+    mixed = examples[::7][:32]
+    assert (count_cells(mixed, 2, 3) > 0).all()
+    datasets = [by_lang[0], by_lang[1], mixed]  # languages 0 and 1 read disjoint rows
+    configs = [TrainConfig(epochs=1, batch_size=32, mask_entropy_coeff=lam, seed=3 + k,
+                           weighting="per_language" if k == 2 else "none") for k in range(3)]
+    trained = train_arms(datasets, examples[200:], vocab, configs)  # one epoch of one step
+    for data, config, (params, report) in zip(datasets, configs, trained):
+        assert report.selected_epoch == 0
+        init = init_params(vocab.size, 3, config.embed_dim, config.hidden_dim,
+                           rng=derive_rng(config.seed, "train", "init"))
+        read = {t for ex in data for t in ex.tokens} | ({vocab.mask_id} if lam else set())
+        changed = {i for i in range(vocab.size + 1)
+                   if not np.array_equal(params.embedding[i], init.embedding[i])}
+        assert changed == read
