@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -17,13 +18,7 @@ from . import model as model_mod
 from . import probe as probe_mod
 from . import sampler as sampler_mod
 from . import training as training_mod
-from .experiment import (
-    CONFIG_SCHEMA,
-    Manifest,
-    joint_from_config,
-    load_config,
-    run_experiment,
-)
+from .experiment import Manifest, config_schema, joint_from_config, load_config, run_experiment
 from .jsonio import write_json
 from .seeds import derive_int
 
@@ -88,12 +83,7 @@ def cmd_train(args) -> int:
     manifest = Manifest(out, _args_hash(args), args.seed)
     vocab, data = _load_dataset(args.data, args.vocab)
     _, val = corpus_mod.load_jsonl(args.val, vocab)
-    config = training_mod.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        weighting=args.weighting, mask_entropy_coeff=args.mask_entropy_coeff,
-        seed=args.seed, val_every=args.val_every,
-        embed_dim=args.embed_dim, hidden_dim=args.hidden_dim,
-    )
+    config = training_mod.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(training_mod.TrainConfig)})
     params, report = training_mod.train(data, val, vocab, config)
     model_mod.save(params, manifest.add(out / "checkpoint.pbl"), vocab_hash=vocab.content_hash(),
                    manifest={"seed": args.seed, "weighting": args.weighting})
@@ -157,7 +147,7 @@ def cmd_shap_diff(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.print_schema:
-        print(json.dumps(CONFIG_SCHEMA, indent=2))
+        print(json.dumps(config_schema(), indent=2))
         return 0
     if not args.config:
         raise ValueError("--config is required (or use --print-schema)")
@@ -185,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-tokens", type=int, default=6)
     p.add_argument("--max-tokens", type=int, default=12)
     p.add_argument("--p-signal", type=float, default=0.25)
-    p.add_argument("--p-noise", type=float, default=0.1)
-    p.add_argument("--fillers", type=int, default=40)
-    p.add_argument("--signals", type=int, default=8)
+    p.add_argument("--p-noise", type=float, default=corpus_mod.CorpusSpec.p_noise)
+    p.add_argument("--fillers", type=int, default=corpus_mod.CorpusSpec.fillers_per_language)
+    p.add_argument("--signals", type=int, default=corpus_mod.CorpusSpec.signals_per_language_class)
     p.add_argument("--per-cell", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=corpus_mod.CorpusSpec.seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_corpus)
 
@@ -208,15 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--vocab", default=None)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--weighting", choices=["none", "per_language"], default="none")
-    p.add_argument("--mask-entropy-coeff", type=float, default=0.0)
-    p.add_argument("--val-every", type=int, default=1)
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(training_mod.TrainConfig):  # one flag per field, defaulting to the field's default
+        p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default,
+                       choices=training_mod.WEIGHTINGS if f.name == "weighting" else None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -231,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", default=None)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--l2", type=float, default=probe_mod.DEFAULT_L2)
+    p.add_argument("--k", type=int, default=probe_mod.ProbeConfig.k)
+    p.add_argument("--l2", type=float, default=probe_mod.ProbeConfig.l2)
     p.add_argument("--model-tag", default="model")
     p.add_argument("--corpus-tag", default="data")
     p.add_argument("--seed", type=int, default=0)

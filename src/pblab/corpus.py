@@ -335,14 +335,13 @@ def load_jsonl(path, vocab: Vocab | None = None):
             if not tokens:
                 raise ValueError(f"{path}: line {lineno}: empty token sequence")
 
+            for field in ("id", "lang", "label"):
+                if type(rec[field]) not in (str, int):
+                    raise ValueError(f"{path}: line {lineno}: {field!r} must be a string or an int")
             ex_id = str(rec["id"])
             if ex_id in seen_ids:
                 raise ValueError(f"{path}: line {lineno}: duplicate id {ex_id!r}")
             seen_ids.add(ex_id)
-
-            for field in ("lang", "label"):
-                if type(rec[field]) not in (str, int):
-                    raise ValueError(f"{path}: line {lineno}: {field!r} must be a string or an int")
             lang_key = str(rec["lang"])
             label_key = str(rec["label"])
             if fresh:

@@ -38,11 +38,6 @@ class ShapExplanation:
     model_tag: str = ""
     engine: str = ""     # "exact" or "sampled": the engine that computed the values
 
-    @property
-    def prediction(self) -> float:
-        """p(T, y) reconstructed through additivity."""
-        return float(self.values.sum() + self.base)
-
 
 def _coalition_values(params: ModelParams, sums: np.ndarray, n_present, n: int, label: int) -> np.ndarray:
     """v(A) from the (batch, d) sums of A's present token embeddings and |A| (an int or a (batch, 1) column)."""
@@ -154,6 +149,10 @@ class EngineConfig:
     n_permutations: int = DEFAULT_N_PERMUTATIONS
     seed: int = 0
 
+    def validate(self) -> None:
+        if self.exact_limit < 0 or self.n_permutations < 1:
+            raise ValueError("exact_limit must be >= 0 and n_permutations >= 1")
+
     def explain(self, params: ModelParams, tokens, label: int, model_tag: str = "") -> ShapExplanation:
         if len(tokens) <= self.exact_limit:
             return shapley_exact(params, tokens, label, self.exact_limit, model_tag)
@@ -180,9 +179,6 @@ class CumulativeDiffReport:
     y_mode: str = "fixed"
     engine: dict = field(default_factory=dict)
     explanations: dict = field(default_factory=dict)  # engine name -> (datapoint, label) pairs it explained
-
-    def mean_diff(self, language: int, label: int, category: str) -> float:
-        return self.rows[(language, label, category)][0]
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as f:

@@ -22,6 +22,7 @@ CHECKPOINT_VERSION = 1
 # Payload order is part of the file format.
 PARAM_FIELDS = ("embedding", "hidden_w", "hidden_b", "out_w", "out_b")
 DIM_FIELDS = ("vocab_size", "embed_dim", "hidden_dim", "n_classes")
+DEFAULT_DIM = 32  # default embedding and hidden width
 
 
 @dataclass
@@ -82,7 +83,7 @@ class ForwardOutput:
     pooled: np.ndarray  # (h,) post-tanh hidden representation
 
 
-def init_params(vocab_size: int, n_classes: int, embed_dim: int = 32, hidden_dim: int = 32,
+def init_params(vocab_size: int, n_classes: int, embed_dim: int = DEFAULT_DIM, hidden_dim: int = DEFAULT_DIM,
                 rng: np.random.Generator | None = None) -> ModelParams:
     """Fresh parameters: zero embeddings, random hidden/output weights, zero biases.
 

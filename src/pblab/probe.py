@@ -19,6 +19,17 @@ NEWTON_STEPS = 50  # a fit from zero converges in well under this
 
 
 @dataclass
+class ProbeConfig:
+    k: int = 5                           # cross-validation folds
+    l2: float = DEFAULT_L2
+    holdout_per_language: int = 500      # size of the fresh uniform probe corpus (synthetic corpora only)
+
+    def validate(self) -> None:
+        if self.k < 2 or self.l2 < 0 or self.holdout_per_language < 1:
+            raise ValueError("k must be >= 2, l2 >= 0 and holdout_per_language >= 1")
+
+
+@dataclass
 class ProbeReport:
     fold_accuracies: list
     mean_accuracy: float
@@ -110,7 +121,7 @@ def stratified_folds(labels, k: int, seed: int = 0):
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
-def cross_validate(features, labels, k: int = 5, seed: int = 0, l2: float = DEFAULT_L2) -> ProbeReport:
+def cross_validate(features, labels, k: int = ProbeConfig.k, seed: int = 0, l2: float = DEFAULT_L2) -> ProbeReport:
     """Stratified k-fold probe accuracy; every example is scored exactly once."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -137,7 +148,8 @@ def cross_validate(features, labels, k: int = 5, seed: int = 0, l2: float = DEFA
     )
 
 
-def probe_model(params: ModelParams, dataset, k: int = 5, seed: int = 0, l2: float = DEFAULT_L2) -> ProbeReport:
+def probe_model(params: ModelParams, dataset, k: int = ProbeConfig.k, seed: int = 0,
+                l2: float = DEFAULT_L2) -> ProbeReport:
     """Extract pooled features from ``dataset`` and cross-validate the language probe."""
     features, langs = extract_features(params, dataset)
     return cross_validate(features, langs, k=k, seed=seed, l2=l2)

@@ -42,8 +42,8 @@ class JointSpec:
         p = self.probs
         if p.ndim != 2:
             raise ValueError("probs must be a 2-d table")
-        if (p < 0).any():
-            raise ValueError("probabilities must be nonnegative")
+        if not np.isfinite(p).all() or (p < 0).any():
+            raise ValueError("probabilities must be finite and nonnegative")
         if abs(p.sum() - 1.0) > atol:
             raise ValueError("probabilities must sum to 1")
         if self.uniform_marginals:

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import (
+    DEFAULT_DIM,
     PARAM_FIELDS,
     ModelParams,
     batch_counts,
@@ -71,24 +72,29 @@ def compute_weights(counts) -> WeightTable:
     return WeightTable(w=n_l / (C * counts))
 
 
+WEIGHTINGS = ("none", "per_language")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 32
     lr: float = 0.1                      # decays linearly to 0 over all steps
-    weighting: str = "none"              # "none" or "per_language"
+    weighting: str = "none"              # one of WEIGHTINGS
     mask_entropy_coeff: float = 0.0
     seed: int = 0
     val_every: int = 1                   # validate every k epochs
-    embed_dim: int = 32
-    hidden_dim: int = 32
+    embed_dim: int = DEFAULT_DIM
+    hidden_dim: int = DEFAULT_DIM
 
     def validate(self) -> None:
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.lr <= 0 or self.embed_dim < 1 or self.hidden_dim < 1:
+            raise ValueError("lr must be > 0 and embed_dim, hidden_dim >= 1")
         if self.mask_entropy_coeff < 0:
             raise ValueError("mask_entropy_coeff must be >= 0")
-        if self.weighting not in ("none", "per_language"):
+        if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting mode {self.weighting!r}")
         if self.val_every < 1:
             raise ValueError("val_every must be >= 1")
@@ -109,12 +115,7 @@ class TrainReport:
     final: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": [asdict(e) for e in self.epochs],
-            "selected_epoch": self.selected_epoch,
-            "selected_val_loss": self.selected_val_loss,
-            "final": self.final,
-        }
+        return asdict(self)
 
 
 HEAD_FIELDS = PARAM_FIELDS[1:]  # every parameter array but the embedding table
@@ -215,7 +216,7 @@ def _packed_loss(params: ModelParams, ids, lengths, labels, w_ex, lam: float) ->
 
 
 def loss(params: ModelParams, batch_examples, weights: WeightTable | None = None,
-         mask_entropy_coeff: float = 0.0) -> float:
+         mask_entropy_coeff: float = TrainConfig.mask_entropy_coeff) -> float:
     """Scalar training loss on a batch of examples."""
     ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
     return _packed_loss(params, ids, lengths, *_labels_and_weights(batch_examples, weights), mask_entropy_coeff)
@@ -438,7 +439,7 @@ class GradCheckResult:
 
 
 def grad_check(params: ModelParams, batch_examples, weights: WeightTable | None = None,
-               mask_entropy_coeff: float = 0.0, n_samples: int = 150,
+               mask_entropy_coeff: float = TrainConfig.mask_entropy_coeff, n_samples: int = 150,
                step: float = 1e-4, seed: int = 0) -> GradCheckResult:
     """Compare the analytic gradient of a training step to central finite differences.
 

@@ -1,9 +1,13 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pblab.cli import main
+from pblab.experiment import ExperimentConfig, ExplainConfig, IngestedCorpus, SyntheticCorpus
+from pblab.probe import ProbeConfig
+from pblab.training import TrainConfig
 from pblab.corpus import load_jsonl, load_vocab
 from pblab.model import init_params
 from pblab.model import load as load_checkpoint
@@ -14,7 +18,7 @@ from pblab.seeds import derive_int, derive_rng
 def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "corpus"
     rc = main(["gen-corpus", "--per-cell", "40", "--seed", "3", "--out", str(out),
-               "--min-tokens", "3", "--max-tokens", "7"])
+               "--min-tokens", "3", "--max-tokens", "7", "--fillers", "40", "--signals", "8", "--p-noise", "0.1"])
     assert rc == 0
     return out
 
@@ -122,7 +126,19 @@ def test_experiment_print_schema(capsys):
     rc = main(["experiment", "--print-schema"])
     assert rc == 0
     schema = json.loads(capsys.readouterr().out)
-    assert "corpus" in schema and "joint" in schema
+
+    def names(cls, *fixed):
+        return {f.name for f in fields(cls)} - set(fixed)
+
+    assert set(schema) == names(ExperimentConfig)
+    assert set(schema["corpus"]["synthetic"]) == names(SyntheticCorpus, "seed")
+    assert set(schema["corpus"]["ingested"]) == names(IngestedCorpus)
+    assert set(schema["train"]) == names(TrainConfig, "seed", "weighting")
+    assert set(schema["explain"]) == names(ExplainConfig, "seed")
+    assert set(schema["probe"]) == names(ProbeConfig)
+    assert schema["train"]["epochs"] == f"an int, default {TrainConfig.epochs}"
+    assert schema["corpus"]["synthetic"]["n_languages"] == "an int, required"
+    assert "xnli_skew" in schema["joint"]
 
 
 def test_experiment_missing_corpus_file(tmp_path, capsys):
@@ -153,6 +169,25 @@ def test_experiment_malformed_config_exits_1(tmp_path, capsys):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["type"] == "ValueError" and "'train'" in record["error"]
+
+
+def test_experiment_bad_joint_exits_1_before_any_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "name": "x", "seeds": [0],
+        "corpus": {"n_languages": 2, "n_classes": 3, "n_min": 3, "n_max": 7, "p_signal": 0.3,
+                   "n_examples_per_cell": 10},
+        "joint": {"probs": "abc"},
+        "train_size": 12, "val_size": 6, "test_size": 6, "out_dir": str(out),
+    }))
+    rc = main(["experiment", "--config", str(cfg_path)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and "'joint'" in record["error"]
+    assert not (out / "seed_0").exists()
 
 
 def test_probe_and_shapdiff_cli(corpus_dir, tmp_path):

@@ -155,8 +155,10 @@ def test_load_errors_name_line_and_id(tmp_path):
     ({"id": "a", "lang": "x", "label": True, "tokens": ["t"]}, "label"),
     ({"id": "a", "lang": "x", "label": "0", "text": 7}, "text"),
     ({"id": "a", "lang": "x", "label": "0", "text": ["t"]}, "text"),
+    ({"id": [1], "lang": "x", "label": "0", "tokens": ["t"]}, "id"),
+    ({"id": 1.5, "lang": "x", "label": "0", "tokens": ["t"]}, "id"),
 ], ids=["lang list", "lang object", "lang null", "lang float", "label list", "label bool",
-        "text int", "text list"])
+        "text int", "text list", "id list", "id float"])
 def test_load_rejects_mistyped_fields(tmp_path, record, field):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps(record) + "\n")

@@ -9,13 +9,16 @@ from pblab.model import load as load_checkpoint
 from pblab.sampler import preset, sample_paired
 
 
+CORPUS = {"n_languages": 2, "n_classes": 3, "n_min": 3, "n_max": 7,
+          "p_signal": 0.3, "p_noise": 0.1, "fillers_per_language": 12,
+          "signals_per_language_class": 4, "n_examples_per_cell": 50}
+
+
 def tiny_config(out_dir, seeds=(0,), **overrides):
     raw = {
         "name": "tiny",
         "seeds": list(seeds),
-        "corpus": {"n_languages": 2, "n_classes": 3, "n_min": 3, "n_max": 7,
-                   "p_signal": 0.3, "p_noise": 0.1, "fillers_per_language": 12,
-                   "signals_per_language_class": 4, "n_examples_per_cell": 50},
+        "corpus": dict(CORPUS),
         "joint": {"preset": "xnli_skew"},
         "train_size": 120, "val_size": 30, "test_size": 60,
         "train": {"epochs": 2, "batch_size": 16, "lr": 0.1},
@@ -146,6 +149,9 @@ def test_failing_seed_recorded_others_proceed(tmp_path):
     assert "in sample_paired" in error["traceback"]
     manifest = json.loads((tmp_path / "fail" / "manifest.json").read_text())
     assert "seed_0/error.json" in manifest["artifacts"]
+    seed_manifest = json.loads((tmp_path / "fail" / "seed_0" / "manifest.json").read_text())
+    assert "corpus/corpus.jsonl" in seed_manifest["artifacts"]
+    assert [s["stage"] for s in seed_manifest["stages"]] == ["corpus"]
 
 
 def test_config_validation_errors(tmp_path):
@@ -172,11 +178,29 @@ def test_config_validation_errors(tmp_path):
     {"probe": {"l2": "x"}},
     {"explain": {"target_labels": 0}},
     {"probe": {"max_iters": 1000}},
+    {"corpus": {**CORPUS, "n_languages": "a"}},
+    {"corpus": {k: v for k, v in CORPUS.items() if k != "n_languages"}},
+    {"corpus": {**CORPUS, "typo_fillers": 3}},
+    {"corpus": {**CORPUS, "p_signal": 2.0}},
+    {"joint": {"probs": "abc"}},
+    {"joint": {}},
+    {"joint": {"preset": "nope"}},
+    {"train": {"epochs": -1}},
+    {"explain": {"theta": -1}},
+    {"probe": {"k": 0}},
+    {"seeds": [0, 0]},
+    {"explain": {"target_labels": [0, 0]}},
+    {"explain": {"target_labels": [3]}},
+    {"val_size": 31},
 ], ids=["top-level list", "seeds int", "seeds float", "train int", "explain list", "probe str",
         "corpus int", "joint list", "train_size list", "train.epochs str", "train.batch_size bool",
-        "probe.l2 str", "explain.target_labels int", "probe.max_iters unknown"])
+        "probe.l2 str", "explain.target_labels int", "probe.max_iters unknown",
+        "corpus.n_languages str", "corpus.n_languages missing", "corpus typo key", "corpus.p_signal 2",
+        "joint.probs str", "joint empty", "joint.preset unknown", "train.epochs negative",
+        "explain.theta negative", "probe.k 0", "seeds repeated", "explain.target_labels repeated",
+        "explain.target_labels >= n_classes", "val_size not divisible by L*C"])
 def test_config_malformed_values_rejected(tmp_path, raw):
-    """A config value of the wrong JSON type is a ValueError naming it, never a TypeError."""
+    """A malformed config value is a ValueError naming it at load, never a TypeError or a failed seed."""
     if isinstance(raw, dict):
         base = tiny_config(tmp_path).to_dict()
         base.update(raw)
