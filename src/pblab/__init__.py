@@ -5,7 +5,6 @@ from .explain import (
     CumulativeDiffReport,
     EngineConfig,
     ShapExplanation,
-    TokenCategories,
     categorize,
     cumulative_diff,
     diff_report,
@@ -31,7 +30,7 @@ from .training import (
 
 __all__ = [
     "CorpusSpec", "Example", "Vocab", "generate_corpus", "ground_truth_category", "load_jsonl",
-    "CumulativeDiffReport", "EngineConfig", "ShapExplanation", "TokenCategories",
+    "CumulativeDiffReport", "EngineConfig", "ShapExplanation",
     "categorize", "cumulative_diff", "diff_report", "explain_arm", "shapley_exact", "shapley_sampled",
     "ForwardOutput", "ModelParams", "forward", "forward_masked", "init_params",
     "ProbeReport", "cross_validate", "extract_features", "fit_logreg", "probe_model",

@@ -19,7 +19,7 @@ from . import probe as probe_mod
 from . import sampler as sampler_mod
 from . import training as training_mod
 from .experiment import Manifest, config_schema, joint_from_config, load_config, run_experiment
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 from .seeds import derive_int
 
 
@@ -100,8 +100,7 @@ def cmd_eval(args) -> int:
     params, _ = model_mod.load(args.checkpoint, vocab)
     metrics = training_mod.evaluate(params, data, n_languages=vocab.n_languages, n_classes=vocab.n_classes)
     write_json(manifest.add(out / "metrics.json"), metrics.to_dict())
-    training_mod.write_pred_dist_csv(metrics, manifest.add(out / "pred_dist.csv"),
-                                     vocab.lang_names, vocab.label_names)
+    write_csv(manifest.add(out / "pred_dist.csv"), *training_mod.pred_dist_table(metrics, vocab))
     manifest.write()
     print(f"accuracy {metrics.overall_accuracy}")
     return 0
@@ -114,22 +113,22 @@ def cmd_probe(args) -> int:
     params, _ = model_mod.load(args.checkpoint, vocab)
     report = probe_mod.probe_model(params, data, k=args.k, seed=args.seed, l2=args.l2)
     write_json(manifest.add(out / "probe.json"), report.to_dict())
-    probe_mod.append_probe_csv(manifest.add(out / "probe.csv"), args.model_tag, args.corpus_tag,
-                               report, header=True)
+    write_csv(manifest.add(out / "probe.csv"), probe_mod.CSV_HEADER, report.csv_rows(args.model_tag, args.corpus_tag))
     manifest.write()
     print(f"probe mean accuracy {report.mean_accuracy}")
     return 0
 
 
 def cmd_shap_diff(args) -> int:
+    engine = explain_mod.EngineConfig(exact_limit=args.exact_limit,
+                                      n_permutations=args.n_permutations,
+                                      seed=derive_int(args.seed, "shapdiff"))
+    engine.validate()  # before any file is read or written
     out = _out_dir(args)
     manifest = Manifest(out, _args_hash(args), args.seed)
     vocab, data = _load_dataset(args.data, args.vocab)
     params_bal, _ = model_mod.load(args.checkpoint_bal, vocab)
     params_cmp, _ = model_mod.load(args.checkpoint_cmp, vocab)
-    engine = explain_mod.EngineConfig(exact_limit=args.exact_limit,
-                                      n_permutations=args.n_permutations,
-                                      seed=derive_int(args.seed, "shapdiff"))
     if args.max_datapoints and len(data) > args.max_datapoints:
         data = sorted(data, key=lambda ex: ex.id)[: args.max_datapoints]
     report = explain_mod.cumulative_diff(

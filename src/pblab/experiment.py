@@ -12,7 +12,6 @@ config produce byte-identical CSVs.
 """
 
 import copy
-import csv
 import hashlib
 import json
 import sys
@@ -30,7 +29,7 @@ from . import model as model_mod
 from . import probe as probe_mod
 from . import sampler as sampler_mod
 from . import training as training_mod
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 from .seeds import derive_int
 
 ARMS = ("balanced", "imbalanced", "imbalanced_cw")
@@ -325,13 +324,15 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
     The seed's manifest is written even when a stage fails: it lists what the seed wrote and the stages it finished.
     """
     seed_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(seed_dir, config.content_hash(), seed)
+    config_hash = config.content_hash()
+    manifest = Manifest(seed_dir, config_hash, seed)
     try:
         record = {"seed": seed}
 
         with manifest.stage("corpus", corpus="original"):
             vocab, pool, synthetic = _build_corpus(config, seed, seed_dir / "corpus", manifest)
         L, C = vocab.n_languages, vocab.n_classes
+        vocab_hash = vocab.content_hash()
         joint = _check_corpus_shape(config, L, C)
 
         with manifest.stage("sample"):
@@ -361,26 +362,21 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
             arm_dir = seed_dir / "arms" / arm
             arm_dir.mkdir(parents=True, exist_ok=True)
             with manifest.stage("evaluate", arm=arm):
-                model_mod.save(
-                    params, manifest.add(arm_dir / "checkpoint.pbl"), vocab_hash=vocab.content_hash(),
-                    manifest={"arm": arm, "seed": seed, "config_hash": config.content_hash()},
-                )
+                model_mod.save(params, manifest.add(arm_dir / "checkpoint.pbl"), vocab_hash=vocab_hash,
+                               manifest={"arm": arm, "seed": seed, "config_hash": config_hash})
                 write_json(manifest.add(arm_dir / "train_report.json"), report.to_dict())
 
                 metrics = training_mod.evaluate(params, test, n_languages=L, n_classes=C)
                 write_json(manifest.add(arm_dir / "metrics.json"), metrics.to_dict())
-                training_mod.write_pred_dist_csv(
-                    metrics, manifest.add(arm_dir / "pred_dist.csv"), vocab.lang_names, vocab.label_names
-                )
-                masked = model_mod.forward(params, [params.mask_id]).probs
+                write_csv(manifest.add(arm_dir / "pred_dist.csv"), *training_mod.pred_dist_table(metrics, vocab))
             record["arms"][arm] = {
                 "accuracy": metrics.overall_accuracy,
                 "per_language_accuracy": metrics.per_language_accuracy,
                 "pred_dist": metrics.pred_dist.tolist(),
                 "selected_epoch": report.selected_epoch,
                 "spearman_vs_imbalanced_joint": training_mod.prediction_skew_spearman(metrics, joint.probs),
-                "masked_probs": masked.tolist(),
-                "masked_entropy": float(-np.sum(masked * np.log(np.maximum(masked, 1e-12)))),
+                "masked_probs": model_mod.forward(params, [params.mask_id]).probs.tolist(),
+                "masked_entropy": -training_mod.mask_entropy_loss(params),
             }
             arm_params[arm] = params
 
@@ -395,18 +391,16 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
             probe_corpora["holdout"] = holdout
         record["probe"] = {}
         for corpus_tag, dataset in probe_corpora.items():
-            path = manifest.add(probe_dir / f"{corpus_tag}.csv")
-            header = True
-            record["probe"][corpus_tag] = {}
+            reports = {}
             for arm in ARMS:
                 with manifest.stage("probe", arm=arm, corpus=corpus_tag):
-                    report = probe_mod.probe_model(
+                    reports[arm] = probe_mod.probe_model(
                         arm_params[arm], dataset, k=config.probe["k"],
                         seed=derive_int(seed, "probe", arm, corpus_tag), l2=config.probe["l2"],
                     )
-                probe_mod.append_probe_csv(path, arm, corpus_tag, report, header=header)
-                header = False
-                record["probe"][corpus_tag][arm] = report.mean_accuracy
+            write_csv(manifest.add(probe_dir / f"{corpus_tag}.csv"), probe_mod.CSV_HEADER,
+                      (row for arm in ARMS for row in reports[arm].csv_rows(arm, corpus_tag)))
+            record["probe"][corpus_tag] = {arm: report.mean_accuracy for arm, report in reports.items()}
 
         # Attribution-difference reports against the balanced arm.
         shap_dir = seed_dir / "shapdiff"
@@ -418,10 +412,10 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         for arm in ARMS:
             with manifest.stage("explain", arm=arm):
                 expl[arm] = explain_mod.explain_arm(arm_params[arm], shap_data, engine,
-                                                    target_labels=engine.target_labels, model_tag=arm)
+                                                    target_labels=engine.target_labels)
         for other, tag in (("imbalanced", "bal_vs_imbal"), ("imbalanced_cw", "bal_vs_imbal_cw")):
             report = explain_mod.diff_report(shap_data, expl["balanced"], expl[other], engine,
-                                             theta=engine.theta, model_tags=("bal", other))
+                                             theta=engine.theta, tags=("bal", other))
             report.write_csv(manifest.add(shap_dir / f"{tag}.csv"))
             report.write_sidecar(manifest.add(shap_dir / f"{tag}.json"))
             record["shapdiff"][tag] = {
@@ -455,23 +449,16 @@ def aggregate(records: list) -> dict:
     return out
 
 
-def _write_csv(path, header: list, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_summary_csvs(records: list, out_dir: Path, manifest: Manifest) -> None:
-    _write_csv(manifest.add(out_dir / "summary_accuracy.csv"), ["seed", "arm", *HEADLINE],
+    write_csv(manifest.add(out_dir / "summary_accuracy.csv"), ["seed", "arm", *HEADLINE],
                ([r["seed"], arm, *(repr(r["arms"][arm][key]) for key in HEADLINE)] for r in records for arm in ARMS))
-    _write_csv(manifest.add(out_dir / "summary_probe.csv"), ["seed", "corpus", "arm", "mean_accuracy"],
+    write_csv(manifest.add(out_dir / "summary_probe.csv"), ["seed", "corpus", "arm", "mean_accuracy"],
                ([r["seed"], tag, arm, repr(r["probe"][tag][arm])]
                 for r in records for tag in sorted(r["probe"]) for arm in ARMS))
-    _write_csv(manifest.add(out_dir / "summary_pred_dist.csv"), ["seed", "arm", "language", "label", "fraction"],
+    write_csv(manifest.add(out_dir / "summary_pred_dist.csv"), ["seed", "arm", "language", "label", "fraction"],
                ([r["seed"], arm, lang, label, repr(frac)] for r in records for arm in ARMS
                 for lang, row in enumerate(r["arms"][arm]["pred_dist"]) for label, frac in enumerate(row)))
-    _write_csv(manifest.add(out_dir / "summary_shapdiff.csv"),
+    write_csv(manifest.add(out_dir / "summary_shapdiff.csv"),
                ["seed", "pair", "language", "label", "category", "mean_cum_diff", "n_datapoints"],
                ([r["seed"], pair, *key.split("/"), repr(mean), count]
                 for r in records for pair in ("bal_vs_imbal", "bal_vs_imbal_cw") if pair in r.get("shapdiff", {})
@@ -482,7 +469,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run every seed, aggregate, and write the summary files. Returns the summary dict."""
     root = Path(out_dir if out_dir is not None else config.out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(root, config.content_hash())
+    config_hash = config.content_hash()
+    manifest = Manifest(root, config_hash)
     write_json(manifest.add(root / "config.json"), config.to_dict())
 
     records, failures = [], []
@@ -498,7 +486,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
 
     summary = {
         "name": config.name,
-        "config_hash": config.content_hash(),
+        "config_hash": config_hash,
         "per_seed": records,
         "failures": failures,
         "aggregate": aggregate(records),

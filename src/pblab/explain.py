@@ -8,23 +8,25 @@ the exact engine, and enforced by uniform residual redistribution for the
 permutation-sampled engine (downstream category sums rely on additivity).
 
 The exact engine evaluates all 2^n coalitions in one batched forward pass
-(cheap up to the default 12-token limit); the sampled engine keeps one running
-embedding sum per permutation, so its memory is O(P * (n + d)) at any length.
+(cheap up to the default 12-token limit, and never run past EXACT_LIMIT_MAX);
+the sampled engine keeps one running embedding sum per permutation, so its
+memory is O(P * (n + d)) at any length.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 from .model import ModelParams, forward_means, pack_tokens
 from .seeds import derive_rng
 
 CATEGORIES = ("pos", "neg", "neutral")
 DEFAULT_THETA = 0.01
 DEFAULT_EXACT_LIMIT = 12
+# 2^16 coalitions took 68.8 MB at d = h = 32; past 15 tokens the default sampler needs fewer, P * (n + 1).
+EXACT_LIMIT_MAX = 16
 DEFAULT_N_PERMUTATIONS = 2000
 
 
@@ -35,7 +37,6 @@ class ShapExplanation:
     values: np.ndarray   # one value per token position
     base: float          # probability of the label on the all-mask input
     label: int
-    model_tag: str = ""
     engine: str = ""     # "exact" or "sampled": the engine that computed the values
 
 
@@ -47,18 +48,19 @@ def _coalition_values(params: ModelParams, sums: np.ndarray, n_present, n: int, 
 
 
 def shapley_exact(params: ModelParams, tokens, label: int,
-                  exact_limit: int = DEFAULT_EXACT_LIMIT, model_tag: str = "") -> ShapExplanation:
+                  exact_limit: int = DEFAULT_EXACT_LIMIT) -> ShapExplanation:
     """Exact Shapley values by enumeration of all 2^n coalitions.
 
     S(t_i) = sum over coalitions A not containing i of
     |A|! (n-1-|A|)! / n! * (v(A + i) - v(A)); every coalition value is
-    computed once. Additivity holds to float64 accumulation error.
+    computed once. Additivity holds to float64 accumulation error. Inputs
+    longer than ``exact_limit``, or than EXACT_LIMIT_MAX whatever the limit
+    given, are a ValueError.
     """
     n = len(tokens)
-    if n > exact_limit:
-        raise ValueError(
-            f"{n} tokens exceeds exact_limit={exact_limit}; use shapley_sampled for long inputs"
-        )
+    limit = min(exact_limit, EXACT_LIMIT_MAX)
+    if n > limit:
+        raise ValueError(f"{n} tokens exceeds the exact limit {limit}; use shapley_sampled for long inputs")
     if not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
     ids, _ = pack_tokens([tokens], params.mask_id)
@@ -77,12 +79,12 @@ def shapley_exact(params: ModelParams, tokens, label: int,
         without = np.flatnonzero(presence[:, i] == 0)
         with_i = without + (1 << i)
         values[i] = np.sum(coeff[sizes[without]] * (v[with_i] - v[without]))
-    return ShapExplanation(values=values, base=float(v[0]), label=label, model_tag=model_tag, engine="exact")
+    return ShapExplanation(values=values, base=float(v[0]), label=label, engine="exact")
 
 
 def shapley_sampled(params: ModelParams, tokens, label: int,
                     n_permutations: int = DEFAULT_N_PERMUTATIONS, seed: int = 0,
-                    permutations=None, model_tag: str = "") -> ShapExplanation:
+                    permutations=None) -> ShapExplanation:
     """Shapley values averaged over sampled token orderings.
 
     Each permutation adds tokens one by one and credits every token with
@@ -122,25 +124,14 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
     base = float(v[0, 0])
     full = float(v[0, n])
     values += (full - base - values.sum()) / n
-    return ShapExplanation(values=values, base=base, label=label, model_tag=model_tag, engine="sampled")
+    return ShapExplanation(values=values, base=base, label=label, engine="sampled")
 
 
-@dataclass
-class TokenCategories:
-    """Position-wise pos/neg/neutral assignment from balanced-model values."""
-
-    categories: tuple
-    theta: float
-
-
-def categorize(expl_bal: ShapExplanation, theta: float = DEFAULT_THETA) -> TokenCategories:
-    """pos if S > theta, neg if S < -theta, neutral otherwise (boundaries inclusive)."""
+def categorize(expl_bal: ShapExplanation, theta: float = DEFAULT_THETA) -> tuple:
+    """Each position's category: pos if S > theta, neg if S < -theta, neutral otherwise (boundaries inclusive)."""
     if theta <= 0:
         raise ValueError("theta must be > 0")
-    cats = tuple(
-        "pos" if s > theta else "neg" if s < -theta else "neutral" for s in expl_bal.values
-    )
-    return TokenCategories(categories=cats, theta=theta)
+    return tuple("pos" if s > theta else "neg" if s < -theta else "neutral" for s in expl_bal.values)
 
 
 @dataclass
@@ -150,13 +141,13 @@ class EngineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.exact_limit < 0 or self.n_permutations < 1:
-            raise ValueError("exact_limit must be >= 0 and n_permutations >= 1")
+        if not 0 <= self.exact_limit <= EXACT_LIMIT_MAX or self.n_permutations < 1:
+            raise ValueError(f"exact_limit must be in [0, {EXACT_LIMIT_MAX}] and n_permutations >= 1")
 
-    def explain(self, params: ModelParams, tokens, label: int, model_tag: str = "") -> ShapExplanation:
+    def explain(self, params: ModelParams, tokens, label: int) -> ShapExplanation:
         if len(tokens) <= self.exact_limit:
-            return shapley_exact(params, tokens, label, self.exact_limit, model_tag)
-        return shapley_sampled(params, tokens, label, self.n_permutations, self.seed, model_tag=model_tag)
+            return shapley_exact(params, tokens, label, self.exact_limit)
+        return shapley_sampled(params, tokens, label, self.n_permutations, self.seed)
 
     def to_dict(self) -> dict:
         return {"exact_limit": self.exact_limit, "n_permutations": self.n_permutations, "seed": self.seed}
@@ -181,12 +172,9 @@ class CumulativeDiffReport:
     explanations: dict = field(default_factory=dict)  # engine name -> (datapoint, label) pairs it explained
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["language", "label", "category", "mean_cum_diff", "n_datapoints"])
-            for (lang, label, cat) in sorted(self.rows, key=lambda k: (k[0], k[1], CATEGORIES.index(k[2]))):
-                mean, count = self.rows[(lang, label, cat)]
-                writer.writerow([lang, label, cat, repr(mean), count])
+        keys = sorted(self.rows, key=lambda k: (k[0], k[1], CATEGORIES.index(k[2])))
+        write_csv(path, ["language", "label", "category", "mean_cum_diff", "n_datapoints"],
+                  ([*key, repr(self.rows[key][0]), self.rows[key][1]] for key in keys))
 
     def sidecar_dict(self) -> dict:
         return {
@@ -206,7 +194,7 @@ class CumulativeDiffReport:
 
 
 def explain_arm(params: ModelParams, examples, engine: EngineConfig, y_mode: str = "fixed",
-                target_labels=None, model_tag: str = "") -> list:
+                target_labels=None) -> list:
     """One model's explanations, per datapoint one for each label: with ``y_mode="fixed"`` the
     ``target_labels`` (all labels when None), with ``y_mode="true"`` the datapoint's own label."""
     if not examples:
@@ -216,27 +204,28 @@ def explain_arm(params: ModelParams, examples, engine: EngineConfig, y_mode: str
     labels = list(target_labels) if target_labels is not None else list(range(params.n_classes))
     if y_mode == "fixed" and not labels:
         raise ValueError("target_labels must be non-empty")
-    return [[engine.explain(params, ex.tokens, label, model_tag)
+    return [[engine.explain(params, ex.tokens, label)
              for label in (labels if y_mode == "fixed" else (ex.label,))]
             for ex in examples]
 
 
 def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, theta: float = DEFAULT_THETA,
-                y_mode: str = "fixed", model_tags: tuple = ("bal", "cmp")) -> CumulativeDiffReport:
+                y_mode: str = "fixed", tags: tuple = ("bal", "cmp")) -> CumulativeDiffReport:
     """Average per-category sum of S_cmp - S_bal by language, by arithmetic alone over two
-    ``explain_arm`` results for ``examples``; ``expl_bal``'s values define the token categories."""
+    ``explain_arm`` results for ``examples``; ``expl_bal``'s values define the token categories
+    and ``tags`` name the two models in ``base_values``."""
     sums: dict = {}
     counts: dict = {}
     base_acc: dict = {}
     cat_counts = {c: 0 for c in CATEGORIES}
     explanations = {"exact": 0, "sampled": 0}
 
-    tag_a, tag_b = model_tags
+    tag_a, tag_b = tags
     pairs = ((ex, a, b) for ex, row_a, row_b in zip(examples, expl_bal, expl_cmp, strict=True)
              for a, b in zip(row_a, row_b, strict=True))
     for ex, expl_a, expl_b in pairs:
         label = expl_a.label
-        cats = categorize(expl_a, theta).categories
+        cats = categorize(expl_a, theta)
         diff = expl_b.values - expl_a.values
         per_cat = {c: 0.0 for c in CATEGORIES}
         for cat, d in zip(cats, diff):
@@ -255,7 +244,7 @@ def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, 
     return CumulativeDiffReport(
         rows={k: (sums[k] / counts[k], counts[k]) for k in sums},
         base_values={
-            label: {tag: acc[tag] / acc["n"] for tag in model_tags}
+            label: {tag: acc[tag] / acc["n"] for tag in tags}
             for label, acc in base_acc.items()
         },
         split_fractions={c: cat_counts[c] / sum(cat_counts.values()) for c in CATEGORIES},
@@ -268,14 +257,13 @@ def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, 
 
 def cumulative_diff(params_bal: ModelParams, params_cmp: ModelParams, examples,
                     y_mode: str = "fixed", target_labels=None, theta: float = DEFAULT_THETA,
-                    engine: EngineConfig | None = None,
-                    model_tags: tuple = ("bal", "cmp")) -> CumulativeDiffReport:
+                    engine: EngineConfig | None = None) -> CumulativeDiffReport:
     """``diff_report`` of ``explain_arm`` on both models: ``params_bal`` is the reference
     model whose values define the token categories, ``params_cmp`` the compared one."""
     if engine is None:
         engine = EngineConfig()
     if params_bal.embedding.shape != params_cmp.embedding.shape or params_bal.n_classes != params_cmp.n_classes:
         raise ValueError("models do not share vocabulary/dimensions")
-    expl_bal = explain_arm(params_bal, examples, engine, y_mode, target_labels, model_tags[0])
-    expl_cmp = explain_arm(params_cmp, examples, engine, y_mode, target_labels, model_tags[1])
-    return diff_report(examples, expl_bal, expl_cmp, engine, theta, y_mode, model_tags)
+    expl_bal = explain_arm(params_bal, examples, engine, y_mode, target_labels)
+    expl_cmp = explain_arm(params_cmp, examples, engine, y_mode, target_labels)
+    return diff_report(examples, expl_bal, expl_cmp, engine, theta, y_mode)

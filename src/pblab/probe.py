@@ -5,7 +5,6 @@ ids with multinomial logistic regression (zero init, Newton's method, L2 on
 the weights but not the intercept) under stratified k-fold cross-validation.
 """
 
-import csv
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from .seeds import derive_rng
 DEFAULT_L2 = 1.0
 DEFAULT_TOL = 1e-6
 NEWTON_STEPS = 50  # a fit from zero converges in well under this
+CSV_HEADER = ("model", "corpus", "fold", "accuracy")
 
 
 @dataclass
@@ -39,6 +39,10 @@ class ProbeReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def csv_rows(self, model: str, corpus: str) -> list:
+        """One CSV_HEADER row per fold."""
+        return [(model, corpus, fold, repr(acc)) for fold, acc in enumerate(self.fold_accuracies)]
 
 
 def extract_features(params: ModelParams, dataset):
@@ -122,7 +126,11 @@ def stratified_folds(labels, k: int, seed: int = 0):
 
 
 def cross_validate(features, labels, k: int = ProbeConfig.k, seed: int = 0, l2: float = DEFAULT_L2) -> ProbeReport:
-    """Stratified k-fold probe accuracy; every example is scored exactly once."""
+    """Stratified k-fold probe accuracy; every example is scored exactly once.
+
+    With k >= 2 and at least 2 examples per language, ``stratified_folds``
+    leaves no fold empty and every training split holds every language.
+    """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     langs, counts = np.unique(y, return_counts=True)
@@ -132,13 +140,10 @@ def cross_validate(features, labels, k: int = ProbeConfig.k, seed: int = 0, l2: 
         raise ValueError("every language needs at least 2 examples")
     folds = stratified_folds(y, k, seed)
     accs = []
-    for f, held in enumerate(folds):
-        train_idx = np.array(sorted(set(range(len(y))) - set(held.tolist())), dtype=np.int64)
-        if np.unique(y[train_idx]).size < langs.size:
-            raise ValueError(f"fold {f}: training folds miss a language; too few examples per language")
+    for held in folds:
+        train_idx = np.setdiff1d(np.arange(y.size), held)
         W = fit_logreg(X[train_idx], y[train_idx], l2=l2)
-        preds = predict_logreg(W, X[held])
-        accs.append(float((preds == y[held]).mean()) if held.size else float("nan"))
+        accs.append(float((predict_logreg(W, X[held]) == y[held]).mean()))
     return ProbeReport(
         fold_accuracies=accs,
         mean_accuracy=float(np.mean(accs)),
@@ -153,14 +158,3 @@ def probe_model(params: ModelParams, dataset, k: int = ProbeConfig.k, seed: int 
     """Extract pooled features from ``dataset`` and cross-validate the language probe."""
     features, langs = extract_features(params, dataset)
     return cross_validate(features, langs, k=k, seed=seed, l2=l2)
-
-
-def append_probe_csv(path, model_tag: str, corpus_tag: str, report: ProbeReport, header: bool = False) -> None:
-    """One row per (model, corpus, fold)."""
-    mode = "w" if header else "a"
-    with open(path, mode, encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        if header:
-            writer.writerow(["model", "corpus", "fold", "accuracy"])
-        for fold, acc in enumerate(report.fold_accuracies):
-            writer.writerow([model_tag, corpus_tag, fold, repr(acc)])

@@ -13,6 +13,7 @@ from .jsonio import write_json
 from .seeds import derive_rng
 
 PRESETS = ("uniform", "amazon_skew", "xnli_skew")
+SUM_TOL = 1e-9  # absolute tolerance on the table's total and (with np.allclose's default relative 1e-5) its marginals
 
 
 @dataclass(frozen=True)
@@ -38,20 +39,18 @@ class JointSpec:
     def n_classes(self) -> int:
         return self.probs.shape[1]
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
         p = self.probs
         if p.ndim != 2:
             raise ValueError("probs must be a 2-d table")
         if not np.isfinite(p).all() or (p < 0).any():
             raise ValueError("probabilities must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > atol:
+        if abs(p.sum() - 1.0) > SUM_TOL:
             raise ValueError("probabilities must sum to 1")
         if self.uniform_marginals:
-            L, C = p.shape
-            if not np.allclose(p.sum(axis=1), 1.0 / L, atol=atol):
-                raise ValueError("language marginal is not uniform")
-            if not np.allclose(p.sum(axis=0), 1.0 / C, atol=atol):
-                raise ValueError("label marginal is not uniform")
+            for axis, name in ((1, "language"), (0, "label")):
+                if not np.allclose(p.sum(axis=axis), 1.0 / p.shape[1 - axis], 1e-5, SUM_TOL):
+                    raise ValueError(f"{name} marginal is not uniform")
 
 
 @dataclass(frozen=True)
@@ -200,20 +199,20 @@ def sample_paired(pool, spec_imbal: JointSpec, n: int, seed: int = 0):
     return balanced, imbalanced, report
 
 
-def split_eval(pool, n_val: int, n_test: int, seed: int = 0, exclude_ids=frozenset()):
+def split_eval(pool, n_val: int, n_test: int, seed: int = 0):
     """Carve balanced validation/test splits out of a pool.
 
-    Both splits are uniform in the joint distribution, disjoint from each
-    other, and must not touch any id in ``exclude_ids`` (the training
-    subsets).
+    Both splits are uniform in the joint distribution and disjoint from
+    each other. The L x C table is inferred from the pool's largest
+    language and label ids, so a pool that lacks the vocabulary's last
+    language is split as if that language did not exist; the pipeline
+    still fails such a pool, in ``sample_paired``, which draws from every
+    cell of the vocabulary's table.
 
     Returns (val, test).
     """
     if not pool:
         raise ValueError("empty pool")
-    overlap = [ex.id for ex in pool if ex.id in exclude_ids]
-    if overlap:
-        raise ValueError(f"pool overlaps training ids, e.g. {overlap[0]!r}")
     L = max(ex.language for ex in pool) + 1
     C = max(ex.label for ex in pool) + 1
     for name, size in (("n_val", n_val), ("n_test", n_test)):

@@ -8,7 +8,6 @@ All gradient math is hand-rolled and checked against central finite
 differences (``grad_check``).
 """
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -41,9 +40,6 @@ class WeightTable:
 
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-
-    def to_dict(self) -> dict:
-        return {"weights": self.w.tolist()}
 
 
 def count_cells(examples, n_languages: int, n_classes: int) -> np.ndarray:
@@ -83,7 +79,6 @@ class TrainConfig:
     weighting: str = "none"              # one of WEIGHTINGS
     mask_entropy_coeff: float = 0.0
     seed: int = 0
-    val_every: int = 1                   # validate every k epochs
     embed_dim: int = DEFAULT_DIM
     hidden_dim: int = DEFAULT_DIM
 
@@ -96,15 +91,13 @@ class TrainConfig:
             raise ValueError("mask_entropy_coeff must be >= 0")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting mode {self.weighting!r}")
-        if self.val_every < 1:
-            raise ValueError("val_every must be >= 1")
 
 
 @dataclass
 class EpochStats:
     epoch: int
     train_loss: float
-    val_loss: float | None
+    val_loss: float
 
 
 @dataclass
@@ -302,15 +295,13 @@ def train_arms(datasets, val, vocab, configs):
     for epoch in range(first.epochs):
         orders = [rng.permutation(n) for rng in shuffles]
         epoch_losses = _train_epoch(arms, head, sets, weights, orders, first, epoch, steps_per_epoch)
-        for k, (config, report) in enumerate(zip(configs, reports)):
-            val_loss = None
-            if (epoch + 1) % config.val_every == 0 or epoch == first.epochs - 1:
-                current = ModelParams(arms[k].embedding, *(head[name][k] for name in HEAD_FIELDS))
-                val_loss = _packed_loss(current, val_ids, val_lengths, val_labels, val_ones, 0.0)
-                if best[k] is None or val_loss < report.selected_val_loss:
-                    best[k] = current.copy()
-                    report.selected_epoch = epoch
-                    report.selected_val_loss = val_loss
+        for k, report in enumerate(reports):
+            current = ModelParams(arms[k].embedding, *(head[name][k] for name in HEAD_FIELDS))
+            val_loss = _packed_loss(current, val_ids, val_lengths, val_labels, val_ones, 0.0)
+            if best[k] is None or val_loss < report.selected_val_loss:
+                best[k] = current.copy()
+                report.selected_epoch = epoch
+                report.selected_val_loss = val_loss
             report.epochs.append(EpochStats(epoch=epoch, train_loss=float(np.mean(epoch_losses[k])),
                                             val_loss=val_loss))
 
@@ -419,16 +410,11 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
     return (ends - (counts - 1) / 2.0)[inv]
 
 
-def write_pred_dist_csv(metrics: EvalMetrics, path, lang_names=None, label_names=None) -> None:
-    """Predicted-label distribution, rows = languages, columns = labels, in percent."""
-    L, C = metrics.pred_dist.shape
-    lang_names = lang_names or [f"L{i}" for i in range(L)]
-    label_names = label_names or [str(c) for c in range(C)]
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["language"] + list(label_names))
-        for lang in range(L):
-            writer.writerow([lang_names[lang]] + [repr(float(100.0 * metrics.pred_dist[lang, c])) for c in range(C)])
+def pred_dist_table(metrics: EvalMetrics, vocab) -> tuple:
+    """(header, rows) of the predicted-label distribution: rows = languages, columns = labels, in percent."""
+    rows = [[name, *(repr(float(100.0 * frac)) for frac in row)]
+            for name, row in zip(vocab.lang_names, metrics.pred_dist, strict=True)]
+    return ["language", *vocab.label_names], rows
 
 
 @dataclass

@@ -217,3 +217,23 @@ def test_probe_and_shapdiff_cli(corpus_dir, tmp_path):
     assert rows[0] == "language,label,category,mean_cum_diff,n_datapoints"
     # same checkpoint on both sides: all differences are zero
     assert all(float(r.split(",")[3]) == 0.0 for r in rows[1:])
+
+
+@pytest.mark.parametrize("flags", [["--exact-limit", "17"], ["--exact-limit", "-1"], ["--n-permutations", "0"]],
+                         ids=["exact-limit 17", "exact-limit -1", "n-permutations 0"])
+def test_shapdiff_bad_engine_exits_1_before_any_output(corpus_dir, tmp_path, capsys, flags):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(corpus_dir / "corpus.jsonl"), "--val", str(corpus_dir / "corpus.jsonl"),
+                 "--vocab", str(corpus_dir / "vocab.json"), "--epochs", "0", "--out", str(run)]) == 0
+    capsys.readouterr()
+    sd_out = tmp_path / "sd"
+    rc = main(["shap-diff", "--checkpoint-bal", str(run / "checkpoint.pbl"),
+               "--checkpoint-cmp", str(run / "checkpoint.pbl"),
+               "--data", str(corpus_dir / "corpus.jsonl"), "--vocab", str(corpus_dir / "vocab.json"),
+               "--max-datapoints", "2", *flags, "--out", str(sd_out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and "exact_limit must be in [0, 16]" in record["error"]
+    assert not sd_out.exists()

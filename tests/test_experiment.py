@@ -108,7 +108,8 @@ def test_csv_values_parse_as_numbers(tiny_run):
 
     _, out, _ = tiny_run
     for path in sorted(out.rglob("*.csv")):
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as f:
+            rows = list(csv.reader(f))
         for row in rows[1:]:
             for cell in row:
                 try:
@@ -154,6 +155,25 @@ def test_failing_seed_recorded_others_proceed(tmp_path):
     assert [s["stage"] for s in seed_manifest["stages"]] == ["corpus"]
 
 
+def test_pool_missing_a_vocabulary_language_fails_in_sample_paired(tmp_path):
+    """split_eval infers L x C from the pool, so a pool without the vocabulary's last language
+    splits; the seed still fails, in sample_paired, naming the missing language."""
+    from pblab.corpus import CorpusSpec, generate_corpus, save_jsonl, save_vocab
+
+    spec = CorpusSpec(n_languages=3, n_classes=2, n_min=3, n_max=7, p_signal=0.3, seed=4)
+    vocab, examples = generate_corpus(spec, 40)
+    save_vocab(vocab, tmp_path / "vocab.json")
+    save_jsonl([ex for ex in examples if ex.language < 2], vocab, tmp_path / "data.jsonl")
+    config = tiny_config(tmp_path / "out", corpus={"path": str(tmp_path / "data.jsonl"),
+                                                   "vocab_path": str(tmp_path / "vocab.json")},
+                         joint={"preset": "uniform"}, val_size=12, test_size=12)
+    summary = run_experiment(config)
+    assert [f["seed"] for f in summary["failures"]] == [0]
+    error = json.loads((tmp_path / "out" / "seed_0" / "error.json").read_text())
+    assert error["type"] == "ValueError" and "language=2" in error["message"]
+    assert "in sample_paired" in error["traceback"]
+
+
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ValueError, match="seeds"):
         tiny_config(tmp_path, seeds=())
@@ -192,13 +212,16 @@ def test_config_validation_errors(tmp_path):
     {"explain": {"target_labels": [0, 0]}},
     {"explain": {"target_labels": [3]}},
     {"val_size": 31},
+    {"train": {"val_every": 1}},
+    {"explain": {"exact_limit": 17}},
 ], ids=["top-level list", "seeds int", "seeds float", "train int", "explain list", "probe str",
         "corpus int", "joint list", "train_size list", "train.epochs str", "train.batch_size bool",
         "probe.l2 str", "explain.target_labels int", "probe.max_iters unknown",
         "corpus.n_languages str", "corpus.n_languages missing", "corpus typo key", "corpus.p_signal 2",
         "joint.probs str", "joint empty", "joint.preset unknown", "train.epochs negative",
         "explain.theta negative", "probe.k 0", "seeds repeated", "explain.target_labels repeated",
-        "explain.target_labels >= n_classes", "val_size not divisible by L*C"])
+        "explain.target_labels >= n_classes", "val_size not divisible by L*C", "train.val_every unknown",
+        "explain.exact_limit 17"])
 def test_config_malformed_values_rejected(tmp_path, raw):
     """A malformed config value is a ValueError naming it at load, never a TypeError or a failed seed."""
     if isinstance(raw, dict):

@@ -105,6 +105,16 @@ def test_exact_limit_error():
         shapley_exact(params, tuple(range(13)), 0)
 
 
+def test_exact_refuses_past_hard_cap_whatever_the_limit():
+    """2^17 coalitions are never enumerated, even when the caller's limit allows them."""
+    params = make_params(20)
+    with pytest.raises(ValueError, match="exact limit 16"):
+        shapley_exact(params, tuple(range(17)), 0, exact_limit=30)
+    EngineConfig(exact_limit=16).validate()
+    with pytest.raises(ValueError, match="exact_limit"):
+        EngineConfig(exact_limit=17).validate()
+
+
 def test_sampled_close_to_exact():
     rng = np.random.default_rng(23)
     params = make_params(15, seed=8)
@@ -151,14 +161,13 @@ def test_null_player_mask_embedding():
 
 def test_categorize_thresholds():
     expl = type("E", (), {"values": np.array([0.05, -0.02, 0.0])})()
-    cats = categorize(expl, theta=0.01)
-    assert cats.categories == ("pos", "neg", "neutral")
+    assert categorize(expl, theta=0.01) == ("pos", "neg", "neutral")
 
     boundary = type("E", (), {"values": np.array([0.01, -0.01])})()
-    assert categorize(boundary, theta=0.01).categories == ("neutral", "neutral")
+    assert categorize(boundary, theta=0.01) == ("neutral", "neutral")
 
     wide = type("E", (), {"values": np.array([0.02])})()
-    assert categorize(wide, theta=0.05).categories == ("neutral",)
+    assert categorize(wide, theta=0.05) == ("neutral",)
     with pytest.raises(ValueError):
         categorize(expl, theta=0.0)
 

@@ -169,6 +169,21 @@ def test_folds_partition_and_stratified():
         assert sum(per_fold) == n_lang
 
 
+def test_folds_never_empty_and_training_splits_hold_every_language():
+    """What cross_validate relies on: with >= 2 examples per language and any k in [2, n],
+    every fold is non-empty and the other folds together hold every language."""
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        counts = rng.integers(2, 7, size=int(rng.integers(2, 5)))
+        y = rng.permutation(np.repeat(np.arange(counts.size), counts))
+        for k in range(2, y.size + 1):
+            folds = stratified_folds(y, k, seed=trial)
+            assert all(fold.size for fold in folds), (counts, k)
+            for held in folds:
+                train = np.setdiff1d(np.arange(y.size), held)
+                assert set(y[train].tolist()) == set(range(counts.size)), (counts, k)
+
+
 def test_cross_validate_insufficient_counts():
     X = np.ones((4, 2))
     y = np.array([0, 0, 0, 1])

@@ -137,11 +137,6 @@ def test_split_eval_balanced_cells(pool223):
     assert not ({e.id for e in val} & {e.id for e in test})
 
 
-def test_split_eval_rejects_train_overlap(pool223):
-    with pytest.raises(ValueError, match="overlaps"):
-        split_eval(pool223, 12, 30, seed=1, exclude_ids={pool223[0].id})
-
-
 def test_split_eval_divisibility(pool223):
     with pytest.raises(ValueError, match="divisible"):
         split_eval(pool223, 12, 31, seed=1)
