@@ -123,7 +123,11 @@ def cmd_shap_diff(args) -> int:
     engine = explain_mod.EngineConfig(exact_limit=args.exact_limit,
                                       n_permutations=args.n_permutations,
                                       seed=derive_int(args.seed, "shapdiff"))
-    engine.validate()  # before any file is read or written
+    engine.validate()  # these checks run before any file is read or written
+    if not args.theta > 0:
+        raise ValueError("theta must be > 0")
+    if args.max_datapoints < 0:
+        raise ValueError("max_datapoints must be >= 0 (0 = no cap)")
     out = _out_dir(args)
     manifest = Manifest(out, _args_hash(args), args.seed)
     vocab, data = _load_dataset(args.data, args.vocab)

@@ -272,16 +272,20 @@ def load_vocab(path) -> Vocab:
 
 
 def save_jsonl(examples, vocab: Vocab, path) -> None:
-    """Write examples as one JSON record per line, in surface form."""
+    """Write examples as one JSON record per line, in surface form.
+
+    Each line is byte for byte ``json.dumps`` of the record {"id", "lang",
+    "label", "tokens"}; every vocabulary string is encoded once per call.
+    """
+    tokens = [json.dumps(t) for t in vocab.token_strings]
+    langs = [json.dumps(name) for name in vocab.lang_names]
+    labels = [json.dumps(name) for name in vocab.label_names]
     with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            rec = {
-                "id": ex.id,
-                "lang": vocab.lang_names[ex.language],
-                "label": vocab.label_names[ex.label],
-                "tokens": [vocab.token_strings[t] for t in ex.tokens],
-            }
-            f.write(json.dumps(rec) + "\n")
+        f.writelines(
+            f'{{"id": {json.dumps(ex.id)}, "lang": {langs[ex.language]}, "label": {labels[ex.label]}, '
+            f'"tokens": [{", ".join([tokens[t] for t in ex.tokens])}]}}\n'
+            for ex in examples
+        )
 
 
 def load_jsonl(path, vocab: Vocab | None = None):

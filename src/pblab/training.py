@@ -131,21 +131,22 @@ def _pack_train(data, mask_id: int):
     return ids.astype(np.min_scalar_type(mask_id)), lengths.astype(np.int32), _labels_and_weights(data, None)[0]
 
 
-def _loss_and_grad(arrs: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.ndarray,
-                   lam: float, want_grad: bool):
+def _loss_and_grad(head: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.ndarray, lam: float,
+                   grads: dict | None = None):
     """Weighted CE + lambda * masked-input entropy of K models, and its exact gradient.
 
-    Every array is stacked over the K models: ``arrs`` holds the float64
+    Every array is stacked over the K models: ``head`` holds the float64
     (K, ...) hidden/output arrays, ``x`` the (K, B, d) mean embeddings,
     ``x_m`` the (K, d) mask rows, the mean embedding of an all-mask input of
     any length (read, and needed, only when lambda != 0), and
-    ``labels``/``w_ex`` are (K, B). Returns the K loss values and, in place
-    of an embedding gradient, ``x`` (dL/dx) and ``mask`` (dL/dx_m).
-    Probabilities are clamped to PROB_CLAMP inside logs and the gradient
-    honors the clamp. Each model's numbers are bit-identical to those of a
-    pass over that model alone.
+    ``labels``/``w_ex`` are (K, B). Returns (values, g_x, g_mask): the K loss
+    values and, with ``grads`` given (float64 arrays shaped like ``head``,
+    which receive the head gradient) and every value finite, dL/dx and, when
+    lambda != 0, dL/dx_m; otherwise None in their place. Probabilities are
+    clamped to PROB_CLAMP inside logs and the gradient honors the clamp. Each
+    model's numbers are bit-identical to those of a pass over that model alone.
     """
-    w_h, b_h, w_o, b_o = (arrs[n] for n in HEAD_FIELDS)
+    w_h, b_h, w_o, b_o = (head[n] for n in HEAD_FIELDS)
     K, B = labels.shape
     w_hT, w_oT = w_h.transpose(0, 2, 1), w_o.transpose(0, 2, 1)
     hid = np.tanh(x @ w_h + b_h[:, None])
@@ -159,60 +160,80 @@ def _loss_and_grad(arrs: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.
         q = softmax(hid_m @ w_o + b_o[:, None])
         values = values + lam * np.sum(q * np.log(np.maximum(q, PROB_CLAMP)), axis=2)[:, 0]
 
-    if not want_grad or not np.isfinite(values).all():
-        return values, None
+    if grads is None or not np.isfinite(values).all():
+        return values, None, None
 
-    grads = {}
     # CE branch: examples whose clamped p_true hit the floor have zero gradient.
     w_act = w_ex * (p_true > PROB_CLAMP)
     dz = probs * w_act[:, :, None] / B
     dz[true] -= w_act / B
-    grads["out_w"] = hid.transpose(0, 2, 1) @ dz
-    grads["out_b"] = dz.sum(axis=1)
+    np.matmul(hid.transpose(0, 2, 1), dz, out=grads["out_w"])
+    np.add.reduce(dz, axis=1, out=grads["out_b"])
     da = (dz @ w_oT) * (1.0 - hid**2)
-    grads["hidden_w"] = x.transpose(0, 2, 1) @ da
-    grads["hidden_b"] = da.sum(axis=1)
-    grads["x"] = da @ w_hT
+    np.matmul(x.transpose(0, 2, 1), da, out=grads["hidden_w"])
+    np.add.reduce(da, axis=1, out=grads["hidden_b"])
+    g_x = da @ w_hT
+    if lam == 0.0:
+        return values, g_x, None
 
-    if lam != 0.0:
-        g = np.log(np.maximum(q, PROB_CLAMP)) + (q > PROB_CLAMP)
-        dz_m = lam * q * (g - g @ q.transpose(0, 2, 1))
-        grads["out_w"] += hid_m.transpose(0, 2, 1) * dz_m
-        grads["out_b"] += dz_m[:, 0]
-        da_m = (dz_m @ w_oT) * (1.0 - hid_m**2)
-        grads["hidden_w"] += x_m[:, :, None] * da_m
-        grads["hidden_b"] += da_m[:, 0]
-        grads["mask"] = (w_h @ da_m.transpose(0, 2, 1))[:, :, 0]
-
-    return values, grads
+    g = np.log(np.maximum(q, PROB_CLAMP)) + (q > PROB_CLAMP)
+    dz_m = lam * q * (g - g @ q.transpose(0, 2, 1))
+    grads["out_w"] += hid_m.transpose(0, 2, 1) * dz_m
+    grads["out_b"] += dz_m[:, 0]
+    da_m = (dz_m @ w_oT) * (1.0 - hid_m**2)
+    grads["hidden_w"] += x_m[:, :, None] * da_m
+    grads["hidden_b"] += da_m[:, 0]
+    return values, g_x, (w_h @ da_m.transpose(0, 2, 1))[:, :, 0]
 
 
-def _row_grads(counts: np.ndarray, lengths: np.ndarray, g_x: np.ndarray, g_mask) -> np.ndarray:
-    """The gradient on a batch's embedding rows; ``g_mask`` (lambda != 0) goes to the last row."""
-    g_rows = counts.T @ (g_x / lengths[:, None])
+def _row_grads(counts: np.ndarray, lengths: np.ndarray, g_x: np.ndarray, g_mask, last) -> np.ndarray:
+    """The (K * U, d) gradient on a step's embedding rows (consumes ``g_x``).
+
+    ``g_mask`` (lambda != 0) goes to each arm's ``last`` row.
+    """
+    g_x /= lengths
+    g_rows = (counts.transpose(0, 2, 1) @ g_x).reshape(-1, g_x.shape[2])
     if g_mask is not None:
-        g_rows[-1] += g_mask
+        g_rows[last] += g_mask
     return g_rows
 
 
-def _packed_loss(params: ModelParams, ids, lengths, labels, w_ex, lam: float) -> float:
-    """``loss`` on an already packed set of sequences."""
-    values, _ = _loss_and_grad(
-        {name: getattr(params, name).astype(np.float64)[None] for name in HEAD_FIELDS},
-        mean_embeddings(params, ids, lengths)[None], params.embedding[params.mask_id].astype(np.float64)[None],
-        labels[None], w_ex[None], lam, want_grad=False,
+def _head_views(buf: np.ndarray, shapes: dict) -> dict:
+    """Per-field (K, ...) views of a (K, P) buffer that holds the head arrays back to back.
+
+    Splitting the unit-stride last axis of a column slice never copies, so
+    writes through a view land in ``buf``.
+    """
+    views, at = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = buf[:, at : at + size].reshape(buf.shape[0], *shape)
+        at += size
+    return views
+
+
+def _packed_loss(table: np.ndarray, head: dict, ids, lengths, labels, w_ex, lam: float) -> np.ndarray:
+    """The K loss values of models (``table[k]``, head arrays [k]) on one packed set of sequences.
+
+    ``table`` is (K, V + 1, d); ``head`` holds float64 (K, ...) arrays.
+    """
+    K, n = table.shape[0], lengths.size
+    values, _, _ = _loss_and_grad(
+        head, mean_embeddings(table, ids, lengths), table[:, -1].astype(np.float64),
+        np.broadcast_to(labels, (K, n)), np.broadcast_to(w_ex, (K, n)), lam,
     )
-    value = float(values[0])
-    if not math.isfinite(value):
-        raise FloatingPointError(f"non-finite loss {value!r} on batch of {lengths.size}")
-    return value
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite loss {values.tolist()!r} on batch of {n}")
+    return values
 
 
 def loss(params: ModelParams, batch_examples, weights: WeightTable | None = None,
          mask_entropy_coeff: float = TrainConfig.mask_entropy_coeff) -> float:
     """Scalar training loss on a batch of examples."""
     ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
-    return _packed_loss(params, ids, lengths, *_labels_and_weights(batch_examples, weights), mask_entropy_coeff)
+    head = {name: getattr(params, name).astype(np.float64)[None] for name in HEAD_FIELDS}
+    return float(_packed_loss(params.embedding[None], head, ids, lengths,
+                              *_labels_and_weights(batch_examples, weights), mask_entropy_coeff)[0])
 
 
 def mask_entropy_loss(params: ModelParams) -> float:
@@ -239,10 +260,13 @@ def train_arms(datasets, val, vocab, configs):
 
     Every arm gets what training it alone would give, bit for bit: its own
     embedding table, init and shuffle streams from its ``config.seed``, class
-    weights, validation-based selection and report. Only the hidden/output
-    weights are stacked, so each step's forward and backward run once over
-    (K, B, d). The arms must share ``LOCKSTEP_FIELDS`` and their train size;
-    anything else is a ``ValueError``.
+    weights, validation-based selection and report. The arms' parameters are
+    stacked: the embedding tables as one (K, V + 2, d) array, each arm's
+    table a view into it, and the hidden/output weights as one (K, P)
+    buffer. So each step gathers, updates and scatters every arm's batch rows
+    and head at once, and the per-epoch validation is one pass. The arms
+    must share ``LOCKSTEP_FIELDS`` and their train size; anything else is a
+    ``ValueError``.
 
     An arm's returned parameters are the snapshot from the epoch with the
     lowest validation loss (earliest epoch on ties). Divergence (non-finite
@@ -264,89 +288,106 @@ def train_arms(datasets, val, vocab, configs):
     if any(len(data) != n for data in datasets):
         raise ValueError("arms trained in lockstep must have equal train sizes")
 
-    arms = [
+    inits = [
         init_params(vocab.size, vocab.n_classes, first.embed_dim, first.hidden_dim,
                     rng=derive_rng(config.seed, "train", "init"))
         for config in configs
     ]
     reports = [TrainReport() for _ in configs]
     if first.epochs == 0:
-        return list(zip(arms, reports))
+        return list(zip(inits, reports))
 
-    mask_id = vocab.size
-    # One packed layout per distinct dataset: the imbalanced arms with and without weights share theirs.
+    K, mask_id = len(configs), vocab.size
+    # One packed layout holds each distinct dataset once: the imbalanced arms with and without weights share it.
     distinct = {id(data): data for data in datasets}
-    packed = {key: _pack_train(data, mask_id) for key, data in distinct.items()}
-    sets = [packed[id(data)] for data in datasets]
-    ones = np.ones(n)
-    weights = [
+    ids, lengths, labels = _pack_train([ex for data in distinct.values() for ex in data], mask_id)
+    offsets = np.array([list(distinct).index(id(data)) * n for data in datasets])[:, None]
+    weights = np.stack([
         _labels_and_weights(data, compute_weights(count_cells(data, vocab.n_languages, vocab.n_classes)))[1]
-        if config.weighting == "per_language" else ones
+        if config.weighting == "per_language" else np.ones(n)
         for data, config in zip(datasets, configs)
-    ]
+    ])
     val_ids, val_lengths = pack_tokens([ex.tokens for ex in val], mask_id)
     val_labels = _labels_and_weights(val, None)[0]
-    val_ones = np.ones(val_labels.size)
+
+    # Row mask_id + 1 of each arm's table is the scratch row that pads a step's rows (``batch_layout``).
+    table = np.zeros((K, mask_id + 2, first.embed_dim), dtype=np.float32)
+    shapes = {name: getattr(inits[0], name).shape for name in HEAD_FIELDS}
+    head32 = np.empty((K, sum(math.prod(shape) for shape in shapes.values())), dtype=np.float32)
+    views32 = _head_views(head32, shapes)
+    for k, init in enumerate(inits):
+        table[k, :-1] = init.embedding
+        for name in HEAD_FIELDS:
+            views32[name][k] = getattr(init, name)
+    del inits, init  # from here the stacked arrays are the only copy of the parameters
+    arms = [ModelParams(table[k, :-1], *(views32[name][k] for name in HEAD_FIELDS)) for k in range(K)]
+    head64 = head32.astype(np.float64)  # what the step computes with; always equal to head32
 
     shuffles = [derive_rng(config.seed, "train", "shuffle") for config in configs]
-    head = {name: np.stack([getattr(arm, name) for arm in arms]) for name in HEAD_FIELDS}  # float32 (K, ...)
     steps_per_epoch = math.ceil(n / first.batch_size)
-    best = [None] * len(configs)
+    best = [None] * K
     for epoch in range(first.epochs):
-        orders = [rng.permutation(n) for rng in shuffles]
-        epoch_losses = _train_epoch(arms, head, sets, weights, orders, first, epoch, steps_per_epoch)
+        orders = np.stack([rng.permutation(n) for rng in shuffles])
+        epoch_losses = _train_epoch(table, head32, head64, shapes, (ids, lengths, labels), orders + offsets,
+                                    np.take_along_axis(weights, orders, axis=1), first, epoch, steps_per_epoch)
+        val_losses = _packed_loss(table[:, :-1], _head_views(head64, shapes), val_ids, val_lengths,
+                                  val_labels, 1.0, 0.0)
         for k, report in enumerate(reports):
-            current = ModelParams(arms[k].embedding, *(head[name][k] for name in HEAD_FIELDS))
-            val_loss = _packed_loss(current, val_ids, val_lengths, val_labels, val_ones, 0.0)
+            val_loss = float(val_losses[k])
             if best[k] is None or val_loss < report.selected_val_loss:
-                best[k] = current.copy()
+                best[k] = arms[k].copy()
                 report.selected_epoch = epoch
                 report.selected_val_loss = val_loss
             report.epochs.append(EpochStats(epoch=epoch, train_loss=float(np.mean(epoch_losses[k])),
                                             val_loss=val_loss))
 
     for selected, report in zip(best, reports):
-        probs, _ = forward_means(selected, mean_embeddings(selected, val_ids, val_lengths))
+        probs, _ = forward_means(selected, mean_embeddings(selected.embedding, val_ids, val_lengths))
         report.final = {"val_accuracy": float((probs.argmax(axis=1) == val_labels).mean())}
     return list(zip(best, reports))
 
 
-def _train_epoch(arms, head: dict, sets, weights, orders, config: TrainConfig, epoch: int,
+def _train_epoch(table, head32, head64, shapes: dict, packed, seqs, w_ex, config: TrainConfig, epoch: int,
                  steps_per_epoch: int) -> np.ndarray:
-    """One epoch of lockstep SGD, arm k visiting ``sets[k]`` in ``orders[k]``; returns the (K, steps) losses.
+    """One epoch of lockstep SGD, arm k visiting sequences ``seqs[k]`` of ``packed``; returns the (K, steps) losses.
 
-    The epoch's layouts live only as long as this call.
+    ``table`` is the arms' stacked (K, V + 2, d) float32 embedding table,
+    ``head32``/``head64`` their (K, P) head in float32 and float64,
+    ``packed`` the (ids, lengths, labels) of every dataset, and ``w_ex`` the
+    (K, n) example weights in visiting order. Each step is one gather,
+    forward/backward and scatter for all K arms; parameters stay on the
+    float32 grid (checkpoint dtype). The epoch's layout lives only as long as
+    this call.
     """
     bs, lam = config.batch_size, config.mask_entropy_coeff
-    layouts = [batch_layout(ids, lens, order, bs, arms[0].mask_id, lam != 0.0)
-               for (ids, lens, _), order in zip(sets, orders)]
-    lengths = np.stack([lens[order] for (_, lens, _), order in zip(sets, orders)])
-    labels = np.stack([labs[order] for (_, _, labs), order in zip(sets, orders)])
-    w_ex = np.stack([w[order] for w, order in zip(weights, orders)])
-    losses = np.empty((len(arms), steps_per_epoch))
+    ids, lengths, labels = packed
+    layout = batch_layout(ids, lengths, seqs, bs, table.shape[1] - 2, lam != 0.0)
+    # Lengths are exact in float64, so dividing by them gives the same bits as dividing by the ints.
+    lengths, labels = lengths[seqs][:, :, None].astype(np.float64), labels[seqs]
+    flat, d = table.reshape(-1, table.shape[2]), table.shape[2]
+    grad64 = np.empty_like(head64)
+    head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
+    losses = np.empty((table.shape[0], steps_per_epoch))
     for b in range(steps_per_epoch):
         step = epoch * steps_per_epoch + b
-        lens = lengths[:, b * bs : (b + 1) * bs]
-        x = np.empty(lens.shape + (config.embed_dim,))
-        batches = []
-        for k, arm in enumerate(arms):
-            rows, counts = batch_counts(layouts[k], b, lens.shape[1])
-            emb = arm.embedding[rows].astype(np.float64)
-            np.divide(counts @ emb, lens[k, :, None], out=x[k])
-            batches.append((rows, counts, emb))
-        arrs = {name: a.astype(np.float64) for name, a in head.items()}
-        x_m = np.stack([emb[-1] for _, _, emb in batches]) if lam != 0.0 else None
-        losses[:, b], grads = _loss_and_grad(arrs, x, x_m, labels[:, b * bs : (b + 1) * bs],
-                                             w_ex[:, b * bs : (b + 1) * bs], lam, want_grad=True)
-        if grads is None:
+        cols = slice(b * bs, (b + 1) * bs)
+        lens = lengths[:, cols]
+        rows, counts, last = batch_counts(layout, b, lens.shape[1])
+        emb = np.take(flat, rows, axis=0).astype(np.float64)
+        x = counts @ emb.reshape(counts.shape[0], -1, d)
+        x /= lens
+        losses[:, b], g_x, g_mask = _loss_and_grad(head, x, emb[last] if lam != 0.0 else None,
+                                                   labels[:, cols], w_ex[:, cols], lam, grads)
+        if g_x is None:
             raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
         lr = learning_rate(config.lr, step, config.epochs * steps_per_epoch)
-        # Parameters live on the float32 grid (checkpoint dtype).
-        for k, (rows, counts, emb) in enumerate(batches):
-            g_mask = grads["mask"][k] if lam != 0.0 else None
-            arms[k].embedding[rows] = emb - lr * _row_grads(counts, lens[k], grads["x"][k], g_mask)
-        for name in HEAD_FIELDS:
-            head[name] = (arrs[name] - lr * grads[name]).astype(np.float32)
+        g_rows = _row_grads(counts, lens, g_x, g_mask, last)
+        g_rows *= lr
+        np.subtract(emb, g_rows, out=emb)
+        flat[rows] = emb
+        grad64 *= lr
+        np.subtract(head64, grad64, out=head32, casting="same_kind")
+        head64[...] = head32
     return losses
 
 
@@ -435,22 +476,21 @@ def grad_check(params: ModelParams, batch_examples, weights: WeightTable | None 
     """
     lam = mask_entropy_coeff
     ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
-    layout = batch_layout(ids, lengths, np.arange(lengths.size), lengths.size, params.mask_id, lam != 0.0)
-    rows, counts = batch_counts(layout, 0, lengths.size)
+    layout = batch_layout(ids, lengths, np.arange(lengths.size)[None], lengths.size, params.mask_id, lam != 0.0)
+    rows, counts, last = batch_counts(layout, 0, lengths.size)  # one arm: no padding, rows are token ids
+    lengths = lengths[None, :, None]
     labels, w_ex = _labels_and_weights(batch_examples, weights)
-    arrs = {name: getattr(params, name).astype(np.float64) for name in PARAM_FIELDS}
+    arrs = {name: getattr(params, name).astype(np.float64)[None] for name in PARAM_FIELDS}  # K = 1
 
-    def loss_at(want_grad: bool):
-        emb = arrs["embedding"]
-        values, grads = _loss_and_grad(
-            {name: arrs[name][None] for name in HEAD_FIELDS}, (counts @ emb[rows] / lengths[:, None])[None],
-            emb[-1][None], labels[None], w_ex[None], lam, want_grad,
-        )
-        return float(values[0]), grads and {name: g[0] for name, g in grads.items()}
+    def loss_at(grads=None):
+        emb = arrs["embedding"][0]
+        return _loss_and_grad(arrs, counts @ emb[rows] / lengths, emb[-1][None], labels[None], w_ex[None], lam,
+                              grads)
 
-    _, grads = loss_at(want_grad=True)
+    grads = {name: np.empty_like(arrs[name]) for name in HEAD_FIELDS}
+    _, g_x, g_mask = loss_at(grads)
     grads["embedding"] = np.zeros_like(arrs["embedding"])
-    grads["embedding"][rows] = _row_grads(counts, lengths, grads["x"], grads.get("mask"))
+    grads["embedding"][0, rows] = _row_grads(counts, lengths, g_x, g_mask, last)
 
     # Coordinates are numbered across all arrays in PARAM_FIELDS order; array k starts at starts[k].
     starts = np.cumsum([0] + [arrs[name].size for name in PARAM_FIELDS])
@@ -466,9 +506,9 @@ def grad_check(params: ModelParams, batch_examples, weights: WeightTable | None 
         ref = arrs[name].ravel()
         orig = ref[offset]
         ref[offset] = orig + step
-        up, _ = loss_at(want_grad=False)
+        up = loss_at()[0][0]
         ref[offset] = orig - step
-        down, _ = loss_at(want_grad=False)
+        down = loss_at()[0][0]
         ref[offset] = orig
         fd = (up - down) / (2.0 * step)
         an = grads[name].ravel()[offset]

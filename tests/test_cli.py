@@ -237,3 +237,22 @@ def test_shapdiff_bad_engine_exits_1_before_any_output(corpus_dir, tmp_path, cap
     record = json.loads(lines[0])
     assert record["type"] == "ValueError" and "exact_limit must be in [0, 16]" in record["error"]
     assert not sd_out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [(["--max-datapoints", "-1"], "max_datapoints must be >= 0"),
+                                            (["--theta", "0"], "theta must be > 0"),
+                                            (["--theta", "-0.1"], "theta must be > 0"),
+                                            (["--theta", "nan"], "theta must be > 0")],
+                         ids=["max-datapoints -1", "theta 0", "theta -0.1", "theta nan"])
+def test_shapdiff_bad_report_flags_exit_1_before_any_output(corpus_dir, tmp_path, capsys, flags, message):
+    sd_out = tmp_path / "sd"
+    missing = str(tmp_path / "missing.pbl")  # never opened: the flags are checked first
+    rc = main(["shap-diff", "--checkpoint-bal", missing, "--checkpoint-cmp", missing,
+               "--data", str(corpus_dir / "corpus.jsonl"), "--vocab", str(corpus_dir / "vocab.json"),
+               *flags, "--out", str(sd_out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and message in record["error"]
+    assert not sd_out.exists()

@@ -114,6 +114,24 @@ def test_jsonl_round_trip_exact(tmp_path):
     assert loaded_vocab.content_hash() == vocab.content_hash()
 
 
+def test_save_jsonl_lines_are_json_dumps_of_each_record(tmp_path):
+    vocab = Vocab(token_strings=("plain", 'quo"te', "back\\slash", "caf\u00e9", "\u65e5\u672c", "tab\tnl\n",
+                                 "\U0001f600"),
+                  lang_names=("fr", 'l"1'), label_names=("x", "\u00fc\\"))
+    examples = [Example(id="a", language=0, label=0, tokens=(0, 1, 2)),
+                Example(id='b"\u00e9\\', language=1, label=1, tokens=(3, 4, 5, 6)),
+                Example(id="c", language=1, label=0, tokens=(6,))]
+    path = tmp_path / "odd.jsonl"
+    save_jsonl(examples, vocab, path)
+    expected = "".join(json.dumps({"id": ex.id, "lang": vocab.lang_names[ex.language],
+                                   "label": vocab.label_names[ex.label],
+                                   "tokens": [vocab.token_strings[t] for t in ex.tokens]}) + "\n"
+                       for ex in examples)
+    assert path.read_bytes() == expected.encode("utf-8")
+    loaded_vocab, loaded = load_jsonl(path, vocab)
+    assert loaded == examples and loaded_vocab == vocab
+
+
 def test_load_fresh_vocab_first_seen_order(tmp_path):
     lines = [
         {"id": "a", "lang": "fr", "label": "x", "tokens": ["t1", "t2"]},

@@ -168,8 +168,9 @@ def test_categorize_thresholds():
 
     wide = type("E", (), {"values": np.array([0.02])})()
     assert categorize(wide, theta=0.05) == ("neutral",)
-    with pytest.raises(ValueError):
-        categorize(expl, theta=0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            categorize(expl, theta=bad)
 
 
 def test_cumulative_diff_same_model_zero():

@@ -351,18 +351,38 @@ def arm_configs(lam, **overrides):
                         weighting="per_language" if k == 2 else "none", **overrides) for k in range(3)]
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_train_arms_equals_separate_training(paired223, lam):
+def disjoint_arms(corpus223, n=40):
+    """Equal-size arms of which the first two read disjoint rows (languages 0 and 1), so every step pads."""
+    _, examples = corpus223
+    mixed = examples[::6][:n]
+    assert (count_cells(mixed, 2, 3) > 0).all()  # the per_language arm needs every cell
+    return [[ex for ex in examples if ex.language == lang][:n] for lang in range(2)] + [mixed]
+
+
+@pytest.mark.parametrize("lam, arms", [(0.0, "acceptance"), (0.5, "acceptance"), (0.0, "disjoint"), (0.5, "disjoint")],
+                         ids=["0.0", "0.5", "0.0-disjoint", "0.5-disjoint"])
+def test_train_arms_equals_separate_training(paired223, corpus223, lam, arms):
     vocab, balanced, imbalanced, val = paired223
-    datasets = [balanced, imbalanced, imbalanced]  # the acceptance arms: plain, plain, per_language
+    # The acceptance arms are plain, plain, per_language on two datasets.
+    datasets = [balanced, imbalanced, imbalanced] if arms == "acceptance" else disjoint_arms(corpus223)
     configs = arm_configs(lam)
     together = train_arms(datasets, val, vocab, configs)
+    n_unread = []
     for data, config, (params, report) in zip(datasets, configs, together):
         alone, alone_report = train(data, val, vocab, config)
         assert params.array_equal(alone)
         assert report.to_dict() == alone_report.to_dict()
+        assert params.embedding.shape == (vocab.size + 1, config.embed_dim)
+        assert report.selected_val_loss == loss(params, val)  # the stacked validation pass, bit for bit
+        init = init_params(vocab.size, 3, config.embed_dim, config.hidden_dim,
+                           rng=derive_rng(config.seed, "train", "init"))
+        read = {t for ex in data for t in ex.tokens} | ({vocab.mask_id} if lam else set())
+        unread = [i for i in range(vocab.size + 1) if i not in read]
+        assert np.array_equal(params.embedding[unread], init.embedding[unread])
+        n_unread.append(len(unread))
         # The mask row is trained only by the entropy term, and per arm.
         assert np.any(params.embedding[vocab.mask_id] != 0) == (lam != 0.0)
+    assert arms == "acceptance" or min(n_unread[:2]) > 0  # each language arm leaves the other's rows unread
     if lam != 0.0:
         masks = [params.embedding[vocab.mask_id] for params, _ in together]
         assert not np.array_equal(masks[0], masks[1]) and not np.array_equal(masks[1], masks[2])
