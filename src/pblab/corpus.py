@@ -9,11 +9,13 @@ information, which downstream attribution analyses can be checked against.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .jsonio import write_json
 from .seeds import derive_rng
 
 TOKEN_CATEGORIES = ("signal_pos", "signal_other", "filler", "foreign")
+_CHUNK_WORDS = 4096  # raw words a corpus cell reads at once: few calls, bounded memory
 
 
 def _id_lists(value, count: int) -> bool:
@@ -204,11 +206,52 @@ def build_vocab(spec: CorpusSpec) -> Vocab:
     return vocab
 
 
+class _Draws:
+    """numpy ``Generator.random()`` / ``Generator.integers(n)`` scalar calls, replayed in Python.
+
+    The draws are computed from the bit generator's raw 64-bit words, read
+    ``_CHUNK_WORDS`` at a time, exactly as numpy computes them: ``random()``
+    is one word's top 53 bits; ``integers(n)`` takes 32-bit halves, the low
+    half of a fresh word first with its high half kept for the next
+    ``integers`` call (random() calls in between do not touch it), and
+    rejects by Lemire's method; ``integers(1)`` draws nothing. Only valid on
+    a bit generator no other caller draws from.
+    """
+
+    __slots__ = ("_word", "_high")
+
+    def __init__(self, bit_generator):
+        chunks = iter(lambda: bit_generator.random_raw(_CHUNK_WORDS).tolist(), None)
+        self._word = chain.from_iterable(chunks).__next__
+        self._high = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2**-53
+
+    def integers(self, n: int) -> int:
+        """Uniform on [0, n) for 1 <= n < 2**32."""
+        if n == 1:
+            return 0
+        while True:
+            if self._high is None:
+                word = self._word()
+                self._high = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            else:
+                m = self._high * n
+                self._high = None
+            # Lemire: reject while the low half is below (2**32 - n) % n, a bound below n.
+            if (m & 0xFFFFFFFF) >= n or (m & 0xFFFFFFFF) >= (2**32 - n) % n:
+                return m >> 32
+
+
 def generate_corpus(spec: CorpusSpec, n_examples_per_cell: int):
     """Generate exactly ``n_examples_per_cell`` examples for every (language, label) cell.
 
     Deterministic given ``spec.seed``; each cell draws from its own derived
-    stream, so changing one cell's size never perturbs the others.
+    stream, so changing one cell's size never perturbs the others. The corpus
+    is the one numpy's scalar ``integers``/``random`` calls on each cell's
+    Generator would give (``_Draws`` replays them).
 
     Returns (vocab, examples).
     """
@@ -217,27 +260,29 @@ def generate_corpus(spec: CorpusSpec, n_examples_per_cell: int):
         raise ValueError("n_examples_per_cell must be >= 1")
     vocab = build_vocab(spec)
     examples = []
+    p_signal, p_signal_or_noise = spec.p_signal, spec.p_signal + spec.p_noise
+    n_lengths = spec.n_max - spec.n_min + 1
     for lang in range(spec.n_languages):
         fillers = sorted(vocab.filler_sets[lang])
         signals = [sorted(s) for s in vocab.signal_sets[lang]]
         for label in range(spec.n_classes):
-            rng = derive_rng(spec.seed, "corpus", "cell", lang, label)
+            draws = _Draws(derive_rng(spec.seed, "corpus", "cell", lang, label).bit_generator)
+            random, integers = draws.random, draws.integers
+            own = signals[label]
             other_labels = [c for c in range(spec.n_classes) if c != label]
+            n_own, n_other, n_fillers = len(own), len(other_labels), len(fillers)
             for i in range(n_examples_per_cell):
-                length = int(rng.integers(spec.n_min, spec.n_max + 1))
                 toks = []
-                for _ in range(length):
-                    u = rng.random()
-                    if u < spec.p_signal:
-                        toks.append(signals[label][rng.integers(len(signals[label]))])
-                    elif u < spec.p_signal + spec.p_noise:
-                        c = other_labels[rng.integers(len(other_labels))]
-                        toks.append(signals[c][rng.integers(len(signals[c]))])
+                for _ in range(spec.n_min + integers(n_lengths)):
+                    u = random()
+                    if u < p_signal:
+                        toks.append(own[integers(n_own)])
+                    elif u < p_signal_or_noise:
+                        c = other_labels[integers(n_other)]
+                        toks.append(signals[c][integers(len(signals[c]))])
                     else:
-                        toks.append(fillers[rng.integers(len(fillers))])
-                examples.append(
-                    Example(id=f"{lang}:{label}:{i}", language=lang, label=label, tokens=tuple(int(t) for t in toks))
-                )
+                        toks.append(fillers[integers(n_fillers)])
+                examples.append(Example(id=f"{lang}:{label}:{i}", language=lang, label=label, tokens=tuple(toks)))
     return vocab, examples
 
 

@@ -213,6 +213,9 @@ def _check_corpus_shape(config: ExperimentConfig, L: int, C: int) -> sampler_mod
         raise ValueError(f"config values 'val_size' and 'test_size' must be divisible by L*C={L * C}")
     if max(config.explain["target_labels"]) >= C:
         raise ValueError(f"config value 'explain.target_labels' must hold label ids below {C}")
+    if config.explain["max_datapoints"] < L:
+        raise ValueError(f"config value 'explain.max_datapoints' must be at least n_languages={L}, "
+                         "one datapoint per language")
     if "path" not in config.corpus and config.probe["holdout_per_language"] < C:
         raise ValueError(f"config value 'probe.holdout_per_language' must be at least n_classes={C}")
     return joint_from_config(config.joint, L, C)
@@ -258,11 +261,13 @@ class Manifest:
 
     @contextmanager
     def stage(self, stage: str, arm: str | None = None, corpus: str | None = None):
-        """Time one pipeline stage into the manifest's ``stages`` list."""
-        start = time.perf_counter()
+        """Time one pipeline stage into the manifest's ``stages`` list: wall seconds, and the CPU
+        seconds of every thread of the process (numpy's BLAS threads included)."""
+        start, cpu_start = time.perf_counter(), time.process_time()
         yield
         self.entry.setdefault("stages", []).append(
-            {"stage": stage, "arm": arm, "corpus": corpus, "seconds": time.perf_counter() - start})
+            {"stage": stage, "arm": arm, "corpus": corpus, "seconds": time.perf_counter() - start,
+             "cpu_seconds": time.process_time() - cpu_start})
 
     def write(self) -> None:
         self.entry["finished_unix"] = time.time()
@@ -301,7 +306,7 @@ def _shap_subset(test, max_datapoints: int):
     cap never skews the subsample toward particular true labels.
     """
     langs = sorted({ex.language for ex in test})
-    per_lang = max(1, max_datapoints // len(langs))
+    per_lang = max_datapoints // len(langs)
     subset = []
     for lang in langs:
         cells: dict = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,9 @@ from pblab.corpus import (
     CorpusSpec,
     Example,
     Vocab,
+    _CHUNK_WORDS,
+    _Draws,
+    build_vocab,
     generate_corpus,
     ground_truth_category,
     load_jsonl,
@@ -14,6 +18,9 @@ from pblab.corpus import (
     save_jsonl,
     save_vocab,
 )
+from pblab.experiment import SyntheticCorpus
+from pblab.seeds import derive_rng
+from test_acceptance import directional_config
 
 
 def spec_223(**kw):
@@ -213,3 +220,109 @@ def test_example_invariants():
         Example(id="x", language=0, label=0, tokens=(vocab.mask_id,)).validate(vocab)
     with pytest.raises(ValueError, match="empty"):
         Example(id="x", language=0, label=0, tokens=()).validate(vocab)
+
+
+# ------------------------------------------------- generator vs numpy's scalar calls
+
+def scalar_generate_corpus(spec: CorpusSpec, n_examples_per_cell: int):
+    """The reference generator: one numpy Generator call per draw on each cell's stream."""
+    vocab = build_vocab(spec)
+    examples = []
+    for lang in range(spec.n_languages):
+        fillers = sorted(vocab.filler_sets[lang])
+        signals = [sorted(s) for s in vocab.signal_sets[lang]]
+        for label in range(spec.n_classes):
+            rng = derive_rng(spec.seed, "corpus", "cell", lang, label)
+            other_labels = [c for c in range(spec.n_classes) if c != label]
+            for i in range(n_examples_per_cell):
+                length = int(rng.integers(spec.n_min, spec.n_max + 1))
+                toks = []
+                for _ in range(length):
+                    u = rng.random()
+                    if u < spec.p_signal:
+                        toks.append(signals[label][rng.integers(len(signals[label]))])
+                    elif u < spec.p_signal + spec.p_noise:
+                        c = other_labels[rng.integers(len(other_labels))]
+                        toks.append(signals[c][rng.integers(len(signals[c]))])
+                    else:
+                        toks.append(fillers[rng.integers(len(fillers))])
+                examples.append(
+                    Example(id=f"{lang}:{label}:{i}", language=lang, label=label, tokens=tuple(int(t) for t in toks))
+                )
+    return vocab, examples
+
+
+def _seeded_specs(count: int, seed: int = 2024):
+    """``count`` (spec, n_examples_per_cell) pairs spread over the generator's parameter space."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        n_min = int(rng.integers(1, 7))
+        p_signal = float(rng.uniform(0.05, 0.9))
+        p_noise = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 1.0 - p_signal))
+        spec = CorpusSpec(n_languages=int(rng.integers(2, 4)), n_classes=int(rng.integers(2, 5)),
+                          n_min=n_min, n_max=n_min + int(rng.integers(0, 7)), p_signal=p_signal, p_noise=p_noise,
+                          fillers_per_language=int(rng.integers(1, 31)),
+                          signals_per_language_class=int(rng.integers(1, 9)), seed=int(rng.integers(0, 2**31)))
+        cases.append((spec, int(rng.integers(1, 13))))
+    return cases
+
+
+# Each edge case empties one kind of draw, or (the last) runs a cell's stream past one chunk of words.
+EDGE_CASES = {
+    "n_min == n_max": (spec_223(n_min=6, n_max=6), 20),
+    "two classes": (spec_223(n_classes=2, n_min=1, n_max=9), 20),
+    "one filler": (spec_223(fillers_per_language=1), 20),
+    "one signal": (spec_223(signals_per_language_class=1), 20),
+    "p_noise 0": (spec_223(p_noise=0.0, n_min=2, n_max=12), 20),
+    "no fillers": (spec_223(p_signal=0.65, p_noise=0.35, fillers_per_language=0), 20),
+    "every draw of one value": (spec_223(n_classes=2, n_min=4, n_max=4, fillers_per_language=1,
+                                         signals_per_language_class=1), 20),
+    "longer than one chunk": (spec_223(n_classes=2, n_min=6, n_max=9), 700),
+}
+ORACLE_CASES = list(EDGE_CASES.values()) + _seeded_specs(46)
+
+
+@pytest.mark.parametrize("spec, n_per_cell", ORACLE_CASES,
+                         ids=list(EDGE_CASES) + [f"seeded-{i}" for i in range(len(ORACLE_CASES) - len(EDGE_CASES))])
+def test_generate_corpus_equals_scalar_numpy_calls(spec, n_per_cell):
+    vocab, examples = generate_corpus(spec, n_per_cell)
+    ref_vocab, ref_examples = scalar_generate_corpus(spec, n_per_cell)
+    assert vocab == ref_vocab
+    assert examples == ref_examples
+
+
+def test_oracle_cases_cover_a_multi_chunk_cell():
+    spec, n_per_cell = EDGE_CASES["longer than one chunk"]
+    _, examples = generate_corpus(spec, n_per_cell)
+    # every token takes at least one 64-bit word (its random() draw)
+    assert sum(len(ex.tokens) for ex in examples if (ex.language, ex.label) == (0, 0)) > _CHUNK_WORDS
+    assert len(ORACLE_CASES) >= 50
+
+
+@pytest.mark.parametrize("n", [5, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 5])
+def test_draws_replay_interleaved_generator_calls(n):
+    """Interleaved random()/integers() calls, with ranges where Lemire rejection is frequent
+    (n = 2**31 + 1 rejects about half its draws) and with one-value ranges, match the
+    Generator's own scalar calls one for one, across chunks of raw words."""
+    gen = np.random.default_rng(n)
+    draws = _Draws(np.random.default_rng(n).bit_generator)
+    ops = np.random.default_rng(n + 1).integers(0, 4, size=4 * _CHUNK_WORDS)
+    # about a quarter are random() calls and half take a half-word each: past one chunk of words
+    assert np.count_nonzero(ops == 0) + np.count_nonzero((ops == 1) | (ops == 2)) // 2 > _CHUNK_WORDS
+    for step, op in enumerate(ops.tolist()):
+        if op == 0:
+            assert draws.random() == gen.random(), step
+        else:
+            bound = (n, 20, 1)[op - 1]
+            assert draws.integers(bound) == gen.integers(bound), (step, bound)
+
+
+def test_acceptance_corpus_bytes_pinned(tmp_path):
+    """A change in numpy's PCG64 stream, or in the generator, changes every experiment; it fails here."""
+    config = directional_config(tmp_path, 0.0)
+    spec = SyntheticCorpus(**config.corpus, seed=0)
+    vocab, examples = generate_corpus(spec, spec.n_examples_per_cell)
+    save_jsonl(examples, vocab, tmp_path / "corpus.jsonl")
+    digest = hashlib.sha256((tmp_path / "corpus.jsonl").read_bytes()).hexdigest()
+    assert digest == "a628a2354744f53ce3987d6827ed29ae0f10e93905b90983dd8cca0ecacc961c"

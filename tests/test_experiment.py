@@ -67,7 +67,8 @@ def test_manifest_lists_every_artifact(tiny_run):
 def test_manifest_times_every_stage(tiny_run):
     _, out, _ = tiny_run
     stages = json.loads((out / "seed_0" / "manifest.json").read_text())["stages"]
-    assert all(set(s) == {"stage", "arm", "corpus", "seconds"} and s["seconds"] >= 0 for s in stages)
+    assert all(set(s) == {"stage", "arm", "corpus", "seconds", "cpu_seconds"}
+               and s["seconds"] >= 0 and s["cpu_seconds"] >= 0 for s in stages)
     arms = ["balanced", "imbalanced", "imbalanced_cw"]
     assert [(s["stage"], s["arm"], s["corpus"]) for s in stages] == (
         [("corpus", None, "original"), ("sample", None, None), ("train", None, None)]
@@ -174,6 +175,22 @@ def test_pool_missing_a_vocabulary_language_fails_in_sample_paired(tmp_path):
     assert "in sample_paired" in error["traceback"]
 
 
+def test_max_datapoints_below_n_languages_fails_ingested_seed(tmp_path):
+    """An ingested corpus's languages are known only once it is read: the cap is checked per seed."""
+    from pblab.corpus import CorpusSpec, generate_corpus, save_jsonl, save_vocab
+
+    vocab, examples = generate_corpus(CorpusSpec(n_languages=3, n_classes=2, n_min=3, n_max=7, p_signal=0.3), 40)
+    save_vocab(vocab, tmp_path / "vocab.json")
+    save_jsonl(examples, vocab, tmp_path / "data.jsonl")
+    config = tiny_config(tmp_path / "out", corpus={"path": str(tmp_path / "data.jsonl"),
+                                                   "vocab_path": str(tmp_path / "vocab.json")},
+                         joint={"preset": "uniform"}, val_size=12, test_size=12,
+                         explain={"target_labels": [0], "max_datapoints": 2})
+    summary = run_experiment(config)
+    assert [f["seed"] for f in summary["failures"]] == [0]
+    assert "'explain.max_datapoints' must be at least n_languages=3" in summary["failures"][0]["error"]
+
+
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ValueError, match="seeds"):
         tiny_config(tmp_path, seeds=())
@@ -214,6 +231,7 @@ def test_config_validation_errors(tmp_path):
     {"val_size": 31},
     {"train": {"val_every": 1}},
     {"explain": {"exact_limit": 17}},
+    {"explain": {"max_datapoints": 1}},
 ], ids=["top-level list", "seeds int", "seeds float", "train int", "explain list", "probe str",
         "corpus int", "joint list", "train_size list", "train.epochs str", "train.batch_size bool",
         "probe.l2 str", "explain.target_labels int", "probe.max_iters unknown",
@@ -221,7 +239,7 @@ def test_config_validation_errors(tmp_path):
         "joint.probs str", "joint empty", "joint.preset unknown", "train.epochs negative",
         "explain.theta negative", "probe.k 0", "seeds repeated", "explain.target_labels repeated",
         "explain.target_labels >= n_classes", "val_size not divisible by L*C", "train.val_every unknown",
-        "explain.exact_limit 17"])
+        "explain.exact_limit 17", "explain.max_datapoints below n_languages"])
 def test_config_malformed_values_rejected(tmp_path, raw):
     """A malformed config value is a ValueError naming it at load, never a TypeError or a failed seed."""
     if isinstance(raw, dict):
