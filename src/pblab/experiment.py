@@ -392,8 +392,12 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         if synthetic:
             with manifest.stage("corpus", corpus="holdout"):
                 holdout_spec = SyntheticCorpus(**config.corpus, seed=derive_int(seed, "probe_holdout"))
-                _, holdout = corpus_mod.generate_corpus(holdout_spec, config.probe["holdout_per_language"] // C)
-            probe_corpora["holdout"] = holdout
+                per_cell = -(-config.probe["holdout_per_language"] // C)
+                surplus = per_cell * C - config.probe["holdout_per_language"]
+                _, holdout = corpus_mod.generate_corpus(holdout_spec, per_cell)
+            # Exactly holdout_per_language per language: the last `surplus` label cells drop their last example.
+            probe_corpora["holdout"] = [ex for i, ex in enumerate(holdout)
+                                        if ex.label < C - surplus or i % per_cell < per_cell - 1]
         record["probe"] = {}
         for corpus_tag, dataset in probe_corpora.items():
             reports = {}

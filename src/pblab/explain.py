@@ -7,10 +7,12 @@ same length. Attributions satisfy sum_i S(t_i) + b = p(T, y): exactly for
 the exact engine, and enforced by uniform residual redistribution for the
 permutation-sampled engine (downstream category sums rely on additivity).
 
-The exact engine evaluates all 2^n coalitions in one batched forward pass
+The first layer is affine in the mean embedding, so each token's shift of the
+all-mask hidden pre-activation is computed once and a coalition's pre-activation
+is a sum of shifts. The exact engine evaluates all 2^n coalitions in one batch
 (cheap up to the default 12-token limit, and never run past EXACT_LIMIT_MAX);
-the sampled engine keeps one running embedding sum per permutation, so its
-memory is O(P * (n + d)) at any length.
+the sampled engine keeps one running pre-activation per ordering, so its memory
+is O(P * (n + h)) at any length.
 """
 
 import math
@@ -19,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jsonio import write_csv, write_json
-from .model import ModelParams, forward_means, pack_tokens
+from .model import ModelParams, pack_tokens
 from .seeds import derive_rng
 
 CATEGORIES = ("pos", "neg", "neutral")
 DEFAULT_THETA = 0.01
 DEFAULT_EXACT_LIMIT = 12
-# 2^16 coalitions took 68.8 MB at d = h = 32; past 15 tokens the default sampler needs fewer, P * (n + 1).
+# 2^16 coalitions took 38.3 MB at d = h = 32; past 15 tokens the default sampler needs fewer, P * (n + 1).
 EXACT_LIMIT_MAX = 16
 DEFAULT_N_PERMUTATIONS = 2000
 
@@ -40,11 +42,20 @@ class ShapExplanation:
     engine: str = ""     # "exact" or "sampled": the engine that computed the values
 
 
-def _coalition_values(params: ModelParams, sums: np.ndarray, n_present, n: int, label: int) -> np.ndarray:
-    """v(A) from the (batch, d) sums of A's present token embeddings and |A| (an int or a (batch, 1) column)."""
+def _first_layer(params: ModelParams, tokens):
+    """The all-mask hidden pre-activation pre0 (h,) and each token's shift of it, delta (n, h)."""
+    ids, _ = pack_tokens([tokens], params.mask_id)
+    w_h = params.hidden_w.astype(np.float64)
     mask_emb = params.embedding[params.mask_id].astype(np.float64)
-    probs, _ = forward_means(params, (sums + (n - n_present) * mask_emb) / n)
-    return probs[:, label]
+    delta = (params.embedding[ids].astype(np.float64) - mask_emb) @ w_h / len(ids)
+    return mask_emb @ w_h + params.hidden_b.astype(np.float64), delta
+
+
+def _label_prob(params: ModelParams, pre: np.ndarray, label: int) -> np.ndarray:
+    """p(label) for each row of (B, h) hidden pre-activations: the head as (C, B) and a softmax along C."""
+    logits = params.out_w.T.astype(np.float64) @ np.tanh(pre).T + params.out_b.astype(np.float64)[:, None]
+    e = np.exp(logits - logits.max(axis=0))
+    return e[label] / e.sum(axis=0)
 
 
 def shapley_exact(params: ModelParams, tokens, label: int,
@@ -63,13 +74,12 @@ def shapley_exact(params: ModelParams, tokens, label: int,
         raise ValueError(f"{n} tokens exceeds the exact limit {limit}; use shapley_sampled for long inputs")
     if not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
-    ids, _ = pack_tokens([tokens], params.mask_id)
-    tok_emb = params.embedding[ids].astype(np.float64)
+    pre0, delta = _first_layer(params, tokens)
 
     masks = np.arange(2**n, dtype=np.uint32)
     presence = (masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1
     sizes = presence.sum(axis=1)
-    v = _coalition_values(params, presence.astype(np.float64) @ tok_emb, sizes[:, None], n, label)
+    v = _label_prob(params, presence.astype(np.float64) @ delta + pre0, label)
 
     fact = [math.factorial(k) for k in range(n + 1)]
     coeff = np.array([fact[k] * fact[n - 1 - k] / fact[n] for k in range(n)])
@@ -90,39 +100,39 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
     Each permutation adds tokens one by one and credits every token with
     its marginal probability change. The additivity residual is spread
     uniformly across tokens so sum_i S(t_i) + b = p(T, y) holds exactly.
-    ``permutations`` overrides the seeded uniform draw (e.g. to enumerate
-    all n! orderings, which reproduces the exact values).
+    ``permutations`` overrides the seeded uniform draw with rows that are
+    orderings of 0..n-1 (all n! of them reproduce the exact values).
     """
     n = len(tokens)
     if not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
-    ids, _ = pack_tokens([tokens], params.mask_id)
+    pre0, delta = _first_layer(params, tokens)
 
     if permutations is None:
         if n_permutations < 1:
             raise ValueError("n_permutations must be >= 1")
-        rng = derive_rng(seed, "shapley_sampled")
-        perms = rng.permuted(np.tile(np.arange(n), (n_permutations, 1)), axis=1)
+        order = np.repeat(np.arange(n)[:, None], n_permutations, axis=1)
+        derive_rng(seed, "shapley_sampled").permuted(order.T, axis=1, out=order.T)
     else:
-        perms = np.asarray(list(permutations), dtype=int)
-        if perms.ndim != 2 or perms.shape[1] != n:
-            raise ValueError("permutations must be sequences over all token positions")
-    P = perms.shape[0]
-    tok_emb = params.embedding[ids].astype(np.float64)
+        perms = np.asarray(list(permutations))
+        if perms.shape[1:] != (n,) or perms.dtype.kind not in "iu" or (np.sort(perms, 1) != np.arange(n)).any():
+            raise ValueError("permutations must be integer orderings of all token positions 0..n-1")
+        order = np.ascontiguousarray(perms.T, dtype=np.int64)
+    P = order.shape[1]  # order[k, p] = the token added at step k of ordering p
 
-    # v[p, k] = value of the coalition of the first k tokens of permutation p.
-    sums = np.zeros((P, params.embed_dim))
-    v = np.empty((P, n + 1))
+    # v[k, p] = value of the coalition of the first k tokens of ordering p.
+    pre = np.tile(pre0, (P, 1))
+    v = np.empty((n + 1, P))
     for k in range(n + 1):
         if k:
-            sums += tok_emb[perms[:, k - 1]]
-        v[:, k] = _coalition_values(params, sums, k, n, label)
+            pre += delta[order[k - 1]]
+        v[k] = _label_prob(params, pre, label)
 
-    marginals = np.diff(v, axis=1)  # marginal of perms[p, k] at step k
-    values = np.bincount(perms.ravel(), weights=marginals.ravel(), minlength=n) / P
+    marginals = np.diff(v, axis=0)  # marginal of order[k, p] at step k
+    values = np.bincount(order.ravel(), weights=marginals.ravel(), minlength=n) / P
 
     base = float(v[0, 0])
-    full = float(v[0, n])
+    full = float(v[n, 0])
     values += (full - base - values.sum()) / n
     return ShapExplanation(values=values, base=base, label=label, engine="sampled")
 

@@ -273,6 +273,31 @@ def test_each_arm_explained_once(tmp_path, monkeypatch):
     assert len({id(params) for params in calls}) == 3
 
 
+def test_probe_holdout_is_exactly_holdout_per_language(tmp_path, monkeypatch):
+    """500 over 3 labels is not floored to 498: the last label cell keeps 166 examples, the others 167,
+    each its own cell's first examples."""
+    from pblab import probe
+
+    datasets = []
+
+    def recorded(params, dataset, **kwargs):
+        datasets.append(dataset)
+        return real(params, dataset, **kwargs)
+
+    real = probe.probe_model
+    monkeypatch.setattr(probe, "probe_model", recorded)
+    config = tiny_config(tmp_path / "holdout", probe={"k": 3, "holdout_per_language": 500})
+    assert run_experiment(config)["failures"] == []
+    holdout = datasets[3]  # original corpus for the three arms, then the holdout
+    assert all(dataset is holdout for dataset in datasets[3:]) and len(datasets) == 6
+    cells = {}
+    for ex in holdout:
+        cells.setdefault((ex.language, ex.label), []).append(ex.id)
+    assert {cell: len(ids) for cell, ids in cells.items()} == {
+        (lang, label): 166 if label == 2 else 167 for lang in range(2) for label in range(3)}
+    assert all(ids == [f"{lang}:{label}:{i}" for i in range(len(ids))] for (lang, label), ids in cells.items())
+
+
 def test_long_datapoints_explained_by_sampled_engine(tmp_path):
     config = tiny_config(tmp_path / "long", explain={"target_labels": [0], "max_datapoints": 12,
                                                      "exact_limit": 5, "n_permutations": 50})

@@ -6,13 +6,15 @@ import pytest
 
 from pblab.corpus import CorpusSpec, Example, generate_corpus
 from pblab.explain import (
+    EXACT_LIMIT_MAX,
     EngineConfig,
     categorize,
     cumulative_diff,
     shapley_exact,
     shapley_sampled,
 )
-from pblab.model import ModelParams, forward, forward_masked
+from pblab.model import ModelParams, forward, forward_masked, forward_means
+from pblab.seeds import derive_rng
 
 
 def make_params(vocab_size, n_classes=3, seed=0, d=6, h=5):
@@ -39,6 +41,48 @@ def shapley_bruteforce(params, tokens, label):
             values[pos] += cur - prev
             prev = cur
     return values / math.factorial(n)
+
+
+def coalition_values_oracle(params, tokens, presence, label):
+    """v(A) for each (B, n) 0/1 presence row: the masked input's mean embedding through ``forward_means``."""
+    n = len(tokens)
+    tok_emb = params.embedding[list(tokens)].astype(np.float64)
+    mask_emb = params.embedding[params.mask_id].astype(np.float64)
+    sizes = presence.sum(axis=1, keepdims=True)
+    probs, _ = forward_means(params, (presence @ tok_emb + (n - sizes) * mask_emb) / n)
+    return probs[:, label]
+
+
+def shapley_exact_oracle(params, tokens, label):
+    """(values, base) by enumeration, every coalition evaluated in embedding space."""
+    n = len(tokens)
+    presence = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    v = coalition_values_oracle(params, tokens, presence.astype(np.float64), label)
+    sizes = presence.sum(axis=1)
+    values = np.zeros(n)
+    for i in range(n):
+        without = np.flatnonzero(presence[:, i] == 0)
+        weights = np.array([math.factorial(k) * math.factorial(n - 1 - k) / math.factorial(n)
+                            for k in sizes[without]])
+        values[i] = np.sum(weights * (v[without + (1 << i)] - v[without]))
+    return values, v[0]
+
+
+def shapley_sampled_oracle(params, tokens, label, perms):
+    """(values, base) over the (P, n) orderings ``perms``, every coalition evaluated in embedding space."""
+    P, n = perms.shape
+    presence = np.zeros((P, n))
+    v = np.empty((P, n + 1))
+    v[:, 0] = coalition_values_oracle(params, tokens, presence, label)
+    for k in range(n):
+        presence[np.arange(P), perms[:, k]] = 1.0
+        v[:, k + 1] = coalition_values_oracle(params, tokens, presence, label)
+    values = np.bincount(perms.ravel(), weights=np.diff(v, axis=1).ravel(), minlength=n) / P
+    return values + (v[0, n] - v[0, 0] - values.sum()) / n, v[0, 0]
+
+
+def old_permutation_draw(n, n_permutations, seed):
+    return derive_rng(seed, "shapley_sampled").permuted(np.tile(np.arange(n), (n_permutations, 1)), axis=1)
 
 
 def test_constant_model_all_zero():
@@ -133,6 +177,42 @@ def test_sampled_full_enumeration_equals_exact():
     exact = shapley_exact(params, tokens, 0)
     enum = shapley_sampled(params, tokens, 0, permutations=itertools.permutations(range(4)))
     assert np.abs(enum.values - exact.values).max() < 1e-9
+
+
+@pytest.mark.parametrize("n_classes,shift", [(2, 0.0), (3, 0.0), (5, 0.0), (3, 30.0)])
+def test_engines_match_embedding_space_oracle(n_classes, shift):
+    """Coalitions in hidden space give the embedding-space values; ``shift`` puts the logits +-30 apart."""
+    params = make_params(200, n_classes=n_classes, seed=n_classes)
+    params.out_b = params.out_b + shift * (-1.0) ** np.arange(n_classes)
+    rng = np.random.default_rng(n_classes)
+    for n in (1, 2, 8, 12, 13, 40, 150):
+        tokens = tuple(int(t) for t in rng.integers(0, 200, n))
+        for label in range(n_classes):
+            if n <= 12:
+                expl = shapley_exact(params, tokens, label)
+                values, base = shapley_exact_oracle(params, tokens, label)
+            else:
+                expl = shapley_sampled(params, tokens, label, n_permutations=60, seed=n)
+                values, base = shapley_sampled_oracle(params, tokens, label, old_permutation_draw(n, 60, n))
+            assert np.abs(expl.values - values).max() < 1e-14
+            assert abs(expl.base - base) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 13, 150])
+def test_sampled_draw_is_the_tiled_permuted_draw(n):
+    """The seeded orderings are those of permuting a tiled (P, n) table row by row."""
+    params = make_params(200, seed=7)
+    tokens = tuple(range(n))
+    drawn = shapley_sampled(params, tokens, 1, n_permutations=300, seed=11)
+    given = shapley_sampled(params, tokens, 1, permutations=old_permutation_draw(n, 300, 11))
+    assert np.array_equal(drawn.values, given.values) and drawn.base == given.base
+
+
+@pytest.mark.parametrize("rows", [[[0, 0, 0]], [[0.5, 1, 2]], [[0, 1, 5]], [[0, 1]], []])
+def test_sampled_rejects_rows_that_are_not_orderings(rows):
+    params = make_params(12, seed=6)
+    with pytest.raises(ValueError, match="orderings"):
+        shapley_sampled(params, (3, 8, 1), 0, permutations=rows)
 
 
 def test_sampled_deterministic():
@@ -260,7 +340,7 @@ def test_engine_dispatch():
 
 
 def test_sampled_memory_bounded_on_long_input():
-    """The sampled engine keeps one running sum per permutation, not a P x (n+1) x n coalition tensor."""
+    """The sampled engine keeps one running pre-activation per ordering, not a P x (n+1) x n coalition tensor."""
     import tracemalloc
 
     params = make_params(200, seed=3, d=32, h=32)
@@ -272,3 +352,18 @@ def test_sampled_memory_bounded_on_long_input():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_exact_memory_bounded_at_the_hard_cap():
+    """2^16 coalitions hold one (2^16, h) pre-activation and its tanh, not (2^16, d) embedding sums besides."""
+    import tracemalloc
+
+    params = make_params(200, seed=3, d=32, h=32)
+    tokens = tuple(int(t) for t in np.random.default_rng(4).integers(0, 200, EXACT_LIMIT_MAX))
+    tracemalloc.start()
+    try:
+        shapley_exact(params, tokens, 0, exact_limit=EXACT_LIMIT_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
