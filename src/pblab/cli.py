@@ -1,16 +1,17 @@
 """Command-line surface: one subcommand per pipeline stage plus `experiment`.
 
 Exit codes: 0 success, 1 domain/data error (a JSON error record goes to
-stderr), 2 usage error. Every subcommand writes its artifacts plus a
-manifest.json into --out. PBLAB_OUT sets the default output root.
+stderr), 2 usage error. A stage subcommand is one call into experiment's stage
+layer: it writes its artifacts plus a manifest.json with the stage's timings
+into --out (default $PBLAB_OUT), and a command that fails writes no manifest.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import explain as explain_mod
@@ -18,134 +19,83 @@ from . import model as model_mod
 from . import probe as probe_mod
 from . import sampler as sampler_mod
 from . import training as training_mod
-from .experiment import Manifest, config_schema, joint_from_config, load_config, run_experiment
-from .jsonio import write_csv, write_json
+from .experiment import (Manifest, SyntheticCorpus, check_target_labels, config_schema, joint_from_config,
+                         load_config, load_dataset, run_experiment, stage_corpus, stage_evaluate, stage_explain,
+                         stage_probe, stage_sample, stage_train)
 from .seeds import derive_int
 
 
-def _out_dir(args) -> Path:
-    root = Path(os.environ.get("PBLAB_OUT", "."))
-    out = Path(args.out) if args.out else root
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _manifest(args) -> Manifest:
+    """The command's manifest in --out (default $PBLAB_OUT, else "."), keyed by every argument but --out."""
+    payload = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
+    return Manifest(args.out or os.environ.get("PBLAB_OUT", "."), config_hash, getattr(args, "seed", None))
 
 
-def _args_hash(args) -> str:
-    import hashlib
-
-    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
-
-
-def _load_dataset(data_path, vocab_path):
-    vocab = corpus_mod.load_vocab(vocab_path) if vocab_path else None
-    return corpus_mod.load_jsonl(data_path, vocab)
-
-
-def cmd_gen_corpus(args) -> int:
-    out = _out_dir(args)
-    manifest = Manifest(out, _args_hash(args), args.seed)
-    spec = corpus_mod.CorpusSpec(
+def cmd_gen_corpus(args, manifest: Manifest) -> str:
+    spec = SyntheticCorpus(
         n_languages=args.languages, n_classes=args.classes, n_min=args.min_tokens,
         n_max=args.max_tokens, p_signal=args.p_signal, p_noise=args.p_noise,
         fillers_per_language=args.fillers, signals_per_language_class=args.signals,
-        seed=args.seed,
+        seed=args.seed, n_examples_per_cell=args.per_cell,
     )
-    vocab, examples = corpus_mod.generate_corpus(spec, args.per_cell)
-    corpus_mod.save_jsonl(examples, vocab, manifest.add(out / "corpus.jsonl"))
-    corpus_mod.save_vocab(vocab, manifest.add(out / "vocab.json"))
-    manifest.write()
-    print(f"wrote {len(examples)} examples to {out / 'corpus.jsonl'}")
-    return 0
+    _, examples = stage_corpus(spec, manifest.root, manifest)
+    return f"wrote {len(examples)} examples to {manifest.root / 'corpus.jsonl'}"
 
 
-def cmd_sample(args) -> int:
-    out = _out_dir(args)
-    manifest = Manifest(out, _args_hash(args), args.seed)
-    vocab, pool = _load_dataset(args.data, args.vocab)
-    L, C = vocab.n_languages, vocab.n_classes
-    if args.preset:
-        joint = sampler_mod.preset(args.preset, L, C)
-    else:
+def cmd_sample(args, manifest: Manifest) -> str:
+    vocab, pool = load_dataset(args.data, args.vocab)
+    raw_joint = {"preset": args.preset}
+    if args.joint:
         with open(args.joint, encoding="utf-8") as f:
-            joint = joint_from_config(json.load(f), L, C)
-    balanced, imbalanced, overlap = sampler_mod.sample_paired(pool, joint, args.n, seed=args.seed)
-    corpus_mod.save_jsonl(balanced, vocab, manifest.add(out / "balanced.jsonl"))
-    corpus_mod.save_jsonl(imbalanced, vocab, manifest.add(out / "imbalanced.jsonl"))
-    sampler_mod.write_plan_json(overlap, manifest.add(out / "plan.json"))
-    manifest.write()
-    print(f"overlap {overlap.overlap_achieved}/{args.n}")
-    return 0
+            raw_joint = json.load(f)
+    joint = joint_from_config(raw_joint, vocab.n_languages, vocab.n_classes)
+    *_, overlap = stage_sample(pool, vocab, joint, args.n, args.seed, manifest.root, manifest)
+    return f"overlap {overlap.overlap_achieved}/{args.n}"
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    manifest = Manifest(out, _args_hash(args), args.seed)
-    vocab, data = _load_dataset(args.data, args.vocab)
+def cmd_train(args, manifest: Manifest) -> str:
+    vocab, data = load_dataset(args.data, args.vocab)
     _, val = corpus_mod.load_jsonl(args.val, vocab)
     config = training_mod.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(training_mod.TrainConfig)})
-    params, report = training_mod.train(data, val, vocab, config)
-    model_mod.save(params, manifest.add(out / "checkpoint.pbl"), vocab_hash=vocab.content_hash(),
-                   manifest={"seed": args.seed, "weighting": args.weighting})
-    write_json(manifest.add(out / "train_report.json"), report.to_dict())
-    manifest.write()
-    print(f"selected epoch {report.selected_epoch}, val accuracy {report.final.get('val_accuracy')}")
-    return 0
+    header = {"seed": args.seed, "weighting": args.weighting}
+    [(_, report)] = stage_train([(data, config, manifest.root, header)], val, vocab, manifest)
+    return f"selected epoch {report.selected_epoch}, val accuracy {report.final.get('val_accuracy')}"
 
 
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
-    manifest = Manifest(out, _args_hash(args), None)
-    vocab, data = _load_dataset(args.data, args.vocab)
+def cmd_eval(args, manifest: Manifest) -> str:
+    vocab, data = load_dataset(args.data, args.vocab)
     params, _ = model_mod.load(args.checkpoint, vocab)
-    metrics = training_mod.evaluate(params, data, n_languages=vocab.n_languages, n_classes=vocab.n_classes)
-    write_json(manifest.add(out / "metrics.json"), metrics.to_dict())
-    write_csv(manifest.add(out / "pred_dist.csv"), *training_mod.pred_dist_table(metrics, vocab))
-    manifest.write()
-    print(f"accuracy {metrics.overall_accuracy}")
-    return 0
+    metrics = stage_evaluate(params, data, vocab, manifest.root, manifest)
+    return f"accuracy {metrics.overall_accuracy}"
 
 
-def cmd_probe(args) -> int:
-    out = _out_dir(args)
-    manifest = Manifest(out, _args_hash(args), args.seed)
-    vocab, data = _load_dataset(args.data, args.vocab)
+def cmd_probe(args, manifest: Manifest) -> str:
+    vocab, data = load_dataset(args.data, args.vocab)
     params, _ = model_mod.load(args.checkpoint, vocab)
-    report = probe_mod.probe_model(params, data, k=args.k, seed=args.seed, l2=args.l2)
-    write_json(manifest.add(out / "probe.json"), report.to_dict())
-    write_csv(manifest.add(out / "probe.csv"), probe_mod.CSV_HEADER, report.csv_rows(args.model_tag, args.corpus_tag))
-    manifest.write()
-    print(f"probe mean accuracy {report.mean_accuracy}")
-    return 0
+    reports = stage_probe({"model": (params, args.seed)}, data, "data", {"k": args.k, "l2": args.l2},
+                          manifest.root / "probe.csv", manifest, json_path=manifest.root / "probe.json")
+    return f"probe mean accuracy {reports['model'].mean_accuracy}"
 
 
-def cmd_shap_diff(args) -> int:
-    engine = explain_mod.EngineConfig(exact_limit=args.exact_limit,
-                                      n_permutations=args.n_permutations,
+def cmd_shap_diff(args, manifest: Manifest) -> str:
+    engine = explain_mod.EngineConfig(exact_limit=args.exact_limit, n_permutations=args.n_permutations,
                                       seed=derive_int(args.seed, "shapdiff"))
     engine.validate()  # these checks run before any file is read or written
     if not args.theta > 0:
         raise ValueError("theta must be > 0")
     if args.max_datapoints < 0:
         raise ValueError("max_datapoints must be >= 0 (0 = no cap)")
-    out = _out_dir(args)
-    manifest = Manifest(out, _args_hash(args), args.seed)
-    vocab, data = _load_dataset(args.data, args.vocab)
-    params_bal, _ = model_mod.load(args.checkpoint_bal, vocab)
-    params_cmp, _ = model_mod.load(args.checkpoint_cmp, vocab)
+    if args.target_label is not None:
+        check_target_labels(args.target_label)
+    vocab, data = load_dataset(args.data, args.vocab)
+    bal, cmp = (model_mod.load(path, vocab)[0] for path in (args.checkpoint_bal, args.checkpoint_cmp))
+    explain_mod.check_pair(bal, cmp)
     if args.max_datapoints and len(data) > args.max_datapoints:
         data = sorted(data, key=lambda ex: ex.id)[: args.max_datapoints]
-    report = explain_mod.cumulative_diff(
-        params_bal, params_cmp, data,
-        y_mode=args.y_mode,
-        target_labels=args.target_label if args.target_label else None,
-        theta=args.theta, engine=engine,
-    )
-    report.write_csv(manifest.add(out / "shapdiff.csv"))
-    report.write_sidecar(manifest.add(out / "shapdiff.json"))
-    manifest.write()
-    print(f"wrote {out / 'shapdiff.csv'}")
-    return 0
+    stage_explain({"bal": bal, "cmp": cmp}, data, engine, {"shapdiff": ("bal", "cmp")}, args.theta, manifest.root,
+                  manifest, y_mode=args.y_mode, target_labels=args.target_label)
+    return f"wrote {manifest.root / 'shapdiff.csv'}"
 
 
 def cmd_experiment(args) -> int:
@@ -220,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", default=None)
     p.add_argument("--k", type=int, default=probe_mod.ProbeConfig.k)
     p.add_argument("--l2", type=float, default=probe_mod.ProbeConfig.l2)
-    p.add_argument("--model-tag", default="model")
-    p.add_argument("--corpus-tag", default="data")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_probe)
@@ -255,7 +203,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is cmd_experiment:
+            return cmd_experiment(args)
+        manifest = _manifest(args)
+        message = args.func(args, manifest)  # a command that fails writes no manifest
+        manifest.write()
+        print(message)
+        return 0
     except (ValueError, FloatingPointError, OSError) as e:
         json.dump({"error": str(e), "type": type(e).__name__}, sys.stderr)
         sys.stderr.write("\n")

@@ -72,9 +72,12 @@ class ExplainConfig(explain_mod.EngineConfig):
         super().validate()
         if self.theta <= 0 or self.max_datapoints < 1:
             raise ValueError("theta must be > 0 and max_datapoints >= 1")
-        labels = self.target_labels
-        if not labels or min(labels) < 0 or len(set(labels)) < len(labels):
-            raise ValueError("target_labels must be a non-empty list of distinct label ids")
+        check_target_labels(self.target_labels)
+
+
+def check_target_labels(labels) -> None:
+    if not labels or min(labels) < 0 or len(set(labels)) < len(labels):
+        raise ValueError("target_labels must be a non-empty list of distinct label ids")
 
 
 # Each config section: the dataclass whose fields it sets, less the fields each run sets itself.
@@ -250,14 +253,17 @@ class Manifest:
             "seed": seed,
             "versions": {"pblab": _package_version(), "numpy": np.__version__},
             "artifacts": [],
+            "stages": [],
             "started_unix": time.time(),
         }
 
-    def add(self, path) -> Path:
-        rel = str(Path(path).relative_to(self.root))
+    def add(self, path: Path) -> Path:
+        """Register ``path`` as an artifact and make its directory."""
+        rel = str(path.relative_to(self.root))
         if rel not in self.entry["artifacts"]:
             self.entry["artifacts"].append(rel)
-        return Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
 
     @contextmanager
     def stage(self, stage: str, arm: str | None = None, corpus: str | None = None):
@@ -265,13 +271,14 @@ class Manifest:
         seconds of every thread of the process (numpy's BLAS threads included)."""
         start, cpu_start = time.perf_counter(), time.process_time()
         yield
-        self.entry.setdefault("stages", []).append(
+        self.entry["stages"].append(
             {"stage": stage, "arm": arm, "corpus": corpus, "seconds": time.perf_counter() - start,
              "cpu_seconds": time.process_time() - cpu_start})
 
     def write(self) -> None:
         self.entry["finished_unix"] = time.time()
         self.entry["wall_seconds"] = self.entry["finished_unix"] - self.entry["started_unix"]
+        self.root.mkdir(parents=True, exist_ok=True)
         write_json(self.root / "manifest.json", self.entry)
 
 
@@ -284,19 +291,92 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _build_corpus(config: ExperimentConfig, seed: int, out: Path, manifest: Manifest):
-    """Returns (vocab, examples, synthetic_flag)."""
-    ccfg = config.corpus
-    out.mkdir(parents=True, exist_ok=True)
-    if "path" in ccfg:
-        vocab = corpus_mod.load_vocab(ccfg["vocab_path"]) if ccfg["vocab_path"] is not None else None
-        vocab, examples = corpus_mod.load_jsonl(ccfg["path"], vocab)
-        return vocab, examples, False
-    spec = SyntheticCorpus(**ccfg, seed=seed)
-    vocab, examples = corpus_mod.generate_corpus(spec, spec.n_examples_per_cell)
-    corpus_mod.save_jsonl(examples, vocab, manifest.add(out / "corpus.jsonl"))
-    corpus_mod.save_vocab(vocab, manifest.add(out / "vocab.json"))
-    return vocab, examples, True
+def load_dataset(path, vocab_path=None):
+    """(vocab, examples) of a JSONL dataset, mapped through the vocabulary file ``vocab_path`` when given."""
+    return corpus_mod.load_jsonl(path, corpus_mod.load_vocab(vocab_path) if vocab_path is not None else None)
+
+
+# The stage layer: each function times one pipeline stage into ``manifest`` and writes that stage's artifacts.
+
+def stage_corpus(spec: SyntheticCorpus | IngestedCorpus, out: Path, manifest: Manifest):
+    """(vocab, examples): an ingested corpus is read, a synthetic one generated and written to
+    corpus.jsonl and vocab.json."""
+    with manifest.stage("corpus", corpus="original"):
+        if isinstance(spec, IngestedCorpus):
+            return load_dataset(spec.path, spec.vocab_path)
+        vocab, examples = corpus_mod.generate_corpus(spec, spec.n_examples_per_cell)
+        corpus_mod.save_jsonl(examples, vocab, manifest.add(out / "corpus.jsonl"))
+        corpus_mod.save_vocab(vocab, manifest.add(out / "vocab.json"))
+        return vocab, examples
+
+
+def stage_sample(pool, vocab, joint, n: int, seed: int, out: Path, manifest: Manifest, eval_sizes=None):
+    """Carve balanced validation/test splits of ``eval_sizes`` from ``pool`` (none when None), then draw
+    the balanced/imbalanced pair of ``n`` from the rest; writes both subsets and plan.json.
+    Returns (val, test, balanced, imbalanced, overlap)."""
+    with manifest.stage("sample"):
+        val, test = sampler_mod.split_eval(pool, *eval_sizes, seed=seed) if eval_sizes else ([], [])
+        held_out = {ex.id for ex in val + test}
+        balanced, imbalanced, overlap = sampler_mod.sample_paired(
+            [ex for ex in pool if ex.id not in held_out] if held_out else pool, joint, n, seed=seed)
+        corpus_mod.save_jsonl(balanced, vocab, manifest.add(out / "balanced.jsonl"))
+        corpus_mod.save_jsonl(imbalanced, vocab, manifest.add(out / "imbalanced.jsonl"))
+        sampler_mod.write_plan_json(overlap, manifest.add(out / "plan.json"))
+    return val, test, balanced, imbalanced, overlap
+
+
+def stage_train(arms, val, vocab, manifest: Manifest) -> list:
+    """Train the arms, each (data, TrainConfig, output directory, checkpoint manifest), in lockstep;
+    writes each arm's checkpoint.pbl and train_report.json. Returns [(params, report)] in order."""
+    with manifest.stage("train"):
+        trained = training_mod.train_arms([arm[0] for arm in arms], val, vocab, [arm[1] for arm in arms])
+        vocab_hash = vocab.content_hash()
+        for (_, _, out, header), (params, report) in zip(arms, trained):
+            model_mod.save(params, manifest.add(out / "checkpoint.pbl"), vocab_hash=vocab_hash, manifest=header)
+            write_json(manifest.add(out / "train_report.json"), report.to_dict())
+    return trained
+
+
+def stage_evaluate(params, test, vocab, out: Path, manifest: Manifest, arm: str | None = None):
+    """The metrics of ``params`` on ``test``, written to metrics.json and pred_dist.csv."""
+    with manifest.stage("evaluate", arm=arm):
+        metrics = training_mod.evaluate(params, test, n_languages=vocab.n_languages, n_classes=vocab.n_classes)
+        write_json(manifest.add(out / "metrics.json"), metrics.to_dict())
+        write_csv(manifest.add(out / "pred_dist.csv"), *training_mod.pred_dist_table(metrics, vocab))
+    return metrics
+
+
+def stage_probe(models: dict, dataset, corpus_tag: str, probe: dict, csv_path: Path, manifest: Manifest,
+                json_path: Path | None = None) -> dict:
+    """The language probe of each model, {tag: (params, fold seed)}, on ``dataset``: every fold's accuracy
+    goes to ``csv_path`` and, with ``json_path`` given, the one model's report to that file."""
+    reports = {}
+    for tag, (params, seed) in models.items():
+        with manifest.stage("probe", arm=tag, corpus=corpus_tag):
+            reports[tag] = probe_mod.probe_model(params, dataset, k=probe["k"], seed=seed, l2=probe["l2"])
+    if json_path is not None:
+        (report,) = reports.values()
+        write_json(manifest.add(json_path), report.to_dict())
+    write_csv(manifest.add(csv_path), probe_mod.CSV_HEADER,
+              (row for tag, report in reports.items() for row in report.csv_rows(tag, corpus_tag)))
+    return reports
+
+
+def stage_explain(models: dict, data, engine: explain_mod.EngineConfig, pairs: dict, theta: float, out: Path,
+                  manifest: Manifest, y_mode: str = "fixed", target_labels=None) -> dict:
+    """Explain each model, {tag: params}, once; then for each pair, {stem: (reference tag, compared tag)},
+    write the attribution-difference report <stem>.csv and its <stem>.json sidecar. The reference
+    model's values define the token categories, and its base values are tagged "bal"."""
+    expl = {}
+    for tag, params in models.items():
+        with manifest.stage("explain", arm=tag):
+            expl[tag] = explain_mod.explain_arm(params, data, engine, y_mode, target_labels)
+    reports = {}
+    for stem, (ref, cmp) in pairs.items():
+        reports[stem] = explain_mod.diff_report(data, expl[ref], expl[cmp], engine, theta, y_mode, tags=("bal", cmp))
+        reports[stem].write_csv(manifest.add(out / f"{stem}.csv"))
+        reports[stem].write_sidecar(manifest.add(out / f"{stem}.json"))
+    return reports
 
 
 def _shap_subset(test, max_datapoints: int):
@@ -324,56 +404,36 @@ def _shap_subset(test, max_datapoints: int):
 
 
 def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
-    """One full pipeline run; returns the per-seed summary record.
+    """One full pipeline run, the composition of the stages; returns the per-seed summary record.
 
     The seed's manifest is written even when a stage fails: it lists what the seed wrote and the stages it finished.
     """
-    seed_dir.mkdir(parents=True, exist_ok=True)
     config_hash = config.content_hash()
     manifest = Manifest(seed_dir, config_hash, seed)
     try:
         record = {"seed": seed}
-
-        with manifest.stage("corpus", corpus="original"):
-            vocab, pool, synthetic = _build_corpus(config, seed, seed_dir / "corpus", manifest)
+        synthetic = "path" not in config.corpus
+        spec = SyntheticCorpus(**config.corpus, seed=seed) if synthetic else IngestedCorpus(**config.corpus)
+        vocab, pool = stage_corpus(spec, seed_dir / "corpus", manifest)
         L, C = vocab.n_languages, vocab.n_classes
-        vocab_hash = vocab.content_hash()
         joint = _check_corpus_shape(config, L, C)
 
-        with manifest.stage("sample"):
-            val, test = sampler_mod.split_eval(pool, config.val_size, config.test_size, seed=seed)
-            eval_ids = {ex.id for ex in val} | {ex.id for ex in test}
-            train_pool = [ex for ex in pool if ex.id not in eval_ids]
-            balanced, imbalanced, overlap = sampler_mod.sample_paired(train_pool, joint, config.train_size, seed=seed)
-            subsets_dir = seed_dir / "subsets"
-            subsets_dir.mkdir(exist_ok=True)
-            corpus_mod.save_jsonl(balanced, vocab, manifest.add(subsets_dir / "balanced.jsonl"))
-            corpus_mod.save_jsonl(imbalanced, vocab, manifest.add(subsets_dir / "imbalanced.jsonl"))
-            sampler_mod.write_plan_json(overlap, manifest.add(subsets_dir / "plan.json"))
+        val, test, balanced, imbalanced, overlap = stage_sample(
+            pool, vocab, joint, config.train_size, seed, seed_dir / "subsets", manifest,
+            eval_sizes=(config.val_size, config.test_size))
         record["overlap"] = overlap.to_dict()
 
         # The three arms train in lockstep; imbalanced and imbalanced_cw share one subset.
-        arm_data = {"balanced": balanced, "imbalanced": imbalanced, "imbalanced_cw": imbalanced}
-        tconfigs = [
-            training_mod.TrainConfig(**config.train, weighting="per_language" if arm == "imbalanced_cw" else "none",
-                                     seed=derive_int(seed, "train", arm))
-            for arm in ARMS
-        ]
-        with manifest.stage("train"):
-            trained = training_mod.train_arms([arm_data[arm] for arm in ARMS], val, vocab, tconfigs)
-        arm_params = {}
+        trained = stage_train([
+            (balanced if arm == "balanced" else imbalanced,
+             training_mod.TrainConfig(**config.train, weighting="per_language" if arm == "imbalanced_cw" else "none",
+                                      seed=derive_int(seed, "train", arm)),
+             seed_dir / "arms" / arm, {"arm": arm, "seed": seed, "config_hash": config_hash})
+            for arm in ARMS], val, vocab, manifest)
+        arm_params = {arm: params for arm, (params, _) in zip(ARMS, trained)}
         record["arms"] = {}
         for arm, (params, report) in zip(ARMS, trained):
-            arm_dir = seed_dir / "arms" / arm
-            arm_dir.mkdir(parents=True, exist_ok=True)
-            with manifest.stage("evaluate", arm=arm):
-                model_mod.save(params, manifest.add(arm_dir / "checkpoint.pbl"), vocab_hash=vocab_hash,
-                               manifest={"arm": arm, "seed": seed, "config_hash": config_hash})
-                write_json(manifest.add(arm_dir / "train_report.json"), report.to_dict())
-
-                metrics = training_mod.evaluate(params, test, n_languages=L, n_classes=C)
-                write_json(manifest.add(arm_dir / "metrics.json"), metrics.to_dict())
-                write_csv(manifest.add(arm_dir / "pred_dist.csv"), *training_mod.pred_dist_table(metrics, vocab))
+            metrics = stage_evaluate(params, test, vocab, seed_dir / "arms" / arm, manifest, arm)
             record["arms"][arm] = {
                 "accuracy": metrics.overall_accuracy,
                 "per_language_accuracy": metrics.per_language_accuracy,
@@ -383,11 +443,8 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
                 "masked_probs": model_mod.forward(params, [params.mask_id]).probs.tolist(),
                 "masked_entropy": -training_mod.mask_entropy_loss(params),
             }
-            arm_params[arm] = params
 
         # Language-identification probe on the task test split and on a fresh uniform corpus.
-        probe_dir = seed_dir / "probe"
-        probe_dir.mkdir(exist_ok=True)
         probe_corpora = {"original": test}
         if synthetic:
             with manifest.stage("corpus", corpus="holdout"):
@@ -400,33 +457,19 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
                                         if ex.label < C - surplus or i % per_cell < per_cell - 1]
         record["probe"] = {}
         for corpus_tag, dataset in probe_corpora.items():
-            reports = {}
-            for arm in ARMS:
-                with manifest.stage("probe", arm=arm, corpus=corpus_tag):
-                    reports[arm] = probe_mod.probe_model(
-                        arm_params[arm], dataset, k=config.probe["k"],
-                        seed=derive_int(seed, "probe", arm, corpus_tag), l2=config.probe["l2"],
-                    )
-            write_csv(manifest.add(probe_dir / f"{corpus_tag}.csv"), probe_mod.CSV_HEADER,
-                      (row for arm in ARMS for row in reports[arm].csv_rows(arm, corpus_tag)))
+            models = {arm: (arm_params[arm], derive_int(seed, "probe", arm, corpus_tag)) for arm in ARMS}
+            reports = stage_probe(models, dataset, corpus_tag, config.probe,
+                                  seed_dir / "probe" / f"{corpus_tag}.csv", manifest)
             record["probe"][corpus_tag] = {arm: report.mean_accuracy for arm, report in reports.items()}
 
         # Attribution-difference reports against the balanced arm.
-        shap_dir = seed_dir / "shapdiff"
-        shap_dir.mkdir(exist_ok=True)
         engine = ExplainConfig(**config.explain, seed=derive_int(seed, "shapdiff"))
         shap_data = _shap_subset(test, engine.max_datapoints)
+        pairs = {"bal_vs_imbal": ("balanced", "imbalanced"), "bal_vs_imbal_cw": ("balanced", "imbalanced_cw")}
+        reports = stage_explain(arm_params, shap_data, engine, pairs, engine.theta, seed_dir / "shapdiff",
+                                manifest, target_labels=engine.target_labels)
         record["shapdiff"] = {"n_datapoints": len(shap_data)}
-        expl = {}
-        for arm in ARMS:
-            with manifest.stage("explain", arm=arm):
-                expl[arm] = explain_mod.explain_arm(arm_params[arm], shap_data, engine,
-                                                    target_labels=engine.target_labels)
-        for other, tag in (("imbalanced", "bal_vs_imbal"), ("imbalanced_cw", "bal_vs_imbal_cw")):
-            report = explain_mod.diff_report(shap_data, expl["balanced"], expl[other], engine,
-                                             theta=engine.theta, tags=("bal", other))
-            report.write_csv(manifest.add(shap_dir / f"{tag}.csv"))
-            report.write_sidecar(manifest.add(shap_dir / f"{tag}.json"))
+        for tag, report in reports.items():
             record["shapdiff"][tag] = {
                 "rows": {f"{lang}/{label}/{cat}": [mean, count]
                          for (lang, label, cat), (mean, count) in sorted(report.rows.items())},
@@ -477,7 +520,6 @@ def write_summary_csvs(records: list, out_dir: Path, manifest: Manifest) -> None
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run every seed, aggregate, and write the summary files. Returns the summary dict."""
     root = Path(out_dir if out_dir is not None else config.out_dir)
-    root.mkdir(parents=True, exist_ok=True)
     config_hash = config.content_hash()
     manifest = Manifest(root, config_hash)
     write_json(manifest.add(root / "config.json"), config.to_dict())
@@ -489,7 +531,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
             records.append(run_seed(config, seed, seed_dir))
         except Exception as e:  # a failing seed must not take down the others
             failures.append({"seed": seed, "error": f"{type(e).__name__}: {e}"})
-            seed_dir.mkdir(parents=True, exist_ok=True)
             write_json(manifest.add(seed_dir / "error.json"),
                        {"type": type(e).__name__, "message": str(e), "traceback": traceback.format_exc()})
 

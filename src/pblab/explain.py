@@ -265,6 +265,12 @@ def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, 
     )
 
 
+def check_pair(params_bal: ModelParams, params_cmp: ModelParams) -> None:
+    """A ValueError unless the two models share the vocabulary, embedding width and labels a report compares."""
+    if params_bal.embedding.shape != params_cmp.embedding.shape or params_bal.n_classes != params_cmp.n_classes:
+        raise ValueError("models do not share vocabulary/dimensions")
+
+
 def cumulative_diff(params_bal: ModelParams, params_cmp: ModelParams, examples,
                     y_mode: str = "fixed", target_labels=None, theta: float = DEFAULT_THETA,
                     engine: EngineConfig | None = None) -> CumulativeDiffReport:
@@ -272,8 +278,7 @@ def cumulative_diff(params_bal: ModelParams, params_cmp: ModelParams, examples,
     model whose values define the token categories, ``params_cmp`` the compared one."""
     if engine is None:
         engine = EngineConfig()
-    if params_bal.embedding.shape != params_cmp.embedding.shape or params_bal.n_classes != params_cmp.n_classes:
-        raise ValueError("models do not share vocabulary/dimensions")
+    check_pair(params_bal, params_cmp)
     expl_bal = explain_arm(params_bal, examples, engine, y_mode, target_labels)
     expl_cmp = explain_arm(params_cmp, examples, engine, y_mode, target_labels)
     return diff_report(examples, expl_bal, expl_cmp, engine, theta, y_mode)

@@ -84,6 +84,7 @@ def test_eval_checkpoint_without_dims_exits_1(corpus_dir, tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["type"] == "ValueError"
+    assert not (tmp_path / "eval").exists()  # a command that fails before writing leaves no --out
 
 
 @pytest.mark.parametrize("mutate", [
@@ -242,8 +243,11 @@ def test_shapdiff_bad_engine_exits_1_before_any_output(corpus_dir, tmp_path, cap
 @pytest.mark.parametrize("flags, message", [(["--max-datapoints", "-1"], "max_datapoints must be >= 0"),
                                             (["--theta", "0"], "theta must be > 0"),
                                             (["--theta", "-0.1"], "theta must be > 0"),
-                                            (["--theta", "nan"], "theta must be > 0")],
-                         ids=["max-datapoints -1", "theta 0", "theta -0.1", "theta nan"])
+                                            (["--theta", "nan"], "theta must be > 0"),
+                                            (["--target-label", "0", "--target-label", "0"], "distinct label ids"),
+                                            (["--target-label", "-1"], "distinct label ids")],
+                         ids=["max-datapoints -1", "theta 0", "theta -0.1", "theta nan", "target-label repeated",
+                              "target-label -1"])
 def test_shapdiff_bad_report_flags_exit_1_before_any_output(corpus_dir, tmp_path, capsys, flags, message):
     sd_out = tmp_path / "sd"
     missing = str(tmp_path / "missing.pbl")  # never opened: the flags are checked first
@@ -256,3 +260,45 @@ def test_shapdiff_bad_report_flags_exit_1_before_any_output(corpus_dir, tmp_path
     record = json.loads(lines[0])
     assert record["type"] == "ValueError" and message in record["error"]
     assert not sd_out.exists()
+
+
+def test_every_command_manifest_times_its_stages(corpus_dir, tmp_path, capsys):
+    data, vocab = ["--data", str(corpus_dir / "corpus.jsonl")], ["--vocab", str(corpus_dir / "vocab.json")]
+    ckpt = str(tmp_path / "train" / "checkpoint.pbl")
+    commands = {
+        "sample": [*data, *vocab, "--preset", "xnli_skew", "--n", "60"],
+        "train": [*data, *vocab, "--val", str(corpus_dir / "corpus.jsonl"), "--epochs", "1"],
+        "eval": [*data, *vocab, "--checkpoint", ckpt],
+        "probe": [*data, *vocab, "--checkpoint", ckpt, "--k", "3"],
+        "shap-diff": [*data, *vocab, "--checkpoint-bal", ckpt, "--checkpoint-cmp", ckpt, "--max-datapoints", "4"],
+    }
+    for command, flags in commands.items():
+        assert main([command, *flags, "--out", str(tmp_path / command)]) == 0
+    expected = {
+        "gen-corpus": [("corpus", None, "original")],
+        "sample": [("sample", None, None)],
+        "train": [("train", None, None)],
+        "eval": [("evaluate", None, None)],
+        "probe": [("probe", "model", "data")],
+        "shap-diff": [("explain", "bal", None), ("explain", "cmp", None)],
+    }
+    for command, stages in expected.items():
+        out = corpus_dir if command == "gen-corpus" else tmp_path / command
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(s["stage"], s["arm"], s["corpus"]) for s in manifest["stages"]] == stages
+        assert all(s["seconds"] >= 0 and s["cpu_seconds"] >= 0 for s in manifest["stages"])
+        on_disk = {p.name for p in out.iterdir() if p.name != "manifest.json"}
+        assert set(manifest["artifacts"]) == on_disk
+
+
+def test_config_hash_ignores_out(corpus_dir, tmp_path, capsys):
+    """--out only says where the results go: two output directories give one config_hash."""
+    hashes = set()
+    for out in ("a", "b/c"):
+        assert main(["sample", "--data", str(corpus_dir / "corpus.jsonl"), "--vocab", str(corpus_dir / "vocab.json"),
+                     "--preset", "uniform", "--n", "60", "--out", str(tmp_path / out)]) == 0
+        hashes.add(json.loads((tmp_path / out / "manifest.json").read_text())["config_hash"])
+    assert len(hashes) == 1
+    assert main(["sample", "--data", str(corpus_dir / "corpus.jsonl"), "--vocab", str(corpus_dir / "vocab.json"),
+                 "--preset", "uniform", "--n", "66", "--out", str(tmp_path / "d")]) == 0
+    assert json.loads((tmp_path / "d" / "manifest.json").read_text())["config_hash"] not in hashes

@@ -103,6 +103,37 @@ def test_arms_train_on_sampled_ids(tiny_run):
     assert {e.id for e in imb_sub} == {e.id for e in imb2}
 
 
+def test_cli_and_experiment_share_the_stages(tiny_run, tmp_path, capsys):
+    """`pblab train` and `pblab eval` on the seed's own subsets and splits write the arms' artifacts byte for byte
+    (a checkpoint's header apart, which names the arm in the experiment and the weighting in the CLI)."""
+    from pblab.cli import main
+    from pblab.corpus import save_jsonl
+    from pblab.sampler import split_eval
+    from pblab.seeds import derive_int
+
+    config, out, _ = tiny_run
+    seed_dir = out / "seed_0"
+    vocab_path = seed_dir / "corpus" / "vocab.json"
+    vocab, pool = load_jsonl(seed_dir / "corpus" / "corpus.jsonl", load_vocab(vocab_path))
+    for name, split in zip(("val", "test"), split_eval(pool, config.val_size, config.test_size, seed=0)):
+        save_jsonl(split, vocab, tmp_path / f"{name}.jsonl")
+    train_flags = [flag for key, value in config.train.items() for flag in ("--" + key.replace("_", "-"), str(value))]
+    for arm in ("balanced", "imbalanced", "imbalanced_cw"):
+        subset = seed_dir / "subsets" / ("balanced.jsonl" if arm == "balanced" else "imbalanced.jsonl")
+        weighting = ["--weighting", "per_language"] if arm == "imbalanced_cw" else []
+        assert main(["train", "--data", str(subset), "--val", str(tmp_path / "val.jsonl"), "--vocab", str(vocab_path),
+                     *train_flags, *weighting, "--seed", str(derive_int(0, "train", arm)),
+                     "--out", str(tmp_path / arm / "train")]) == 0
+        assert main(["eval", "--checkpoint", str(tmp_path / arm / "train" / "checkpoint.pbl"),
+                     "--data", str(tmp_path / "test.jsonl"), "--vocab", str(vocab_path),
+                     "--out", str(tmp_path / arm / "eval")]) == 0
+        arm_dir = seed_dir / "arms" / arm
+        payload = [(d / "checkpoint.pbl").read_bytes().split(b"\n", 1)[1] for d in (arm_dir, tmp_path / arm / "train")]
+        assert payload[0] == payload[1]
+        for step, name in (("train", "train_report.json"), ("eval", "metrics.json"), ("eval", "pred_dist.csv")):
+            assert (tmp_path / arm / step / name).read_bytes() == (arm_dir / name).read_bytes(), (arm, name)
+
+
 def test_csv_values_parse_as_numbers(tiny_run):
     """Every value cell in every emitted CSV must be plain-text numeric."""
     import csv
