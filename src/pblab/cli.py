@@ -93,7 +93,7 @@ def cmd_shap_diff(args, manifest: Manifest) -> str:
     explain_mod.check_pair(bal, cmp)
     if args.max_datapoints and len(data) > args.max_datapoints:
         data = sorted(data, key=lambda ex: ex.id)[: args.max_datapoints]
-    stage_explain({"bal": bal, "cmp": cmp}, data, engine, {"shapdiff": ("bal", "cmp")}, args.theta, manifest.root,
+    stage_explain({"bal": bal, "cmp": cmp}, "bal", {"shapdiff": "cmp"}, data, engine, args.theta, manifest.root,
                   manifest, y_mode=args.y_mode, target_labels=args.target_label)
     return f"wrote {manifest.root / 'shapdiff.csv'}"
 

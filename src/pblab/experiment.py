@@ -318,7 +318,7 @@ def stage_sample(pool, vocab, joint, n: int, seed: int, out: Path, manifest: Man
         val, test = sampler_mod.split_eval(pool, *eval_sizes, seed=seed) if eval_sizes else ([], [])
         held_out = {ex.id for ex in val + test}
         balanced, imbalanced, overlap = sampler_mod.sample_paired(
-            [ex for ex in pool if ex.id not in held_out] if held_out else pool, joint, n, seed=seed)
+            [ex for ex in pool if ex.id not in held_out], joint, n, seed=seed)
         corpus_mod.save_jsonl(balanced, vocab, manifest.add(out / "balanced.jsonl"))
         corpus_mod.save_jsonl(imbalanced, vocab, manifest.add(out / "imbalanced.jsonl"))
         sampler_mod.write_plan_json(overlap, manifest.add(out / "plan.json"))
@@ -362,17 +362,17 @@ def stage_probe(models: dict, dataset, corpus_tag: str, probe: dict, csv_path: P
     return reports
 
 
-def stage_explain(models: dict, data, engine: explain_mod.EngineConfig, pairs: dict, theta: float, out: Path,
-                  manifest: Manifest, y_mode: str = "fixed", target_labels=None) -> dict:
-    """Explain each model, {tag: params}, once; then for each pair, {stem: (reference tag, compared tag)},
-    write the attribution-difference report <stem>.csv and its <stem>.json sidecar. The reference
-    model's values define the token categories, and its base values are tagged "bal"."""
+def stage_explain(models: dict, ref: str, pairs: dict, data, engine: explain_mod.EngineConfig, theta: float,
+                  out: Path, manifest: Manifest, y_mode: str = "fixed", target_labels=None) -> dict:
+    """Explain each model, {tag: params}, once; then for each {stem: compared tag} write the report of
+    the compared model against the reference model ``ref``, <stem>.csv and its <stem>.json sidecar.
+    The reference model's values define the token categories, and its base values are tagged "bal"."""
     expl = {}
     for tag, params in models.items():
         with manifest.stage("explain", arm=tag):
             expl[tag] = explain_mod.explain_arm(params, data, engine, y_mode, target_labels)
     reports = {}
-    for stem, (ref, cmp) in pairs.items():
+    for stem, cmp in pairs.items():
         reports[stem] = explain_mod.diff_report(data, expl[ref], expl[cmp], engine, theta, y_mode, tags=("bal", cmp))
         reports[stem].write_csv(manifest.add(out / f"{stem}.csv"))
         reports[stem].write_sidecar(manifest.add(out / f"{stem}.json"))
@@ -465,8 +465,8 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         # Attribution-difference reports against the balanced arm.
         engine = ExplainConfig(**config.explain, seed=derive_int(seed, "shapdiff"))
         shap_data = _shap_subset(test, engine.max_datapoints)
-        pairs = {"bal_vs_imbal": ("balanced", "imbalanced"), "bal_vs_imbal_cw": ("balanced", "imbalanced_cw")}
-        reports = stage_explain(arm_params, shap_data, engine, pairs, engine.theta, seed_dir / "shapdiff",
+        pairs = {"bal_vs_imbal": "imbalanced", "bal_vs_imbal_cw": "imbalanced_cw"}
+        reports = stage_explain(arm_params, "balanced", pairs, shap_data, engine, engine.theta, seed_dir / "shapdiff",
                                 manifest, target_labels=engine.target_labels)
         record["shapdiff"] = {"n_datapoints": len(shap_data)}
         for tag, report in reports.items():
