@@ -71,6 +71,7 @@ def cmd_eval(args, manifest: Manifest) -> str:
 
 
 def cmd_probe(args, manifest: Manifest) -> str:
+    probe_mod.ProbeConfig(k=args.k, l2=args.l2).validate()  # before any file is read
     vocab, data = load_dataset(args.data, args.vocab)
     params, _ = model_mod.load(args.checkpoint, vocab)
     reports = stage_probe({"model": (params, args.seed)}, data, "data", {"k": args.k, "l2": args.l2},

@@ -12,7 +12,9 @@ all-mask hidden pre-activation is computed once and a coalition's pre-activation
 is a sum of shifts. The exact engine evaluates all 2^n coalitions in one batch
 (cheap up to the default 12-token limit, and never run past EXACT_LIMIT_MAX);
 the sampled engine keeps one running pre-activation per ordering, so its memory
-is O(P * (n + h)) at any length.
+is O(P * (n + h)) at any length. It walks each seeded ordering together with its
+reversal (antithetic pairs, after Mitchell et al. 2022, "Sampling Permutations for
+Shapley Value Estimation"), and reports a standard error from the pair means.
 """
 
 import math
@@ -27,9 +29,9 @@ from .seeds import derive_rng
 CATEGORIES = ("pos", "neg", "neutral")
 DEFAULT_THETA = 0.01
 DEFAULT_EXACT_LIMIT = 12
-# 2^16 coalitions took 38.3 MB at d = h = 32; past 15 tokens the default sampler needs fewer, P * (n + 1).
+# 2^16 coalitions took 38.3 MB at d = h = 32; past 13 tokens the default sampler needs fewer, P * (n + 1).
 EXACT_LIMIT_MAX = 16
-DEFAULT_N_PERMUTATIONS = 2000
+DEFAULT_N_PERMUTATIONS = 1000
 
 
 @dataclass
@@ -40,6 +42,7 @@ class ShapExplanation:
     base: float          # probability of the label on the all-mask input
     label: int
     engine: str = ""     # "exact" or "sampled": the engine that computed the values
+    stderr: float | None = 0.0  # largest standard error of a value; None with fewer than 2 sampled pairs
 
 
 def _first_layer(params: ModelParams, tokens):
@@ -100,8 +103,12 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
     Each permutation adds tokens one by one and credits every token with
     its marginal probability change. The additivity residual is spread
     uniformly across tokens so sum_i S(t_i) + b = p(T, y) holds exactly.
-    ``permutations`` overrides the seeded uniform draw with rows that are
-    orderings of 0..n-1 (all n! of them reproduce the exact values).
+    The seeded draw is antithetic: ceil(P/2) uniform orderings, then the
+    reversals of the first floor(P/2), so that a pair's mean marginal is
+    exact for interactions up to pairwise. ``permutations`` overrides the
+    draw with rows that are orderings of 0..n-1 (all n! of them reproduce
+    the exact values). ``stderr`` is the largest standard error of a value,
+    from the means of the pairs (column p with column ceil(P/2) + p).
     """
     n = len(tokens)
     if not (0 <= label < params.n_classes):
@@ -111,8 +118,9 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
     if permutations is None:
         if n_permutations < 1:
             raise ValueError("n_permutations must be >= 1")
-        order = np.repeat(np.arange(n)[:, None], n_permutations, axis=1)
+        order = np.repeat(np.arange(n)[:, None], (n_permutations + 1) // 2, axis=1)
         derive_rng(seed, "shapley_sampled").permuted(order.T, axis=1, out=order.T)
+        order = np.concatenate([order, order[::-1, : n_permutations // 2]], axis=1)  # the antithetic reversals
     else:
         perms = np.asarray(list(permutations))
         if perms.shape[1:] != (n,) or perms.dtype.kind not in "iu" or (np.sort(perms, 1) != np.arange(n)).any():
@@ -128,13 +136,18 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
             pre += delta[order[k - 1]]
         v[k] = _label_prob(params, pre, label)
 
-    marginals = np.diff(v, axis=0)  # marginal of order[k, p] at step k
-    values = np.bincount(order.ravel(), weights=marginals.ravel(), minlength=n) / P
+    # Column p is paired with column ceil(P/2) + p; sums[j, i] is token i's summed marginal over pair j
+    # (the last row holds the unpaired middle column when P is odd).
+    half, pairs = (P + 1) // 2, P // 2
+    pair_of = order + n * (np.arange(P) % half)
+    sums = np.bincount(pair_of.ravel(), weights=np.diff(v, axis=0).ravel(), minlength=half * n).reshape(half, n)
+    values = sums.sum(axis=0) / P
+    stderr = float(np.std(sums[:pairs] / 2, axis=0, ddof=1).max() / math.sqrt(pairs)) if pairs > 1 else None
 
     base = float(v[0, 0])
     full = float(v[n, 0])
     values += (full - base - values.sum()) / n
-    return ShapExplanation(values=values, base=base, label=label, engine="sampled")
+    return ShapExplanation(values=values, base=base, label=label, engine="sampled", stderr=stderr)
 
 
 def categorize(expl_bal: ShapExplanation, theta: float = DEFAULT_THETA) -> tuple:
@@ -180,6 +193,7 @@ class CumulativeDiffReport:
     y_mode: str = "fixed"
     engine: dict = field(default_factory=dict)
     explanations: dict = field(default_factory=dict)  # engine name -> (datapoint, label) pairs it explained
+    max_stderr: float | None = 0.0  # largest ShapExplanation.stderr; None if one is unknown
 
     def write_csv(self, path) -> None:
         keys = sorted(self.rows, key=lambda k: (k[0], k[1], CATEGORIES.index(k[2])))
@@ -192,6 +206,7 @@ class CumulativeDiffReport:
             "y_mode": self.y_mode,
             "engine": self.engine,
             "explanations": self.explanations,
+            "max_stderr": self.max_stderr,
             "base_values": {
                 str(label): {tag: mean for tag, mean in per_model.items()}
                 for label, per_model in sorted(self.base_values.items())
@@ -229,6 +244,7 @@ def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, 
     base_acc: dict = {}
     cat_counts = {c: 0 for c in CATEGORIES}
     explanations = {"exact": 0, "sampled": 0}
+    errors = []
 
     tag_a, tag_b = tags
     pairs = ((ex, a, b) for ex, row_a, row_b in zip(examples, expl_bal, expl_cmp, strict=True)
@@ -250,6 +266,7 @@ def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, 
         ba[tag_b] += expl_b.base
         ba["n"] += 1
         explanations[expl_a.engine] += 1
+        errors += [expl_a.stderr, expl_b.stderr]
 
     return CumulativeDiffReport(
         rows={k: (sums[k] / counts[k], counts[k]) for k in sums},
@@ -262,6 +279,7 @@ def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, 
         y_mode=y_mode,
         engine=engine.to_dict(),
         explanations=explanations,
+        max_stderr=None if None in errors else max(errors),
     )
 
 

@@ -240,6 +240,20 @@ def test_shapdiff_bad_engine_exits_1_before_any_output(corpus_dir, tmp_path, cap
     assert not sd_out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--l2", "-1"], ["--l2", "nan"], ["--k", "1"]], ids=["l2 -1", "l2 nan", "k 1"])
+def test_probe_bad_options_exit_1_before_any_output(tmp_path, capsys, flags):
+    out = tmp_path / "probe"
+    missing = [str(tmp_path / name) for name in ("missing.pbl", "missing.jsonl", "missing.json")]
+    rc = main(["probe", "--checkpoint", missing[0], "--data", missing[1], "--vocab", missing[2], *flags,
+               "--out", str(out)])  # never opened: the options are checked first
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and "k must be >= 2, l2 >= 0" in record["error"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [(["--max-datapoints", "-1"], "max_datapoints must be >= 0"),
                                             (["--theta", "0"], "theta must be > 0"),
                                             (["--theta", "-0.1"], "theta must be > 0"),

@@ -350,6 +350,7 @@ def test_long_datapoints_explained_by_sampled_engine(tmp_path):
         assert counts["exact"] > 0 and counts["sampled"] > 0
         assert counts["exact"] + counts["sampled"] == n_pairs
         assert counts["sampled"] == sum(len(ex.tokens) > 5 for ex in explained)
+        assert sidecar["max_stderr"] > 0
 
 
 def test_config_hash_ignores_out_dir(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from pblab.corpus import CorpusSpec, Example, generate_corpus
 from pblab.explain import (
+    DEFAULT_N_PERMUTATIONS,
     EXACT_LIMIT_MAX,
     EngineConfig,
     categorize,
@@ -81,8 +82,10 @@ def shapley_sampled_oracle(params, tokens, label, perms):
     return values + (v[0, n] - v[0, 0] - values.sum()) / n, v[0, 0]
 
 
-def old_permutation_draw(n, n_permutations, seed):
-    return derive_rng(seed, "shapley_sampled").permuted(np.tile(np.arange(n), (n_permutations, 1)), axis=1)
+def antithetic_draw(n, n_permutations, seed):
+    """The seeded (P, n) orderings: the tiled ``permuted`` draw of ceil(P/2), then the first floor(P/2) reversed."""
+    first = derive_rng(seed, "shapley_sampled").permuted(np.tile(np.arange(n), ((n_permutations + 1) // 2, 1)), axis=1)
+    return np.concatenate([first, first[: n_permutations // 2, ::-1]])
 
 
 def test_constant_model_all_zero():
@@ -193,19 +196,87 @@ def test_engines_match_embedding_space_oracle(n_classes, shift):
                 values, base = shapley_exact_oracle(params, tokens, label)
             else:
                 expl = shapley_sampled(params, tokens, label, n_permutations=60, seed=n)
-                values, base = shapley_sampled_oracle(params, tokens, label, old_permutation_draw(n, 60, n))
+                values, base = shapley_sampled_oracle(params, tokens, label, antithetic_draw(n, 60, n))
             assert np.abs(expl.values - values).max() < 1e-14
             assert abs(expl.base - base) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 13, 150])
 def test_sampled_draw_is_the_tiled_permuted_draw(n):
-    """The seeded orderings are those of permuting a tiled (P, n) table row by row."""
+    """The seeded orderings permute a tiled (ceil(P/2), n) table row by row, then repeat its first rows reversed."""
     params = make_params(200, seed=7)
     tokens = tuple(range(n))
-    drawn = shapley_sampled(params, tokens, 1, n_permutations=300, seed=11)
-    given = shapley_sampled(params, tokens, 1, permutations=old_permutation_draw(n, 300, 11))
-    assert np.array_equal(drawn.values, given.values) and drawn.base == given.base
+    for P in (300, 301):
+        drawn = shapley_sampled(params, tokens, 1, n_permutations=P, seed=11)
+        given = shapley_sampled(params, tokens, 1, permutations=antithetic_draw(n, P, 11))
+        assert np.array_equal(drawn.values, given.values) and drawn.base == given.base
+        assert drawn.stderr == given.stderr
+
+
+def test_antithetic_default_no_less_accurate_than_iid_at_2000():
+    """RMSE against exact values over the criterion-03 model family at 8-16 tokens, three draws per model."""
+    from test_acceptance import random_model
+
+    rng = np.random.default_rng(13)
+    sq_anti = sq_iid = 0.0
+    for trial in range(30):
+        n = int(rng.integers(8, 17))
+        params = random_model(15, 3, seed=2000 + trial)
+        tokens = tuple(int(t) for t in rng.integers(0, 15, n))
+        y = int(rng.integers(0, 3))
+        exact = shapley_exact(params, tokens, y, exact_limit=EXACT_LIMIT_MAX).values
+        for draw in range(3):
+            seed = 3 * trial + draw
+            anti = shapley_sampled(params, tokens, y, seed=seed)
+            iid = derive_rng(seed, "iid").permuted(np.tile(np.arange(n), (2000, 1)), axis=1)
+            sq_anti += np.sum((anti.values - exact) ** 2)
+            sq_iid += np.sum((shapley_sampled(params, tokens, y, permutations=iid).values - exact) ** 2)
+    assert DEFAULT_N_PERMUTATIONS == 1000 and sq_anti <= sq_iid
+
+
+def test_one_antithetic_pair_is_exact_for_two_tokens():
+    """For n = 2 an ordering and its reversal are every ordering."""
+    params = make_params(12, seed=4)
+    for seed, tokens in enumerate([(3, 8), (5, 5), (0, 11), (7, 2), (9, 1), (4, 10)]):
+        label = seed % 3
+        sampled = shapley_sampled(params, tokens, label, n_permutations=2, seed=seed)
+        assert np.abs(sampled.values - shapley_exact(params, tokens, label).values).max() < 1e-15
+
+
+@pytest.mark.parametrize("P", [8, 9])
+def test_sampled_stderr_from_pair_means(P):
+    """The largest over positions of std(pair means, ddof=1) / sqrt(pairs), pairing ordering j with ceil(P/2) + j."""
+    params = make_params(30, seed=9)
+    tokens = (4, 17, 2, 29, 8, 11, 23)
+    n = len(tokens)
+    perms = antithetic_draw(n, P, 5)
+    marginals = np.zeros((P, n))
+    for p, perm in enumerate(perms):
+        presence = np.zeros((n + 1, n))
+        for k, pos in enumerate(perm):
+            presence[k + 1:, pos] = 1.0
+        marginals[p, perm] = np.diff(coalition_values_oracle(params, tokens, presence, 2))
+    pair_means = (marginals[: P // 2] + marginals[(P + 1) // 2:]) / 2
+    by_hand = (pair_means.std(axis=0, ddof=1) / math.sqrt(P // 2)).max()
+    expl = shapley_sampled(params, tokens, 2, n_permutations=P, seed=5)
+    assert abs(expl.stderr - by_hand) <= 1e-12 * by_hand
+    assert shapley_exact(params, tokens, 2).stderr == 0.0
+    assert all(shapley_sampled(params, tokens, 2, n_permutations=p).stderr is None for p in (1, 2, 3))
+
+
+def test_report_max_stderr():
+    """0.0 when every explanation is exact, None when a sampled one has no error bar, else the largest."""
+    params_a, params_b = make_params(20, seed=1), make_params(20, seed=2)
+    data = [Example(id=f"e{i}", language=i % 2, label=0, tokens=tuple(range(i, i + 3 + i))) for i in range(4)]
+
+    def report(engine):
+        return cumulative_diff(params_a, params_b, data, target_labels=[0], engine=engine).sidecar_dict()
+
+    assert report(EngineConfig(exact_limit=12))["max_stderr"] == 0.0
+    assert report(EngineConfig(exact_limit=4, n_permutations=3))["max_stderr"] is None
+    engine = EngineConfig(exact_limit=4, n_permutations=40)
+    expected = max(engine.explain(p, ex.tokens, 0).stderr for p in (params_a, params_b) for ex in data)
+    assert expected > 0 and report(engine)["max_stderr"] == expected
 
 
 @pytest.mark.parametrize("rows", [[[0, 0, 0]], [[0.5, 1, 2]], [[0, 1, 5]], [[0, 1]], []])
