@@ -13,6 +13,9 @@ import os
 import sys
 from dataclasses import fields
 
+if "numpy" not in sys.modules:  # the CLI owns its process: one BLAS thread unless the caller set a count
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import corpus as corpus_mod
 from . import explain as explain_mod
 from . import model as model_mod

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import corpus as corpus_mod
 from . import explain as explain_mod
 from . import model as model_mod
@@ -251,7 +252,7 @@ class Manifest:
         self.entry = {
             "config_hash": config_hash,
             "seed": seed,
-            "versions": {"pblab": _package_version(), "numpy": np.__version__},
+            "versions": {"pblab": __version__, "numpy": np.__version__},
             "artifacts": [],
             "stages": [],
             "started_unix": time.time(),
@@ -280,15 +281,6 @@ class Manifest:
         self.entry["wall_seconds"] = self.entry["finished_unix"] - self.entry["started_unix"]
         self.root.mkdir(parents=True, exist_ok=True)
         write_json(self.root / "manifest.json", self.entry)
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("pblab")
-    except Exception:
-        return "unknown"
 
 
 def load_dataset(path, vocab_path=None):

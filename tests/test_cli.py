@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import pblab
 from pblab.cli import main
 from pblab.experiment import ExperimentConfig, ExplainConfig, IngestedCorpus, SyntheticCorpus
 from pblab.probe import ProbeConfig
@@ -29,6 +30,11 @@ def test_gen_corpus_outputs(corpus_dir):
     assert len(examples) == 2 * 3 * 40
     manifest = json.loads((corpus_dir / "manifest.json").read_text())
     assert "corpus.jsonl" in manifest["artifacts"]
+
+
+def test_manifest_records_package_version(corpus_dir):
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    assert manifest["versions"]["pblab"] == pblab.__version__
 
 
 def test_sample_uniform_identical_sets(corpus_dir, tmp_path):

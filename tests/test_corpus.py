@@ -191,6 +191,26 @@ def test_load_rejects_mistyped_fields(tmp_path, record, field):
         load_jsonl(path)
 
 
+@pytest.mark.parametrize("with_vocab", [False, True], ids=["fresh vocab", "given vocab"])
+@pytest.mark.parametrize("field", ['"tokens": []', '"text": "   "'])
+def test_load_rejects_empty_token_sequence(tmp_path, field, with_vocab):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"id": "a", "lang": "fr", "label": "x", "tokens": ["t"]}\n'
+                    f'{{"id": "b", "lang": "fr", "label": "x", {field}}}\n')
+    vocab = Vocab(token_strings=("t",), lang_names=("fr",), label_names=("x",)) if with_vocab else None
+    with pytest.raises(ValueError, match="line 2: empty token sequence"):
+        load_jsonl(path, vocab)
+
+
+def test_example_validate():
+    vocab = Vocab(token_strings=("t", "u"), lang_names=("fr",), label_names=("x",))
+    Example(id="a", language=0, label=0, tokens=(0, 1)).validate(vocab)
+    for tokens, message in (((), "empty token sequence"), ((0, vocab.mask_id), "mask token"),
+                            ((0, -1), "outside vocabulary")):
+        with pytest.raises(ValueError, match=message):
+            Example(id="a", language=0, label=0, tokens=tokens).validate(vocab)
+
+
 def test_load_accepts_int_lang_and_label(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"id": "a", "lang": 3, "label": 0, "text": "t u"}\n')
