@@ -34,6 +34,8 @@ from .jsonio import write_csv, write_json
 from .seeds import derive_int
 
 ARMS = ("balanced", "imbalanced", "imbalanced_cw")
+# The config fields that, with the seed and the arm, fix an arm's trained weights.
+WEIGHT_FIELDS = ("corpus", "joint", "train_size", "val_size", "test_size", "train")
 HEADLINE = ("accuracy", "spearman_vs_imbalanced_joint", "masked_entropy")  # per-arm numbers aggregated over seeds
 
 
@@ -205,9 +207,9 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def content_hash(self) -> str:
-        d = self.to_dict()
-        d.pop("out_dir")  # location does not change the experiment
+    def content_hash(self, keys=None) -> str:
+        """sha256 of the fields ``keys``; by default all but out_dir, as location does not change the experiment."""
+        d = {key: v for key, v in self.to_dict().items() if (key in keys if keys else key != "out_dir")}
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode("utf-8")).hexdigest()
 
 
@@ -416,11 +418,12 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         record["overlap"] = overlap.to_dict()
 
         # The three arms train in lockstep; imbalanced and imbalanced_cw share one subset.
+        weights_hash = config.content_hash(WEIGHT_FIELDS)
         trained = stage_train([
             (balanced if arm == "balanced" else imbalanced,
              training_mod.TrainConfig(**config.train, weighting="per_language" if arm == "imbalanced_cw" else "none",
                                       seed=derive_int(seed, "train", arm)),
-             seed_dir / "arms" / arm, {"arm": arm, "seed": seed, "config_hash": config_hash})
+             seed_dir / "arms" / arm, {"arm": arm, "seed": seed, "weights_hash": weights_hash})
             for arm in ARMS], val, vocab, manifest)
         arm_params = {arm: params for arm, (params, _) in zip(ARMS, trained)}
         record["arms"] = {}

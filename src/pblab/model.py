@@ -11,6 +11,8 @@ as a flat little-endian float32 payload in declared order.
 """
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from itertools import chain
 
@@ -23,6 +25,8 @@ CHECKPOINT_VERSION = 1
 PARAM_FIELDS = ("embedding", "hidden_w", "hidden_b", "out_w", "out_b")
 DIM_FIELDS = ("vocab_size", "embed_dim", "hidden_dim", "n_classes")
 DEFAULT_DIM = 32  # default embedding and hidden width
+BLOCK_VALUES = 2**16  # float64 values a forward pass widens at a time, whatever the table's stack and width
+PAIRWISE_BLOCK = 128  # numpy sums more values than this pairwise, as two halves
 
 
 @dataclass
@@ -66,8 +70,8 @@ class ModelParams:
             raise ValueError("hidden_b shape inconsistent")
         if self.out_w.shape != (self.hidden_dim, self.n_classes):
             raise ValueError("out_w shape inconsistent")
-        for name in PARAM_FIELDS:
-            if not np.isfinite(getattr(self, name)).all():
+        for name in PARAM_FIELDS:  # a float64 sum of float32 values is finite iff every value is
+            if not math.isfinite(np.sum(getattr(self, name), dtype=np.float64)):
                 raise ValueError(f"non-finite values in {name}")
 
     def copy(self) -> "ModelParams":
@@ -224,14 +228,38 @@ def batch_counts(layout, b: int, n_seqs: int):
 
 
 def mean_embeddings(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """(..., n, d) float64 mean embedding of every packed sequence under a (..., V + 1, d) table."""
-    starts = np.cumsum(lengths) - lengths
-    # Widen whichever is smaller, the table or the gathered rows; the float64 values are the same.
-    if table.shape[-2] < ids.size:
-        rows = np.take(table.astype(np.float64), ids, axis=-2)
-    else:
-        rows = np.take(table, ids, axis=-2).astype(np.float64)
-    return np.add.reduceat(rows, starts, axis=-2) / lengths[:, None]
+    """(..., n, d) float64 mean embedding of every packed sequence under a (..., V + 1, d) table.
+
+    Rows are gathered and widened a block of about BLOCK_VALUES values at a time. ``np.add.reduceat`` sums
+    a sequence as its first row plus numpy's pairwise sum of the rest; a block holds whole sequences, and a
+    longer one's rest goes through ``_pairwise_rows``. So each mean has the bits of one reduceat over all rows.
+    """
+    block = max(PAIRWISE_BLOCK, BLOCK_VALUES // (math.prod(table.shape[:-2]) * table.shape[-1]))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out = np.empty((*table.shape[:-2], lengths.size, table.shape[-1]))
+    i = 0
+    while i < lengths.size:
+        lo, j = starts[i], max(i + 1, int(np.searchsorted(ends, starts[i] + block, side="right")))
+        if lengths[i] > block:  # a block of its own: j == i + 1
+            out[..., i, :] = _pairwise_rows(table, ids[lo + 1 : ends[i]], block, np.take(table, ids[lo], axis=-2))
+        else:
+            rows = np.take(table, ids[lo : ends[j - 1]], axis=-2).astype(np.float64)
+            np.add.reduceat(rows, starts[i:j] - lo, axis=-2, out=out[..., i:j, :])
+        i = j
+    return np.divide(out, lengths[:, None], out=out)
+
+
+def _pairwise_rows(table: np.ndarray, ids: np.ndarray, block: int, first=-0.0) -> np.ndarray:
+    """``first`` plus numpy's pairwise sum of the widened rows ``table[..., ids, :]``, as a reduceat over
+    ``first`` and the rows gives it, split as numpy splits it (-0.0 + x is x)."""
+    if ids.size > block:
+        half = ids.size // 16 * 8  # numpy's split: half the rows, rounded down to a multiple of 8
+        return first + (_pairwise_rows(table, ids[:half], block) + _pairwise_rows(table, ids[half:], block))
+    rows = np.empty((*table.shape[:-2], ids.size + 1, table.shape[-1]))
+    rows[..., 0, :] = first
+    rows[..., 1:, :] = np.take(table, ids, axis=-2)
+    return np.add.reduceat(rows, [0], axis=-2)[..., 0, :]
 
 
 def forward(params: ModelParams, tokens) -> ForwardOutput:
@@ -241,9 +269,20 @@ def forward(params: ModelParams, tokens) -> ForwardOutput:
 
 
 def forward_examples(params: ModelParams, examples):
-    """Vectorized forward over a list of examples -> (probs (B, C), pooled (B, h))."""
-    ids, lengths = pack_tokens([ex.tokens for ex in examples], params.mask_id)
-    return forward_means(params, mean_embeddings(params.embedding, ids, lengths))
+    """Vectorized forward over a list of examples -> (probs (B, C), pooled (B, h)).
+
+    The examples go through in even chunks of about BLOCK_VALUES / max(d, h), each packed on its own, so the
+    pass holds its output and one chunk. A chunk of a larger batch has many rows, and a BLAS product of more
+    than one row gives each row the bits of the whole batch's product (gemv, for one row, would not).
+    """
+    seqs = [ex.tokens for ex in examples]
+    n_chunks = -(-len(seqs) * max(params.embed_dim, params.hidden_dim) // BLOCK_VALUES) or 1
+    probs, pooled = np.empty((len(seqs), params.n_classes)), np.empty((len(seqs), params.hidden_dim))
+    for c in range(n_chunks):
+        lo, hi = len(seqs) * c // n_chunks, len(seqs) * (c + 1) // n_chunks
+        probs[lo:hi], pooled[lo:hi] = forward_means(
+            params, mean_embeddings(params.embedding, *pack_tokens(seqs[lo:hi], params.mask_id)))
+    return probs, pooled
 
 
 def apply_mask(tokens, mask_positions, mask_id: int) -> tuple:
@@ -273,8 +312,7 @@ def save(params: ModelParams, path, vocab_hash: str = "", manifest: dict | None 
         f.write(CHECKPOINT_MAGIC)
         f.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         for name in PARAM_FIELDS:
-            arr = getattr(params, name)
-            f.write(arr.astype("<f4", copy=False).tobytes(order="C"))
+            f.write(np.ascontiguousarray(getattr(params, name), dtype="<f4"))  # its own buffer when C-contiguous
 
 
 def load(path, vocab=None):
@@ -304,29 +342,21 @@ def load(path, vocab=None):
             type(dims.get(key)) is int and dims[key] > 0 for key in DIM_FIELDS
         ):
             raise ValueError(f"{path}: header 'dims' must give {', '.join(DIM_FIELDS)} as positive integers")
-        shapes = {
-            "embedding": (dims["vocab_size"] + 1, dims["embed_dim"]),
-            "hidden_w": (dims["embed_dim"], dims["hidden_dim"]),
-            "hidden_b": (dims["hidden_dim"],),
-            "out_w": (dims["hidden_dim"], dims["n_classes"]),
-            "out_b": (dims["n_classes"],),
-        }
-        payload = f.read()
-    expected = sum(int(np.prod(s)) for s in shapes.values()) * 4
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+        v, d, h, c = (dims[key] for key in DIM_FIELDS)
+        shapes = {"embedding": (v + 1, d), "hidden_w": (d, h), "hidden_b": (h,), "out_w": (h, c), "out_b": (c,)}
+        # The size check comes before any allocation, so a header claiming huge dims costs nothing.
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        expected = sum(sizes) * 4
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != expected:
+            raise ValueError(f"{path}: payload is {size} bytes, expected {expected}")
+        flat = np.fromfile(f, dtype="<f4", count=expected // 4)
     if vocab is not None:
         if header.get("vocab_hash") and header["vocab_hash"] != vocab.content_hash():
             raise ValueError(f"{path}: checkpoint was saved for a different vocabulary")
         if dims["vocab_size"] != vocab.size:
             raise ValueError(f"{path}: vocab size {dims['vocab_size']} does not match vocabulary ({vocab.size})")
-    arrays = {}
-    offset = 0
-    flat = np.frombuffer(payload, dtype="<f4")
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        arrays[name] = flat[offset : offset + count].reshape(shape).copy()
-        offset += count
-    params = ModelParams(**arrays)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])  # every field a view of the one payload buffer
+    params = ModelParams(*(part.reshape(shape) for part, shape in zip(parts, shapes.values())))
     params.validate()
     return params, header

@@ -212,14 +212,15 @@ def _head_views(buf: np.ndarray, shapes: dict) -> dict:
     return views
 
 
-def _packed_loss(table: np.ndarray, head: dict, ids, lengths, labels, w_ex, lam: float) -> np.ndarray:
+def _packed_loss(table: np.ndarray, mask_id: int, head: dict, ids, lengths, labels, w_ex, lam: float) -> np.ndarray:
     """The K loss values of models (``table[k]``, head arrays [k]) on one packed set of sequences.
 
-    ``table`` is (K, V + 1, d); ``head`` holds float64 (K, ...) arrays.
+    ``table`` is a C-contiguous (K, R, d) array (np.take copies a strided one whole) with the mask row at
+    ``mask_id``; ``head`` holds float64 (K, ...) arrays.
     """
     K, n = table.shape[0], lengths.size
     values, _, _ = _loss_and_grad(
-        head, mean_embeddings(table, ids, lengths), table[:, -1].astype(np.float64),
+        head, mean_embeddings(table, ids, lengths), table[:, mask_id].astype(np.float64),
         np.broadcast_to(labels, (K, n)), np.broadcast_to(w_ex, (K, n)), lam,
     )
     if not np.isfinite(values).all():
@@ -232,7 +233,7 @@ def loss(params: ModelParams, batch_examples, weights: WeightTable | None = None
     """Scalar training loss on a batch of examples."""
     ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
     head = {name: getattr(params, name).astype(np.float64)[None] for name in HEAD_FIELDS}
-    return float(_packed_loss(params.embedding[None], head, ids, lengths,
+    return float(_packed_loss(params.embedding[None], params.mask_id, head, ids, lengths,
                               *_labels_and_weights(batch_examples, weights), mask_entropy_coeff)[0])
 
 
@@ -325,17 +326,18 @@ def train_arms(datasets, val, vocab, configs):
 
     shuffles = [derive_rng(config.seed, "train", "shuffle") for config in configs]
     steps_per_epoch = math.ceil(n / first.batch_size)
-    best = [None] * K
+    best = [arm.copy() for arm in arms]  # each arm's snapshot of its best epoch so far
     for epoch in range(first.epochs):
         orders = np.stack([rng.permutation(n) for rng in shuffles])
         epoch_losses = _train_epoch(table, head32, head64, shapes, (ids, lengths, labels), orders + offsets,
                                     np.take_along_axis(weights, orders, axis=1), first, epoch, steps_per_epoch)
-        val_losses = _packed_loss(table[:, :-1], _head_views(head64, shapes), val_ids, val_lengths,
+        val_losses = _packed_loss(table, mask_id, _head_views(head64, shapes), val_ids, val_lengths,
                                   val_labels, 1.0, 0.0)
         for k, report in enumerate(reports):
             val_loss = float(val_losses[k])
-            if best[k] is None or val_loss < report.selected_val_loss:
-                best[k] = arms[k].copy()
+            if report.selected_epoch is None or val_loss < report.selected_val_loss:
+                for name in PARAM_FIELDS:  # refresh the snapshot in place
+                    np.copyto(getattr(best[k], name), getattr(arms[k], name))
                 report.selected_epoch = epoch
                 report.selected_val_loss = val_loss
             report.epochs.append(EpochStats(epoch=epoch, train_loss=float(np.mean(epoch_losses[k])),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pblab.corpus import load_jsonl, load_vocab
-from pblab.experiment import ExperimentConfig, run_experiment
+from pblab.experiment import WEIGHT_FIELDS, ExperimentConfig, run_experiment
 from pblab.model import load as load_checkpoint
 from pblab.sampler import preset, sample_paired
 
@@ -359,3 +359,31 @@ def test_config_hash_ignores_out_dir(tmp_path):
     assert c1.content_hash() == c2.content_hash()
     c3 = tiny_config(tmp_path / "a", train_size=126)
     assert c1.content_hash() != c3.content_hash()
+
+
+def test_checkpoints_ignore_settings_that_cannot_touch_the_weights(tiny_run, tmp_path):
+    """The header hashes what fixes the weights: explain, probe, name and out_dir leave every file as it was."""
+    config, out, _ = tiny_run
+    other = tiny_config(tmp_path / "other", name="renamed",
+                        explain={"target_labels": [1], "max_datapoints": 6, "exact_limit": 4,
+                                 "n_permutations": 50},
+                        probe={"k": 2, "holdout_per_language": 40})
+    assert other.content_hash() != config.content_hash()
+    assert run_experiment(other)["failures"] == []
+    paths = sorted(p.relative_to(out) for p in out.glob("seed_0/arms/*/checkpoint.pbl"))
+    assert len(paths) == 3
+    for path in paths:
+        assert (out / path).read_bytes() == (tmp_path / "other" / path).read_bytes()
+    _, header = load_checkpoint(out / paths[0])
+    assert header["manifest"]["weights_hash"] == config.content_hash(WEIGHT_FIELDS)
+    assert "config_hash" not in header["manifest"]
+
+
+def test_weights_hash_follows_every_weight_setting(tmp_path):
+    base = tiny_config(tmp_path).content_hash(WEIGHT_FIELDS)
+    changed = [tiny_config(tmp_path, train={"epochs": 3, "batch_size": 16, "lr": 0.1}),
+               tiny_config(tmp_path, train_size=126),
+               tiny_config(tmp_path, joint={"probs": preset("xnli_skew", 2, 3).probs.tolist()}),
+               tiny_config(tmp_path, corpus={**CORPUS, "p_noise": 0.2})]
+    assert all(config.content_hash(WEIGHT_FIELDS) != base for config in changed)
+    assert tiny_config(tmp_path / "x", seeds=(0, 1)).content_hash(WEIGHT_FIELDS) == base

@@ -9,6 +9,7 @@ from pblab.explain import (
     DEFAULT_N_PERMUTATIONS,
     EXACT_LIMIT_MAX,
     EngineConfig,
+    _first_layer,
     categorize,
     cumulative_diff,
     shapley_exact,
@@ -438,3 +439,46 @@ def test_exact_memory_bounded_at_the_hard_cap():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def shapley_exact_presence_matrix(params, tokens, label):
+    """Oracle: every coalition's pre-activation as a 0/1 presence matrix @ delta, each token's pairs by fancy indexing."""
+    n = len(tokens)
+    pre0, delta = _first_layer(params, tokens)
+    presence = (np.arange(2**n, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32)) & 1
+    sizes = presence.sum(axis=1)
+    logits = params.out_w.T.astype(np.float64) @ np.tanh(presence.astype(np.float64) @ delta + pre0).T
+    logits += params.out_b.astype(np.float64)[:, None]
+    e = np.exp(logits - logits.max(axis=0))
+    v = e[label] / e.sum(axis=0)
+    coeff = np.array([math.factorial(k) * math.factorial(n - 1 - k) / math.factorial(n) for k in range(n)])
+    values = np.zeros(n)
+    for i in range(n):
+        without = np.flatnonzero(presence[:, i] == 0)
+        values[i] = np.sum(coeff[sizes[without]] * (v[without + (1 << i)] - v[without]))
+    return values, float(v[0])
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+def test_exact_by_doubling_equals_presence_matrix(n_classes):
+    for n in range(1, 13):
+        params = make_params(60, n_classes=n_classes, seed=n, d=32, h=32)
+        tokens = tuple(int(t) for t in np.random.default_rng(n).integers(0, 61, n))
+        expl = shapley_exact(params, tokens, n_classes - 1)
+        values, base = shapley_exact_presence_matrix(params, tokens, n_classes - 1)
+        assert np.array_equal(expl.values, values) and expl.base == base, n
+
+
+def test_exact_memory_at_the_hard_cap_is_one_pre_activation():
+    """2^16 coalitions hold one (2^16, h) array, tanh applied in place, and no presence matrix."""
+    import tracemalloc
+
+    params = make_params(200, seed=3, d=32, h=32)
+    tokens = tuple(int(t) for t in np.random.default_rng(4).integers(0, 200, EXACT_LIMIT_MAX))
+    tracemalloc.start()
+    try:
+        shapley_exact(params, tokens, 0, exact_limit=EXACT_LIMIT_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

@@ -1,18 +1,26 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pblab.corpus import CorpusSpec, generate_corpus
+from pblab.corpus import CorpusSpec, Example, generate_corpus
 from pblab.model import (
+    BLOCK_VALUES,
+    DEFAULT_DIM,
+    PAIRWISE_BLOCK,
+    PARAM_FIELDS,
     ModelParams,
     batch_counts,
     batch_layout,
     forward,
     forward_examples,
     forward_masked,
+    forward_means,
     init_params,
     load,
+    mean_embeddings,
     save,
 )
 
@@ -240,3 +248,128 @@ def test_batch_layout_pads_each_arm_after_its_real_rows(with_mask, mask_id):
             expected = [[np.count_nonzero(seqs[s] == r) for r in real[k]] for s in batch[k]]
             assert np.array_equal(counts[k, :, : len(real[k])], expected)
             assert not counts[k, :, len(real[k]) :].any()
+
+
+# ---------------------------------------------------------------- bounded forward passes and checkpoint reads
+
+def mean_embeddings_oneshot(table, ids, lengths):
+    """Oracle: widen every gathered row at once, then one reduceat over them all."""
+    starts = np.cumsum(lengths) - lengths
+    return np.add.reduceat(np.take(table, ids, axis=-2).astype(np.float64), starts, axis=-2) / lengths[:, None]
+
+
+def wide_range_table(shape, seed=0):
+    """float32 values spread over many binades, so that any change of summation order changes the bits."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=shape) * np.exp(rng.normal(size=shape) * 4)).astype(np.float32)
+
+
+@pytest.mark.parametrize("stack", [(), (1,), (3,)], ids=["plain", "K=1", "K=3"])
+@pytest.mark.parametrize("case", ["single_tokens", "cross_blocks", "longer_than_three_blocks"])
+def test_mean_embeddings_equals_oneshot_widen_then_reduceat(stack, case):
+    V, d = 3000, 32
+    table = wide_range_table((*stack, V + 1, d))
+    block = BLOCK_VALUES // (math.prod(stack) * d)
+    rng = np.random.default_rng(1)
+    lengths = {
+        "single_tokens": np.ones(3 * block + 5, dtype=np.int64),
+        # many sequences of up to a block each: fixed token blocks would cut dozens of them
+        "cross_blocks": rng.integers(1, block + 1, 60),
+        "longer_than_three_blocks": np.array([3, 3 * block + 77, 1, 2 * PAIRWISE_BLOCK + 9, 5]),
+    }[case]
+    ids = rng.integers(0, V + 1, lengths.sum())
+    got = mean_embeddings(table, ids, lengths)
+    want = mean_embeddings_oneshot(table, ids, lengths)
+    assert got.shape == want.shape == (*stack, lengths.size, d)
+    assert np.array_equal(got, want)
+    if case == "longer_than_three_blocks":  # the data tells summation orders apart
+        rows = np.take(table, ids[3 : 3 + lengths[1]], axis=-2).astype(np.float64)
+        assert not np.array_equal(np.cumsum(rows, axis=-2)[..., -1, :] / lengths[1], want[..., 1, :])
+
+
+def test_forward_examples_equals_whole_batch_forward():
+    """Chunks of many rows give each row the bits of the whole batch's BLAS product."""
+    V, d, h, n = 3000, 32, 32, 5000
+    rng = np.random.default_rng(2)
+    params = ModelParams(wide_range_table((V + 1, d)), rng.normal(0, 0.3, (d, h)), rng.normal(0, 0.1, h),
+                         rng.normal(0, 0.5, (h, 3)), rng.normal(0, 0.1, 3))
+    lengths = rng.integers(1, 30, n)
+    ids = rng.integers(0, V + 1, lengths.sum())
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    examples = [Example(id=str(i), language=0, label=0, tokens=tuple(ids[bounds[i] : bounds[i + 1]].tolist()))
+                for i in range(n)]
+    assert n > 2 * BLOCK_VALUES // max(d, h)  # more than two chunks
+    probs, pooled = forward_examples(params, examples)
+    want_probs, want_pooled = forward_means(params, mean_embeddings_oneshot(params.embedding, ids, lengths))
+    assert np.array_equal(pooled, want_pooled) and np.array_equal(probs, want_probs)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_examples_memory_is_output_plus_a_block():
+    """20,000 x 25 tokens at V = 50,000: no float64 copy of the table or of every token's row."""
+    V, d, n, length = 50_000, DEFAULT_DIM, 20_000, 25
+    rng = np.random.default_rng(3)
+    params = ModelParams(rng.normal(size=(V + 1, d)), rng.normal(size=(d, d)), rng.normal(size=d),
+                         rng.normal(size=(d, 3)), rng.normal(size=3))
+    ids = rng.integers(0, V + 1, (n, length)).tolist()
+    examples = [Example(id=str(i), language=0, label=0, tokens=tuple(row)) for i, row in enumerate(ids)]
+    peak, (probs, pooled) = traced_peak(lambda: forward_examples(params, examples))
+    assert peak < probs.nbytes + pooled.nbytes + 4 * 2**20
+
+
+def test_mean_embeddings_of_one_long_sequence_is_bounded():
+    table = wide_range_table((5001, DEFAULT_DIM))
+    ids = np.random.default_rng(4).integers(0, 5001, 200_000)
+    peak, _ = traced_peak(lambda: mean_embeddings(table, ids, np.array([ids.size])))
+    assert peak < 4 * 2**20
+
+
+def test_load_reads_the_payload_once(tmp_path):
+    rng = np.random.default_rng(5)
+    params = ModelParams(rng.normal(size=(50_001, 32)), rng.normal(size=(32, 32)), rng.normal(size=32),
+                         rng.normal(size=(32, 3)), rng.normal(size=3))
+    save(params, tmp_path / "m.pbl")
+    payload = sum(getattr(params, name).nbytes for name in PARAM_FIELDS)
+    peak, (loaded, _) = traced_peak(lambda: load(tmp_path / "m.pbl"))
+    assert loaded.array_equal(params)
+    assert peak < 1.1 * payload
+
+
+def write_header(path, dims, payload=b""):
+    path.write_bytes(b"PBL1" + json.dumps({"version": 1, "dims": dims}).encode() + b"\n" + payload)
+
+
+def test_load_rejects_dims_larger_than_the_file_before_allocating(tmp_path):
+    path = tmp_path / "m.pbl"
+    write_header(path, {"vocab_size": 2**40, "embed_dim": 4, "hidden_dim": 4, "n_classes": 2}, b"\0" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="payload"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_load_rejects_one_trailing_byte(tmp_path, vocab):
+    path = tmp_path / "m.pbl"
+    save(random_params(vocab), path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="payload"):
+        load(path)
+
+
+def test_load_rejects_header_only_file(tmp_path):
+    path = tmp_path / "m.pbl"
+    write_header(path, {"vocab_size": 4, "embed_dim": 4, "hidden_dim": 4, "n_classes": 2})
+    with pytest.raises(ValueError, match="payload"):
+        load(path)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pblab.corpus import CorpusSpec, Example, generate_corpus
-from pblab.model import ModelParams, init_params
+from pblab.model import PARAM_FIELDS, ModelParams, init_params
 from pblab.sampler import plan_counts, preset, sample_paired, split_eval
 from pblab.seeds import derive_rng
 from pblab.training import (
@@ -424,3 +424,31 @@ def test_lockstep_step_writes_only_each_arms_batch_rows(corpus223, lam):
         changed = {i for i in range(vocab.size + 1)
                    if not np.array_equal(params.embedding[i], init.embedding[i])}
         assert changed == read
+
+
+def test_train_arms_memory_is_the_table_and_the_snapshots():
+    """V = 100,000 and a validation set of more tokens than table rows: no float64 copy of the stacked
+    table, and each best-epoch snapshot is refreshed in place, not reallocated."""
+    import tracemalloc
+
+    V, K, d = 100_000, 3, 32
+    vocab = SimpleNamespace(size=V, n_classes=3, n_languages=2)
+    rng = np.random.default_rng(6)
+
+    def examples(n, length):
+        return [Example(id=str(i), language=i % 2, label=i % 3, tokens=tuple(rng.integers(0, V, length).tolist()))
+                for i in range(n)]
+
+    data, val = examples(96, 8), examples(420, 250)
+    assert sum(len(ex.tokens) for ex in val) > V + 1
+    configs = [TrainConfig(epochs=3, batch_size=16, seed=k, embed_dim=d, hidden_dim=d) for k in range(K)]
+    tracemalloc.start()
+    try:
+        trained = train_arms([data] * K, val, vocab, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = K * (V + 2) * d * 4
+    copies = sum(getattr(params, name).nbytes for params, _ in trained for name in PARAM_FIELDS)
+    assert peak < 1.5 * table + copies
+    assert peak < table + copies + copies / K  # no snapshot reallocated while the others are held
