@@ -11,8 +11,9 @@ The first layer is affine in the mean embedding, so each token's shift of the
 all-mask hidden pre-activation is computed once and a coalition's pre-activation
 is a sum of shifts. The exact engine evaluates all 2^n coalitions in one batch
 (cheap up to the default 12-token limit, and never run past EXACT_LIMIT_MAX);
-the sampled engine keeps one running pre-activation per ordering, so its memory
-is O(P * (n + h)) at any length. It walks each seeded ordering together with its
+the sampled engine keeps one (P, h) running pre-activation and one (n, P) float64
+table of marginals, folded once into (ceil(P/2), n) pair sums, so its memory is
+O(P * (n + h)) with P <= N_PERMUTATIONS_MAX. It walks each seeded ordering with its
 reversal (antithetic pairs, after Mitchell et al. 2022, "Sampling Permutations for
 Shapley Value Estimation"), and reports a standard error from the pair means.
 """
@@ -32,6 +33,9 @@ DEFAULT_EXACT_LIMIT = 12
 # 2^16 coalitions take one (2^16, h) array, 16.8 MB at h = 32; past 13 tokens the default sampler needs fewer.
 EXACT_LIMIT_MAX = 16
 DEFAULT_N_PERMUTATIONS = 1000
+# The sampled engine holds one (n, P) float64 marginal table: 2^15 orderings keep it at 79 MB for a
+# 300-token datapoint, 32 times the default draw; a larger n_permutations is a ValueError before any allocation.
+N_PERMUTATIONS_MAX = 2**15
 
 
 @dataclass
@@ -54,9 +58,14 @@ def _first_layer(params: ModelParams, tokens):
     return mask_emb @ w_h + params.hidden_b.astype(np.float64), delta
 
 
-def _label_prob(params: ModelParams, hid: np.ndarray, label: int) -> np.ndarray:
+def _head(params: ModelParams) -> tuple:
+    """The output layer widened once per explanation: (C, h) weights and (C, 1) biases."""
+    return params.out_w.T.astype(np.float64), params.out_b.astype(np.float64)[:, None]
+
+
+def _label_prob(head: tuple, hid: np.ndarray, label: int) -> np.ndarray:
     """p(label) for each row of (B, h) post-tanh hidden rows: the head as (C, B) and a softmax along C."""
-    logits = params.out_w.T.astype(np.float64) @ hid.T + params.out_b.astype(np.float64)[:, None]
+    logits = head[0] @ hid.T + head[1]
     e = np.exp(logits - logits.max(axis=0))
     return e[label] / e.sum(axis=0)
 
@@ -85,7 +94,7 @@ def shapley_exact(params: ModelParams, tokens, label: int,
         np.add(pre[: 2**i], delta[i], out=pre[2**i : 2 ** (i + 1)])
         np.add(sizes[: 2**i], 1, out=sizes[2**i : 2 ** (i + 1)])
     pre += pre0
-    v = _label_prob(params, np.tanh(pre, out=pre), label)
+    v = _label_prob(_head(params), np.tanh(pre, out=pre), label)
 
     fact = [math.factorial(k) for k in range(n + 1)]
     coeff = np.array([fact[k] * fact[n - 1 - k] / fact[n] for k in range(n)])
@@ -114,41 +123,50 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
     from the means of the pairs (column p with column ceil(P/2) + p).
     """
     n = len(tokens)
+    if permutations is None and not 1 <= n_permutations <= N_PERMUTATIONS_MAX:
+        raise ValueError(f"n_permutations must be in [1, {N_PERMUTATIONS_MAX}]")
     if not (0 <= label < params.n_classes):
         raise ValueError(f"label {label} out of range")
     pre0, delta = _first_layer(params, tokens)
+    head = _head(params)
 
+    small = np.min_scalar_type(n)  # uint8 below 256 tokens, uint16 below 65,536
     if permutations is None:
-        if n_permutations < 1:
-            raise ValueError("n_permutations must be >= 1")
-        order = np.repeat(np.arange(n)[:, None], (n_permutations + 1) // 2, axis=1)
+        order = np.repeat(np.arange(n, dtype=small)[:, None], (n_permutations + 1) // 2, axis=1)
         derive_rng(seed, "shapley_sampled").permuted(order.T, axis=1, out=order.T)
         order = np.concatenate([order, order[::-1, : n_permutations // 2]], axis=1)  # the antithetic reversals
     else:
         perms = np.asarray(list(permutations))
         if perms.shape[1:] != (n,) or perms.dtype.kind not in "iu" or (np.sort(perms, 1) != np.arange(n)).any():
             raise ValueError("permutations must be integer orderings of all token positions 0..n-1")
-        order = np.ascontiguousarray(perms.T, dtype=np.int64)
+        order = np.ascontiguousarray(perms.T, dtype=small)
     P = order.shape[1]  # order[k, p] = the token added at step k of ordering p
 
-    # v[k, p] = value of the coalition of the first k tokens of ordering p.
+    # m[k, p] = the marginal of token order[k, p]: the value after step k of ordering p minus the value before it.
     pre = np.tile(pre0, (P, 1))
-    v = np.empty((n + 1, P))
-    for k in range(n + 1):
-        if k:
-            pre += delta[order[k - 1]]
-        v[k] = _label_prob(params, np.tanh(pre), label)
+    prev = _label_prob(head, np.tanh(pre), label)
+    base = float(prev[0])
+    m = np.empty((n, P))
+    for k in range(n):
+        pre += delta[order[k]]
+        cur = _label_prob(head, np.tanh(pre), label)
+        np.subtract(cur, prev, out=m[k])
+        prev = cur
+    full = float(prev[0])
+    del pre  # the fold's working set is m, sums and one half of m
 
     # Column p is paired with column ceil(P/2) + p; sums[j, i] is token i's summed marginal over pair j
-    # (the last row holds the unpaired middle column when P is odd).
+    # (the last row holds the unpaired middle column when P is odd). Each column of order is a permutation,
+    # so the put fills every cell once and the fold adds each pair's second marginal to its first.
     half, pairs = (P + 1) // 2, P // 2
-    pair_of = order + n * (np.arange(P) % half)
-    sums = np.bincount(pair_of.ravel(), weights=np.diff(v, axis=0).ravel(), minlength=half * n).reshape(half, n)
+    sums = np.empty((half, n))
+    np.put_along_axis(sums.T, order[:, :half], m[:, :half], axis=0)
+    second = np.take_along_axis(sums.T[:, :pairs], order[:, half:], axis=0)
+    np.put_along_axis(sums.T[:, :pairs], order[:, half:], np.add(second, m[:, half:], out=second), axis=0)
+    del m, second  # before std's copies of sums
     values = sums.sum(axis=0) / P
     stderr = float(np.std(sums[:pairs] / 2, axis=0, ddof=1).max() / math.sqrt(pairs)) if pairs > 1 else None
 
-    base = float(v[0, 0])
-    full = float(v[n, 0])
     values += (full - base - values.sum()) / n
     return ShapExplanation(values=values, base=base, label=label, engine="sampled", stderr=stderr)
 
@@ -167,8 +185,9 @@ class EngineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0 <= self.exact_limit <= EXACT_LIMIT_MAX or self.n_permutations < 1:
-            raise ValueError(f"exact_limit must be in [0, {EXACT_LIMIT_MAX}] and n_permutations >= 1")
+        if not (0 <= self.exact_limit <= EXACT_LIMIT_MAX and 1 <= self.n_permutations <= N_PERMUTATIONS_MAX):
+            raise ValueError(f"exact_limit must be in [0, {EXACT_LIMIT_MAX}] and n_permutations in "
+                             f"[1, {N_PERMUTATIONS_MAX}]")
 
     def explain(self, params: ModelParams, tokens, label: int) -> ShapExplanation:
         if len(tokens) <= self.exact_limit:

@@ -322,3 +322,26 @@ def test_config_hash_ignores_out(corpus_dir, tmp_path, capsys):
     assert main(["sample", "--data", str(corpus_dir / "corpus.jsonl"), "--vocab", str(corpus_dir / "vocab.json"),
                  "--preset", "uniform", "--n", "66", "--out", str(tmp_path / "d")]) == 0
     assert json.loads((tmp_path / "d" / "manifest.json").read_text())["config_hash"] not in hashes
+
+
+def test_shapdiff_n_permutations_past_the_cap_exits_1_before_any_output(corpus_dir, tmp_path, capsys):
+    """An absurd --n-permutations is one JSON error line naming the cap, not a MemoryError traceback."""
+    from pblab.explain import N_PERMUTATIONS_MAX
+
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(corpus_dir / "corpus.jsonl"), "--val", str(corpus_dir / "corpus.jsonl"),
+                 "--vocab", str(corpus_dir / "vocab.json"), "--epochs", "0", "--out", str(run)]) == 0
+    capsys.readouterr()
+    for bad in (N_PERMUTATIONS_MAX + 1, 10**13):
+        sd_out = tmp_path / f"sd{bad}"
+        rc = main(["shap-diff", "--checkpoint-bal", str(run / "checkpoint.pbl"),
+                   "--checkpoint-cmp", str(run / "checkpoint.pbl"),
+                   "--data", str(corpus_dir / "corpus.jsonl"), "--vocab", str(corpus_dir / "vocab.json"),
+                   "--max-datapoints", "2", "--exact-limit", "0", "--n-permutations", str(bad),
+                   "--out", str(sd_out)])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["type"] == "ValueError" and f"n_permutations in [1, {N_PERMUTATIONS_MAX}]" in record["error"]
+        assert not sd_out.exists()

@@ -387,3 +387,14 @@ def test_weights_hash_follows_every_weight_setting(tmp_path):
                tiny_config(tmp_path, corpus={**CORPUS, "p_noise": 0.2})]
     assert all(config.content_hash(WEIGHT_FIELDS) != base for config in changed)
     assert tiny_config(tmp_path / "x", seeds=(0, 1)).content_hash(WEIGHT_FIELDS) == base
+
+
+def test_config_n_permutations_past_the_cap_rejected(tmp_path):
+    """An n_permutations whose marginal table could not be allocated is refused at load, not at the first long datapoint."""
+    from pblab.explain import N_PERMUTATIONS_MAX
+
+    for bad in (N_PERMUTATIONS_MAX + 1, 10**13):
+        raw = tiny_config(tmp_path).to_dict()
+        raw["explain"]["n_permutations"] = bad
+        with pytest.raises(ValueError, match="n_permutations"):
+            ExperimentConfig.from_dict(raw)

@@ -8,6 +8,7 @@ from pblab.corpus import CorpusSpec, Example, generate_corpus
 from pblab.explain import (
     DEFAULT_N_PERMUTATIONS,
     EXACT_LIMIT_MAX,
+    N_PERMUTATIONS_MAX,
     EngineConfig,
     _first_layer,
     categorize,
@@ -482,3 +483,93 @@ def test_exact_memory_at_the_hard_cap_is_one_pre_activation():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def shapley_sampled_bincount_oracle(params, tokens, label, n_permutations=DEFAULT_N_PERMUTATIONS, seed=0,
+                                    permutations=None):
+    """(values, base, stderr) as the engine computed them before its one marginal table: an int64 order table,
+    every coalition value in an (n + 1, P) table, and one bincount of np.diff over (pair, position) keys."""
+    n = len(tokens)
+    pre0, delta = _first_layer(params, tokens)
+    if permutations is None:
+        order = np.repeat(np.arange(n)[:, None], (n_permutations + 1) // 2, axis=1)
+        derive_rng(seed, "shapley_sampled").permuted(order.T, axis=1, out=order.T)
+        order = np.concatenate([order, order[::-1, : n_permutations // 2]], axis=1)
+    else:
+        order = np.ascontiguousarray(np.asarray(list(permutations)).T, dtype=np.int64)
+    P = order.shape[1]
+    pre = np.tile(pre0, (P, 1))
+    v = np.empty((n + 1, P))
+    for k in range(n + 1):
+        if k:
+            pre += delta[order[k - 1]]
+        logits = params.out_w.T.astype(np.float64) @ np.tanh(pre).T + params.out_b.astype(np.float64)[:, None]
+        e = np.exp(logits - logits.max(axis=0))
+        v[k] = e[label] / e.sum(axis=0)
+    half, pairs = (P + 1) // 2, P // 2
+    pair_of = order + n * (np.arange(P) % half)
+    sums = np.bincount(pair_of.ravel(), weights=np.diff(v, axis=0).ravel(), minlength=half * n).reshape(half, n)
+    values = sums.sum(axis=0) / P
+    stderr = float(np.std(sums[:pairs] / 2, axis=0, ddof=1).max() / math.sqrt(pairs)) if pairs > 1 else None
+    values += (float(v[n, 0]) - float(v[0, 0]) - values.sum()) / n
+    return values, float(v[0, 0]), stderr
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 150])
+def test_sampled_marginal_table_is_bit_identical_to_bincount(n):
+    """Seeded draws: one marginal table folded by pair gives the bincount's values, base and stderr, bit for bit."""
+    params = make_params(300, n_classes=3, seed=n, d=32, h=32)
+    tokens = tuple(int(t) for t in np.random.default_rng(n).integers(0, 301, n))
+    for P in (1, 2, 3, 999, 1000):
+        expl = shapley_sampled(params, tokens, n % 3, n_permutations=P, seed=n + P)
+        values, base, stderr = shapley_sampled_bincount_oracle(params, tokens, n % 3, P, n + P)
+        assert np.array_equal(expl.values, values) and expl.base == base and expl.stderr == stderr, P
+
+
+def test_sampled_given_rows_bit_identical_to_bincount():
+    """Given orderings take the same path: every ordering of 4 tokens, 2,000 i.i.d. rows, one row, an odd count."""
+    params = make_params(12, seed=6)
+    tokens = (3, 8, 1, 10)
+    iid = derive_rng(3, "iid").permuted(np.tile(np.arange(4), (2000, 1)), axis=1)
+    for rows in (list(itertools.permutations(range(4))), iid, iid[:1], iid[:41]):
+        expl = shapley_sampled(params, tokens, 1, permutations=rows)
+        values, base, stderr = shapley_sampled_bincount_oracle(params, tokens, 1, permutations=rows)
+        assert np.array_equal(expl.values, values) and expl.base == base and expl.stderr == stderr, len(rows)
+
+
+@pytest.mark.parametrize("n,limit_mb", [(150, 3), (600, 12)])
+def test_sampled_memory_is_one_marginal_table(n, limit_mb):
+    """1,000 orderings hold one (n, P) float64 marginal table, the (ceil(P/2), n) pair sums and a small-int
+    order table: under 3 MB at 150 tokens and 12 MB at 600, where a value table, pair keys and np.diff
+    besides took 5.5 and 21 MB."""
+    import tracemalloc
+
+    params = make_params(200, seed=3, d=32, h=32)
+    tokens = tuple(int(t) for t in np.random.default_rng(4).integers(0, 200, n))
+    tracemalloc.start()
+    try:
+        shapley_sampled(params, tokens, 0, n_permutations=1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+
+
+def test_sampled_refuses_too_many_permutations_before_allocating():
+    """N_PERMUTATIONS_MAX + 1 orderings are a ValueError before the order table or the marginal table exists."""
+    import tracemalloc
+
+    params = make_params(200, seed=3, d=32, h=32)
+    tokens = tuple(range(150))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n_permutations must be in \\[1, {N_PERMUTATIONS_MAX}\\]"):
+            shapley_sampled(params, tokens, 0, n_permutations=N_PERMUTATIONS_MAX + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for bad in (0, N_PERMUTATIONS_MAX + 1, 10**13):
+        with pytest.raises(ValueError, match="n_permutations"):
+            EngineConfig(n_permutations=bad).validate()
+    EngineConfig(n_permutations=N_PERMUTATIONS_MAX).validate()
