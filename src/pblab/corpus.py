@@ -124,7 +124,7 @@ class Vocab:
         return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
     """One datapoint: a token-id sequence with language, label and stable id."""
 

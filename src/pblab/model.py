@@ -26,6 +26,7 @@ PARAM_FIELDS = ("embedding", "hidden_w", "hidden_b", "out_w", "out_b")
 DIM_FIELDS = ("vocab_size", "embed_dim", "hidden_dim", "n_classes")
 DEFAULT_DIM = 32  # default embedding and hidden width
 BLOCK_VALUES = 2**16  # float64 values a forward pass widens at a time, whatever the table's stack and width
+BLOCK_TOKENS = 2**15  # tokens, over all arms, of the steps one training ``batch_layout`` covers at a time
 PAIRWISE_BLOCK = 128  # numpy sums more values than this pairwise, as two halves
 
 

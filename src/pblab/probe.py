@@ -78,6 +78,7 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TO
         return (np.log(np.exp(Z).sum(axis=1)) - Z[np.arange(n), y]).mean() + 0.5 * ridge @ (W * W).sum(axis=1)
 
     W = np.zeros((d + 1, K))
+    f = objective(W)
     for _ in range(NEWTON_STEPS):
         P = softmax(Xb @ W)
         grad = Xb.T @ (P - np.eye(K)[y]) / n + ridge[:, None] * W
@@ -90,10 +91,10 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TO
         # adding that direction to H leaves the step none either, so the intercepts sum to zero.
         H[d::d + 1, d::d + 1] += 1.0
         step = np.linalg.lstsq(H, -grad.T.ravel(), rcond=None)[0].reshape(K, d + 1).T
-        t, f = 1.0, objective(W)
-        while objective(W + t * step) > f:
+        t = 1.0
+        while (f_trial := objective(W + t * step)) > f:
             t /= 2
-        W = W + t * step
+        W, f = W + t * step, f_trial  # the accepted trial's value is the objective at the new W
     raise ValueError(f"probe fit did not reach max |gradient| <= {tol} in {NEWTON_STEPS} Newton steps")
 
 

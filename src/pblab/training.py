@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import (
+    BLOCK_TOKENS,
     DEFAULT_DIM,
     PARAM_FIELDS,
     ModelParams,
@@ -329,8 +330,8 @@ def train_arms(datasets, val, vocab, configs):
     best = [arm.copy() for arm in arms]  # each arm's snapshot of its best epoch so far
     for epoch in range(first.epochs):
         orders = np.stack([rng.permutation(n) for rng in shuffles])
-        epoch_losses = _train_epoch(table, head32, head64, shapes, (ids, lengths, labels), orders + offsets,
-                                    np.take_along_axis(weights, orders, axis=1), first, epoch, steps_per_epoch)
+        epoch_losses = _train_epoch(table, head32, head64, shapes, (ids, lengths, labels), orders, offsets,
+                                    weights, first, epoch, steps_per_epoch)
         val_losses = _packed_loss(table, mask_id, _head_views(head64, shapes), val_ids, val_lengths,
                                   val_labels, 1.0, 0.0)
         for k, report in enumerate(reports):
@@ -349,37 +350,50 @@ def train_arms(datasets, val, vocab, configs):
     return list(zip(best, reports))
 
 
-def _train_epoch(table, head32, head64, shapes: dict, packed, seqs, w_ex, config: TrainConfig, epoch: int,
-                 steps_per_epoch: int) -> np.ndarray:
-    """One epoch of lockstep SGD, arm k visiting sequences ``seqs[k]`` of ``packed``; returns the (K, steps) losses.
+def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, weights, config: TrainConfig,
+                 epoch: int, steps_per_epoch: int) -> np.ndarray:
+    """One epoch of lockstep SGD, arm k visiting sequences ``orders[k] + offsets[k]`` of ``packed``; returns the
+    (K, steps) losses.
 
     ``table`` is the arms' stacked (K, V + 2, d) float32 embedding table,
     ``head32``/``head64`` their (K, P) head in float32 and float64,
-    ``packed`` the (ids, lengths, labels) of every dataset, and ``w_ex`` the
-    (K, n) example weights in visiting order. Each step is one gather,
-    forward/backward and scatter for all K arms; parameters stay on the
-    float32 grid (checkpoint dtype). The epoch's layout lives only as long as
-    this call.
+    ``packed`` the (ids, lengths, labels) of every dataset, and ``weights``
+    the (K, n) example weights in each arm's data order. Each step is one
+    gather, forward/backward and scatter for all K arms; parameters stay on
+    the float32 grid (checkpoint dtype). The layout and the visited lengths,
+    labels and weights are built for one block of whole steps at a time, of
+    at most BLOCK_TOKENS tokens over all arms (a larger step is a block of
+    its own). A step's rows, counts and arithmetic do not depend on the
+    block it is in, so every step computes what a whole-epoch layout gives.
     """
     bs, lam = config.batch_size, config.mask_entropy_coeff
     ids, lengths, labels = packed
-    layout = batch_layout(ids, lengths, seqs, bs, table.shape[1] - 2, lam != 0.0)
-    # Lengths are exact in float64, so dividing by them gives the same bits as dividing by the ints.
-    lengths, labels = lengths[seqs][:, :, None].astype(np.float64), labels[seqs]
+    seqs = orders + offsets
+    # Step b reads the epoch's tokens tok_ptr[b]:tok_ptr[b + 1], over all arms.
+    step_tokens = np.add.reduceat(lengths[seqs].sum(axis=0), np.arange(0, seqs.shape[1], bs))
+    tok_ptr = np.concatenate([[0], np.cumsum(step_tokens)])
     flat, d = table.reshape(-1, table.shape[2]), table.shape[2]
     grad64 = np.empty_like(head64)
     head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
     losses = np.empty((table.shape[0], steps_per_epoch))
+    b0 = b1 = 0  # the current block's steps
     for b in range(steps_per_epoch):
+        if b == b1:
+            b0, b1 = b, max(b + 1, int(np.searchsorted(tok_ptr, tok_ptr[b] + BLOCK_TOKENS, "right")) - 1)
+            block = seqs[:, b0 * bs : b1 * bs]
+            layout = batch_layout(ids, lengths, block, bs, table.shape[1] - 2, lam != 0.0)
+            # Lengths are exact in float64, so dividing by them gives the same bits as dividing by the ints.
+            block_lengths, block_labels = lengths[block][:, :, None].astype(np.float64), labels[block]
+            w_ex = np.take_along_axis(weights, orders[:, b0 * bs : b1 * bs], axis=1)
         step = epoch * steps_per_epoch + b
-        cols = slice(b * bs, (b + 1) * bs)
-        lens = lengths[:, cols]
-        rows, counts, last = batch_counts(layout, b, lens.shape[1])
+        cols = slice((b - b0) * bs, (b - b0 + 1) * bs)
+        lens = block_lengths[:, cols]
+        rows, counts, last = batch_counts(layout, b - b0, lens.shape[1])
         emb = np.take(flat, rows, axis=0).astype(np.float64)
         x = counts @ emb.reshape(counts.shape[0], -1, d)
         x /= lens
         losses[:, b], g_x, g_mask = _loss_and_grad(head, x, emb[last] if lam != 0.0 else None,
-                                                   labels[:, cols], w_ex[:, cols], lam, grads)
+                                                   block_labels[:, cols], w_ex[:, cols], lam, grads)
         if g_x is None:
             raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
         lr = learning_rate(config.lr, step, config.epochs * steps_per_epoch)

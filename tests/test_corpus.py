@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -209,6 +210,15 @@ def test_example_validate():
                             ((0, -1), "outside vocabulary")):
         with pytest.raises(ValueError, match=message):
             Example(id="a", language=0, label=0, tokens=tokens).validate(vocab)
+
+
+def test_example_is_slotted_and_replace_still_works():
+    ex = Example(id="a", language=0, label=1, tokens=(0, 1))
+    assert not hasattr(ex, "__dict__")
+    moved = dataclasses.replace(ex, language=1, tokens=(2,))
+    assert moved == Example(id="a", language=1, label=1, tokens=(2,)) and ex.language == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ex.label = 2
 
 
 def test_load_accepts_int_lang_and_label(tmp_path):

@@ -130,6 +130,41 @@ def test_fit_deterministic():
     assert np.array_equal(fit_logreg(X, y), fit_logreg(X, y))
 
 
+def fit_logreg_objective_twice(X, y, l2=1.0, tol=1e-6):
+    """The Newton loop as it was: the objective at each new W is computed again as the next step's f."""
+    K = int(y.max()) + 1
+    n, d = X.shape
+    Xb = np.hstack([X, np.ones((n, 1))])
+    ridge = np.append(np.full(d, l2 / n), 0.0)
+
+    def objective(W):
+        Z = Xb @ W
+        Z -= Z.max(axis=1, keepdims=True)
+        return (np.log(np.exp(Z).sum(axis=1)) - Z[np.arange(n), y]).mean() + 0.5 * ridge @ (W * W).sum(axis=1)
+
+    W = np.zeros((d + 1, K))
+    for _ in range(50):
+        P = softmax(Xb @ W)
+        grad = Xb.T @ (P - np.eye(K)[y]) / n + ridge[:, None] * W
+        if np.abs(grad).max() <= tol:
+            return W
+        H = np.block([[Xb.T @ (Xb * (P[:, [a]] * ((a == b) - P[:, [b]]))) for b in range(K)] for a in range(K)])
+        H = H / n + np.diag(np.tile(ridge, K))
+        H[d::d + 1, d::d + 1] += 1.0
+        step = np.linalg.lstsq(H, -grad.T.ravel(), rcond=None)[0].reshape(K, d + 1).T
+        t, f = 1.0, objective(W)
+        while objective(W + t * step) > f:
+            t /= 2
+        W = W + t * step
+    raise AssertionError("the reference loop did not converge")
+
+
+@pytest.mark.parametrize("K, seed, l2", [(2, 0, 1.0), (2, 1, 1e-3), (3, 2, 1.0), (3, 3, 1e-3)])
+def test_fit_carries_the_accepted_objective_bit_for_bit(K, seed, l2):
+    X, y = overlapping(K, seed=seed)
+    assert np.array_equal(fit_logreg(X, y, l2=l2), fit_logreg_objective_twice(X, y, l2=l2))
+
+
 def test_cross_validate_separable():
     X, y = clusters(n_per=100, seed=5)
     report = cross_validate(X, y, k=5, seed=0)

@@ -8,12 +8,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pblab import training
 from pblab.corpus import CorpusSpec, Example, generate_corpus
-from pblab.model import PARAM_FIELDS, ModelParams, init_params
+from pblab.model import PARAM_FIELDS, ModelParams, batch_counts, batch_layout, init_params
 from pblab.sampler import plan_counts, preset, sample_paired, split_eval
 from pblab.seeds import derive_rng
 from pblab.training import (
     TrainConfig,
+    _head_views,
+    _loss_and_grad,
+    _row_grads,
     compute_weights,
     count_cells,
     evaluate,
@@ -452,3 +456,105 @@ def test_train_arms_memory_is_the_table_and_the_snapshots():
     copies = sum(getattr(params, name).nbytes for params, _ in trained for name in PARAM_FIELDS)
     assert peak < 1.5 * table + copies
     assert peak < table + copies + copies / K  # no snapshot reallocated while the others are held
+
+
+# ---------------------------------------------------------------- epochs in blocks of steps
+
+def whole_epoch_oracle(table, head32, head64, shapes, packed, orders, offsets, weights, config, epoch,
+                       steps_per_epoch):
+    """``training._train_epoch`` as it was: one ``batch_layout`` for every step, and the visited lengths,
+    labels and weights of the whole epoch at once."""
+    seqs, w_ex = orders + offsets, np.take_along_axis(weights, orders, axis=1)
+    bs, lam = config.batch_size, config.mask_entropy_coeff
+    ids, lengths, labels = packed
+    layout = batch_layout(ids, lengths, seqs, bs, table.shape[1] - 2, lam != 0.0)
+    lengths, labels = lengths[seqs][:, :, None].astype(np.float64), labels[seqs]
+    flat, d = table.reshape(-1, table.shape[2]), table.shape[2]
+    grad64 = np.empty_like(head64)
+    head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
+    losses = np.empty((table.shape[0], steps_per_epoch))
+    for b in range(steps_per_epoch):
+        step = epoch * steps_per_epoch + b
+        cols = slice(b * bs, (b + 1) * bs)
+        lens = lengths[:, cols]
+        rows, counts, last = batch_counts(layout, b, lens.shape[1])
+        emb = np.take(flat, rows, axis=0).astype(np.float64)
+        x = counts @ emb.reshape(counts.shape[0], -1, d)
+        x /= lens
+        losses[:, b], g_x, g_mask = _loss_and_grad(head, x, emb[last] if lam != 0.0 else None,
+                                                   labels[:, cols], w_ex[:, cols], lam, grads)
+        if g_x is None:
+            raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
+        lr = learning_rate(config.lr, step, config.epochs * steps_per_epoch)
+        g_rows = _row_grads(counts, lens, g_x, g_mask, last)
+        g_rows *= lr
+        np.subtract(emb, g_rows, out=emb)
+        flat[rows] = emb
+        grad64 *= lr
+        np.subtract(head64, grad64, out=head32, casting="same_kind")
+        head64[...] = head32
+    return losses
+
+
+def random_examples(rng, n, V, lo, hi):
+    """n examples of lo..hi uniform token ids below V; languages and labels cycle, so every cell is filled."""
+    lengths = rng.integers(lo, hi + 1, n)
+    tokens = np.split(rng.integers(0, V, int(lengths.sum())), np.cumsum(lengths)[:-1])
+    return [Example(id=str(i), language=i % 2, label=i % 3, tokens=tuple(t.tolist())) for i, t in enumerate(tokens)]
+
+
+@pytest.mark.parametrize("K, lam, n, batch_size, lengths, V, blocks", [
+    (1, 0.0, 100, 16, (3, 12), 50, "one"),              # n not a multiple of batch_size
+    (3, 0.1, 100, 16, (3, 12), 50, "one"),
+    (3, 0.0, 10, 16, (3, 12), 50, "one"),               # n < batch_size: one partial step
+    (3, 0.1, 40, 16, (600, 1400), 50, "own"),           # steps of about 48,000 tokens, over the budget
+    (1, 0.1, 40, 16, (1000, 2400), 50, "own"),
+    (3, 0.1, 3000, 16, (3, 12), 8000, "several"),       # about 67,500 tokens an epoch, at V = 8,000
+    (1, 0.0, 9000, 32, (3, 12), 8000, "several"),
+], ids=["K1-lam0", "K3-lam0.1", "n-below-batch", "K3-steps-over-budget", "K1-steps-over-budget", "K3-V8000",
+        "K1-V8000"])
+def test_train_arms_in_blocks_equals_whole_epoch_layout(monkeypatch, K, lam, n, batch_size, lengths, V, blocks):
+    rng = np.random.default_rng(n + K)
+    vocab = SimpleNamespace(size=V, n_classes=3, n_languages=2)
+    data = [random_examples(rng, n, V, *lengths) for _ in range(min(K, 2))]
+    datasets = [data[0]] if K == 1 else [data[0], data[1], data[1]]  # the last two arms share one dataset
+    val = random_examples(rng, 60, V, *lengths)
+    configs = [TrainConfig(epochs=2, batch_size=batch_size, mask_entropy_coeff=lam, seed=5 + k, embed_dim=8,
+                           hidden_dim=6, weighting="per_language" if k == 2 else "none") for k in range(K)]
+    layouts = []
+
+    def recorded(ids, lengths, orders, *args):
+        layouts.append(orders.shape[1])
+        return batch_layout(ids, lengths, orders, *args)
+
+    monkeypatch.setattr(training, "batch_layout", recorded)
+    blocked = train_arms(datasets, val, vocab, configs)
+    steps = math.ceil(n / batch_size)
+    per_epoch, sizes = len(layouts) // 2, layouts[: len(layouts) // 2]
+    assert sum(sizes) == n
+    assert {"one": per_epoch == 1, "own": per_epoch == steps,
+            "several": 1 < per_epoch < steps and max(sizes) > batch_size}[blocks]
+    monkeypatch.setattr(training, "_train_epoch", whole_epoch_oracle)
+    for (params, report), (want, want_report) in zip(blocked, train_arms(datasets, val, vocab, configs), strict=True):
+        assert params.array_equal(want)
+        assert report.to_dict() == want_report.to_dict()
+
+
+def test_train_arms_memory_is_one_block_of_steps():
+    """One epoch at 3 arms x 60,000 sequences of 4-10 tokens: about 1.26 M layout tokens, whose whole-epoch
+    layout peaked at 47 MB under tracemalloc; one block of steps at a time peaks at about 9 MB."""
+    import tracemalloc
+
+    K, V = 3, 1000
+    rng = np.random.default_rng(8)
+    data, val = random_examples(rng, 60_000, V, 4, 10), random_examples(rng, 300, V, 4, 10)
+    vocab = SimpleNamespace(size=V, n_classes=3, n_languages=2)
+    configs = [TrainConfig(epochs=1, batch_size=32, mask_entropy_coeff=0.1, seed=k,
+                           weighting="per_language" if k == 2 else "none") for k in range(K)]
+    tracemalloc.start()
+    try:
+        train_arms([data] * K, val, vocab, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
