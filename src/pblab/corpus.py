@@ -14,7 +14,6 @@ from itertools import chain
 from .jsonio import write_json
 from .seeds import derive_rng
 
-TOKEN_CATEGORIES = ("signal_pos", "signal_other", "filler", "foreign")
 _CHUNK_WORDS = 4096  # raw words a corpus cell reads at once: few calls, bounded memory
 
 
@@ -132,14 +131,6 @@ class Example:
     language: int
     label: int
     tokens: tuple
-
-    def validate(self, vocab: Vocab) -> None:
-        if len(self.tokens) < 1:
-            raise ValueError(f"example {self.id}: empty token sequence")
-        if any(t == vocab.mask_id for t in self.tokens):
-            raise ValueError(f"example {self.id}: contains the mask token")
-        if any(t < 0 or t >= vocab.size for t in self.tokens):
-            raise ValueError(f"example {self.id}: token id outside vocabulary")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""End-to-end experiment pipeline: corpus -> paired subsets -> three arms -> reports.
+"""End-to-end experiment pipeline: corpus -> paired subsets -> the arms of ``ARMS`` -> reports.
 
 For every seed: build (or load) the corpus, carve balanced validation/test
-splits, draw the balanced/imbalanced training pair, train the three arms
-(balanced, imbalanced, imbalanced + per-language class weights), then
-evaluate accuracy, language-probe separability on two corpora, and the
+splits, draw the balanced/imbalanced training pair, train the arms of
+``ARMS`` (balanced, imbalanced, imbalanced + per-language class weights),
+then evaluate accuracy, language-probe separability on two corpora, and the
 cumulative attribution-difference reports. Per-seed outputs live in their
 own directory; an aggregator collects means/stds across seeds.
 
@@ -33,7 +33,13 @@ from . import training as training_mod
 from .jsonio import write_csv, write_json
 from .seeds import derive_int
 
-ARMS = ("balanced", "imbalanced", "imbalanced_cw")
+# The arms, the only place they are defined: name -> (the sample_paired subset it trains on, its
+# training.WEIGHTINGS mode, the stem of its shapdiff report against the first row, the reference arm).
+ARMS = {
+    "balanced": ("balanced", "none", None),
+    "imbalanced": ("imbalanced", "none", "bal_vs_imbal"),
+    "imbalanced_cw": ("imbalanced", "per_language", "bal_vs_imbal_cw"),
+}
 # The config fields that, with the seed and the arm, fix an arm's trained weights.
 WEIGHT_FIELDS = ("corpus", "joint", "train_size", "val_size", "test_size", "train")
 HEADLINE = ("accuracy", "spearman_vs_imbalanced_joint", "masked_entropy")  # per-arm numbers aggregated over seeds
@@ -306,17 +312,17 @@ def stage_corpus(spec: SyntheticCorpus | IngestedCorpus, out: Path, manifest: Ma
 
 def stage_sample(pool, vocab, joint, n: int, seed: int, out: Path, manifest: Manifest, eval_sizes=None):
     """Carve balanced validation/test splits of ``eval_sizes`` from ``pool`` (none when None), then draw
-    the balanced/imbalanced pair of ``n`` from the rest; writes both subsets and plan.json.
-    Returns (val, test, balanced, imbalanced, overlap)."""
+    the balanced/imbalanced pair of ``n`` from the rest; writes each subset to <name>.jsonl, and plan.json.
+    Returns (val, test, {"balanced": ..., "imbalanced": ...}, overlap)."""
     with manifest.stage("sample"):
         val, test = sampler_mod.split_eval(pool, *eval_sizes, seed=seed) if eval_sizes else ([], [])
         held_out = {ex.id for ex in val + test}
-        balanced, imbalanced, overlap = sampler_mod.sample_paired(
-            [ex for ex in pool if ex.id not in held_out], joint, n, seed=seed)
-        corpus_mod.save_jsonl(balanced, vocab, manifest.add(out / "balanced.jsonl"))
-        corpus_mod.save_jsonl(imbalanced, vocab, manifest.add(out / "imbalanced.jsonl"))
+        *pair, overlap = sampler_mod.sample_paired([ex for ex in pool if ex.id not in held_out], joint, n, seed=seed)
+        subsets = dict(zip(("balanced", "imbalanced"), pair))
+        for name, subset in subsets.items():
+            corpus_mod.save_jsonl(subset, vocab, manifest.add(out / f"{name}.jsonl"))
         sampler_mod.write_plan_json(overlap, manifest.add(out / "plan.json"))
-    return val, test, balanced, imbalanced, overlap
+    return val, test, subsets, overlap
 
 
 def stage_train(arms, val, vocab, manifest: Manifest) -> list:
@@ -412,19 +418,18 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         L, C = vocab.n_languages, vocab.n_classes
         joint = _check_corpus_shape(config, L, C)
 
-        val, test, balanced, imbalanced, overlap = stage_sample(
+        val, test, subsets, overlap = stage_sample(
             pool, vocab, joint, config.train_size, seed, seed_dir / "subsets", manifest,
             eval_sizes=(config.val_size, config.test_size))
         record["overlap"] = overlap.to_dict()
 
-        # The three arms train in lockstep; imbalanced and imbalanced_cw share one subset.
+        # The arms train in lockstep, each on its row's subset with its row's weighting.
         weights_hash = config.content_hash(WEIGHT_FIELDS)
         trained = stage_train([
-            (balanced if arm == "balanced" else imbalanced,
-             training_mod.TrainConfig(**config.train, weighting="per_language" if arm == "imbalanced_cw" else "none",
-                                      seed=derive_int(seed, "train", arm)),
+            (subsets[subset], training_mod.TrainConfig(**config.train, weighting=weighting,
+                                                       seed=derive_int(seed, "train", arm)),
              seed_dir / "arms" / arm, {"arm": arm, "seed": seed, "weights_hash": weights_hash})
-            for arm in ARMS], val, vocab, manifest)
+            for arm, (subset, weighting, _) in ARMS.items()], val, vocab, manifest)
         arm_params = {arm: params for arm, (params, _) in zip(ARMS, trained)}
         record["arms"] = {}
         for arm, (params, report) in zip(ARMS, trained):
@@ -457,12 +462,12 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
                                   seed_dir / "probe" / f"{corpus_tag}.csv", manifest)
             record["probe"][corpus_tag] = {arm: report.mean_accuracy for arm, report in reports.items()}
 
-        # Attribution-difference reports against the balanced arm.
+        # Attribution-difference reports against the reference arm.
         engine = ExplainConfig(**config.explain, seed=derive_int(seed, "shapdiff"))
         shap_data = _shap_subset(test, engine.max_datapoints)
-        pairs = {"bal_vs_imbal": "imbalanced", "bal_vs_imbal_cw": "imbalanced_cw"}
-        reports = stage_explain(arm_params, "balanced", pairs, shap_data, engine, engine.theta, seed_dir / "shapdiff",
-                                manifest, target_labels=engine.target_labels)
+        pairs = {stem: arm for arm, (*_, stem) in ARMS.items() if stem}
+        reports = stage_explain(arm_params, next(iter(ARMS)), pairs, shap_data, engine, engine.theta,
+                                seed_dir / "shapdiff", manifest, target_labels=engine.target_labels)
         record["shapdiff"] = {"n_datapoints": len(shap_data)}
         for tag, report in reports.items():
             record["shapdiff"][tag] = {
@@ -508,7 +513,7 @@ def write_summary_csvs(records: list, out_dir: Path, manifest: Manifest) -> None
     write_csv(manifest.add(out_dir / "summary_shapdiff.csv"),
                ["seed", "pair", "language", "label", "category", "mean_cum_diff", "n_datapoints"],
                ([r["seed"], pair, *key.split("/"), repr(mean), count]
-                for r in records for pair in ("bal_vs_imbal", "bal_vs_imbal_cw") if pair in r.get("shapdiff", {})
+                for r in records for *_, pair in ARMS.values() if pair
                 for key, (mean, count) in sorted(r["shapdiff"][pair]["rows"].items())))
 
 

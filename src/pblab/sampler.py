@@ -173,18 +173,14 @@ def sample_paired(pool, spec_imbal: JointSpec, n: int, seed: int = 0):
         for c in range(C):
             nb = int(plan_bal.counts[lang, c])
             ni = int(plan_imb.counts[lang, c])
-            need = max(nb, ni)
             available = cells[(lang, c)]
-            if len(available) < need:
-                raise ValueError(
-                    f"cell (language={lang}, label={c}): need {need} examples, pool has {len(available)}"
-                )
-            rng = derive_rng(seed, "sampler", "cell", lang, c)
-            order = rng.permutation(len(available))
-            shared = min(nb, ni)
-            picks = [available[i] for i in order[: nb + ni - shared]]
-            balanced.extend(picks[:nb])
-            imbalanced.extend(picks[:shared] + picks[nb : nb + ni - shared])
+            if len(available) < max(nb, ni):
+                raise ValueError(f"cell (language={lang}, label={c}): need {max(nb, ni)} examples, "
+                                 f"pool has {len(available)}")
+            order = derive_rng(seed, "sampler", "cell", lang, c).permutation(len(available))
+            # Both subsets are prefixes of one permutation, so they share min(nb, ni) examples and nest.
+            balanced.extend(available[i] for i in order[:nb])
+            imbalanced.extend(available[i] for i in order[:ni])
 
     overlap_ids = {ex.id for ex in balanced} & {ex.id for ex in imbalanced}
     report = OverlapReport(

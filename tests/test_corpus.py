@@ -203,15 +203,6 @@ def test_load_rejects_empty_token_sequence(tmp_path, field, with_vocab):
         load_jsonl(path, vocab)
 
 
-def test_example_validate():
-    vocab = Vocab(token_strings=("t", "u"), lang_names=("fr",), label_names=("x",))
-    Example(id="a", language=0, label=0, tokens=(0, 1)).validate(vocab)
-    for tokens, message in (((), "empty token sequence"), ((0, vocab.mask_id), "mask token"),
-                            ((0, -1), "outside vocabulary")):
-        with pytest.raises(ValueError, match=message):
-            Example(id="a", language=0, label=0, tokens=tokens).validate(vocab)
-
-
 def test_example_is_slotted_and_replace_still_works():
     ex = Example(id="a", language=0, label=1, tokens=(0, 1))
     assert not hasattr(ex, "__dict__")
@@ -242,14 +233,6 @@ def test_load_with_vocab_rejects_unknown_token(tmp_path):
     path.write_text('{"id": "z", "lang": "L0", "label": "0", "tokens": ["nope"]}\n')
     with pytest.raises(ValueError, match="unknown token 'nope'"):
         load_jsonl(path, vocab)
-
-
-def test_example_invariants():
-    vocab, _ = generate_corpus(spec_223(), 1)
-    with pytest.raises(ValueError, match="mask"):
-        Example(id="x", language=0, label=0, tokens=(vocab.mask_id,)).validate(vocab)
-    with pytest.raises(ValueError, match="empty"):
-        Example(id="x", language=0, label=0, tokens=()).validate(vocab)
 
 
 # ------------------------------------------------- generator vs numpy's scalar calls

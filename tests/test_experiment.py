@@ -398,3 +398,50 @@ def test_config_n_permutations_past_the_cap_rejected(tmp_path):
         raw["explain"]["n_permutations"] = bad
         with pytest.raises(ValueError, match="n_permutations"):
             ExperimentConfig.from_dict(raw)
+
+
+def test_one_table_row_adds_an_arm(tiny_run, tmp_path, monkeypatch):
+    """An arm is one row of ARMS: it trains, is evaluated, probed, explained against the reference arm and
+    summarised, and leaves the other arms' artifacts byte for byte as they were."""
+    import csv
+
+    from pblab import experiment
+
+    monkeypatch.setitem(experiment.ARMS, "balanced_cw", ("balanced", "per_language", "bal_vs_bal_cw"))
+    _, base, _ = tiny_run
+    summary = run_experiment(tiny_config(tmp_path))
+    assert summary["failures"] == []
+    seed_dir = tmp_path / "seed_0"
+    assert len(list(seed_dir.glob("arms/*/checkpoint.pbl"))) == 4
+    assert sorted(p.name for p in (seed_dir / "shapdiff").glob("*.csv")) == [
+        "bal_vs_bal_cw.csv", "bal_vs_imbal.csv", "bal_vs_imbal_cw.csv"]
+    arms = ["balanced", "imbalanced", "imbalanced_cw", "balanced_cw"]
+    assert all(list(summary["aggregate"][key]) == arms for key in ("accuracy", "masked_entropy"))
+    with open(tmp_path / "summary_accuracy.csv", newline="") as f:
+        assert [row["arm"] for row in csv.DictReader(f)] == arms
+    with open(tmp_path / "summary_shapdiff.csv", newline="") as f:
+        assert "bal_vs_bal_cw" in {row["pair"] for row in csv.DictReader(f)}
+    same = [f"arms/{arm}/{name}" for arm in arms[:3]
+            for name in ("checkpoint.pbl", "metrics.json", "pred_dist.csv", "train_report.json")]
+    for rel in same + ["shapdiff/bal_vs_imbal.csv", "shapdiff/bal_vs_imbal_cw.csv"]:
+        assert (seed_dir / rel).read_bytes() == (base / "seed_0" / rel).read_bytes(), rel
+
+
+def test_arm_names_live_only_in_the_arm_table():
+    """No module but the ARMS literal names a non-reference arm or a shapdiff stem."""
+    import ast
+    from pathlib import Path
+
+    import pblab
+    from pblab import experiment
+
+    source = Path(experiment.__file__).read_text()
+    table = next(node for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ARMS"])
+    lines = source.splitlines()
+    outside = {"experiment.py": lines[:table.lineno - 1] + lines[table.end_lineno:]}
+    outside.update((p.name, p.read_text().splitlines())
+                   for p in Path(pblab.__file__).parent.glob("*.py") if p.name != "experiment.py")
+    hits = [(name, i) for name, text in outside.items() for i, line in enumerate(text)
+            if "imbalanced_cw" in line or "bal_vs_imbal" in line]
+    assert hits == []

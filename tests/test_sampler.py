@@ -118,6 +118,19 @@ def test_sample_paired_insufficient_pool_names_cell(pool223):
         sample_paired(small, preset("xnli_skew", 2, 3), 60, seed=0)
 
 
+@pytest.mark.parametrize("name, L, C", [("xnli_skew", 2, 3), ("amazon_skew", 2, 5), ("amazon_skew", 4, 5),
+                                         ("uniform", 2, 3)])
+def test_sample_paired_subsets_are_prefixes_of_one_cell_order(name, L, C):
+    spec = CorpusSpec(n_languages=L, n_classes=C, n_min=2, n_max=4, p_signal=0.4, seed=11)
+    _, pool = generate_corpus(spec, 20)
+    balanced, imbalanced, _ = sample_paired(pool, preset(name, L, C), 60, seed=3)
+    for lang in range(L):
+        for c in range(C):
+            ids = [[e.id for e in subset if (e.language, e.label) == (lang, c)] for subset in (balanced, imbalanced)]
+            shorter, longer = sorted(ids, key=len)
+            assert shorter == longer[:len(shorter)], (lang, c)
+
+
 def test_subset_follows_plan(pool223):
     joint = preset("xnli_skew", 2, 3)
     _, imbalanced, report = sample_paired(pool223, joint, 60, seed=4)
