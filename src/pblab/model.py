@@ -123,18 +123,22 @@ def forward_means(params: ModelParams, means: np.ndarray):
 
 
 def pack_tokens(sequences, mask_id: int):
-    """The token layout of every pass: flat int64 ids plus one length per sequence.
+    """The token layout of every pass: flat ids in the smallest dtype that holds ``mask_id``, and int32 lengths.
 
-    This is the one token-id range check: no sequence may be empty and every
-    id must index the embedding table (the mask id included).
+    This is the one token-id range check: no sequence may be empty and every id must index the embedding
+    table (the mask id included). Ids go straight into the narrow dtype, with no int64 copy; numpy 2 raises
+    on a Python int that dtype cannot hold, such as a negative id.
     """
-    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    lengths = np.array([len(s) for s in sequences], dtype=np.int32)
     if lengths.size == 0:
         raise ValueError("empty example list")
     if (lengths == 0).any():
         raise ValueError("empty token sequence")
-    ids = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
-    if ids.min() < 0 or ids.max() > mask_id:
+    try:
+        ids = np.fromiter(chain.from_iterable(sequences), dtype=np.min_scalar_type(mask_id), count=int(lengths.sum()))
+    except OverflowError:
+        raise ValueError("token id outside embedding table") from None
+    if ids.max() > mask_id:
         raise ValueError("token id outside embedding table")
     return ids, lengths
 

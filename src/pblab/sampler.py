@@ -31,14 +31,6 @@ class JointSpec:
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
 
-    @property
-    def n_languages(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.probs.shape[1]
-
     def validate(self) -> None:
         p = self.probs
         if p.ndim != 2:
@@ -55,17 +47,12 @@ class JointSpec:
 
 @dataclass(frozen=True)
 class SubsetPlan:
-    """Integer per-cell counts for a subset of total size n."""
+    """Integer per-cell counts of one subset."""
 
     counts: np.ndarray
-    n: int
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=int))
-
-    def to_dict(self) -> dict:
-        return {"counts": self.counts.tolist(), "n": self.n, "seed": self.seed}
 
 
 def preset(name: str, n_languages: int, n_classes: int) -> JointSpec:
@@ -98,7 +85,7 @@ def preset(name: str, n_languages: int, n_classes: int) -> JointSpec:
     return spec
 
 
-def plan_counts(spec: JointSpec, n: int, seed: int = 0) -> SubsetPlan:
+def plan_counts(spec: JointSpec, n: int) -> SubsetPlan:
     """Round n*probs to integers by largest remainder within each language row.
 
     Each language row is rounded against its own exact total n/L, so the
@@ -121,22 +108,28 @@ def plan_counts(spec: JointSpec, n: int, seed: int = 0) -> SubsetPlan:
         order = np.argsort(-(target - base), kind="stable")
         base[order[:remainder]] += 1
         counts[lang] = base
-    plan = SubsetPlan(counts=counts, n=n, seed=seed)
-    assert plan.counts.sum() == n
-    return plan
+    assert counts.sum() == n
+    return SubsetPlan(counts)
 
 
-def _pool_by_cell(pool, L: int, C: int):
+def _cell_draws(pool, L: int, C: int, need, seed: int, stream: str):
+    """Yield each (language, label) cell's first ``need[lang][c]`` examples in its seeded order, language-major.
+
+    The whole pool is grouped before any cell is drawn, so an example outside the L x C table is rejected
+    first. Each cell is sorted by id, so draws do not depend on the pool's list order.
+    """
     cells = {(lang, c): [] for lang in range(L) for c in range(C)}
     for ex in pool:
-        if (ex.language, ex.label) in cells:
-            cells[(ex.language, ex.label)].append(ex)
-        else:
+        if (ex.language, ex.label) not in cells:
             raise ValueError(f"example {ex.id}: (language={ex.language}, label={ex.label}) outside the {L}x{C} table")
-    # Sort by id so draws do not depend on the pool's list order.
-    for cell in cells.values():
+        cells[(ex.language, ex.label)].append(ex)
+    for (lang, c), cell in cells.items():
+        k = int(need[lang][c])
+        if len(cell) < k:
+            raise ValueError(f"cell (language={lang}, label={c}): need {k} examples, pool has {len(cell)}")
         cell.sort(key=lambda ex: ex.id)
-    return cells
+        order = derive_rng(seed, stream, "cell", lang, c).permutation(len(cell))
+        yield [cell[i] for i in order[:k]]
 
 
 @dataclass
@@ -164,23 +157,14 @@ def sample_paired(pool, spec_imbal: JointSpec, n: int, seed: int = 0):
     Returns (balanced, imbalanced, overlap_report).
     """
     L, C = spec_imbal.probs.shape
-    plan_bal = plan_counts(preset("uniform", L, C), n, seed)
-    plan_imb = plan_counts(spec_imbal, n, seed)
-    cells = _pool_by_cell(pool, L, C)
-
+    plan_bal = plan_counts(preset("uniform", L, C), n)
+    plan_imb = plan_counts(spec_imbal, n)
+    need = np.maximum(plan_bal.counts, plan_imb.counts)
     balanced, imbalanced = [], []
-    for lang in range(L):
-        for c in range(C):
-            nb = int(plan_bal.counts[lang, c])
-            ni = int(plan_imb.counts[lang, c])
-            available = cells[(lang, c)]
-            if len(available) < max(nb, ni):
-                raise ValueError(f"cell (language={lang}, label={c}): need {max(nb, ni)} examples, "
-                                 f"pool has {len(available)}")
-            order = derive_rng(seed, "sampler", "cell", lang, c).permutation(len(available))
-            # Both subsets are prefixes of one permutation, so they share min(nb, ni) examples and nest.
-            balanced.extend(available[i] for i in order[:nb])
-            imbalanced.extend(available[i] for i in order[:ni])
+    for cell, nb, ni in zip(_cell_draws(pool, L, C, need, seed, "sampler"), plan_bal.counts.flat, plan_imb.counts.flat):
+        # Both subsets are prefixes of one permutation, so they share min(nb, ni) examples and nest.
+        balanced += cell[:nb]
+        imbalanced += cell[:ni]
 
     overlap_ids = {ex.id for ex in balanced} & {ex.id for ex in imbalanced}
     report = OverlapReport(
@@ -215,28 +199,16 @@ def split_eval(pool, n_val: int, n_test: int, seed: int = 0):
         if size < 0 or size % (L * C) != 0:
             raise ValueError(f"{name}={size} not divisible by L*C={L * C}")
     per_cell_val = n_val // (L * C)
-    per_cell_test = n_test // (L * C)
-    cells = _pool_by_cell(pool, L, C)
     val, test = [], []
-    for lang in range(L):
-        for c in range(C):
-            available = cells[(lang, c)]
-            need = per_cell_val + per_cell_test
-            if len(available) < need:
-                raise ValueError(
-                    f"cell (language={lang}, label={c}): need {need} examples, pool has {len(available)}"
-                )
-            rng = derive_rng(seed, "split_eval", "cell", lang, c)
-            order = rng.permutation(len(available))
-            picks = [available[i] for i in order[:need]]
-            val.extend(picks[:per_cell_val])
-            test.extend(picks[per_cell_val:])
+    for picks in _cell_draws(pool, L, C, np.full((L, C), (n_val + n_test) // (L * C)), seed, "split_eval"):
+        val += picks[:per_cell_val]
+        test += picks[per_cell_val:]
     return val, test
 
 
 def write_plan_json(report: OverlapReport, path) -> None:
     """plan.json: both subset plans, read back from the overlap report, and the report."""
-    plans = {tag: SubsetPlan(counts=counts, n=report.n, seed=report.seed).to_dict()
-             for tag, counts in (("plan_balanced", report.counts_balanced),
-                                 ("plan_imbalanced", report.counts_imbalanced))}
-    write_json(path, {**plans, "overlap": report.to_dict()})
+    overlap = report.to_dict()
+    plans = {f"plan_{tag}": {"counts": overlap[f"counts_{tag}"], "n": report.n, "seed": report.seed}
+             for tag in ("balanced", "imbalanced")}
+    write_json(path, {**plans, "overlap": overlap})

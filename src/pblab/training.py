@@ -126,12 +126,6 @@ def _labels_and_weights(examples, weights: WeightTable | None):
     return labels, weights.w[langs, labels]
 
 
-def _pack_train(data, mask_id: int):
-    """(ids, lengths, labels) of a training set; ids in the smallest dtype that holds ``mask_id``."""
-    ids, lengths = pack_tokens([ex.tokens for ex in data], mask_id)
-    return ids.astype(np.min_scalar_type(mask_id)), lengths.astype(np.int32), _labels_and_weights(data, None)[0]
-
-
 def _loss_and_grad(head: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.ndarray, lam: float,
                    grads: dict | None = None):
     """Weighted CE + lambda * masked-input entropy of K models, and its exact gradient.
@@ -302,7 +296,9 @@ def train_arms(datasets, val, vocab, configs):
     K, mask_id = len(configs), vocab.size
     # One packed layout holds each distinct dataset once: the imbalanced arms with and without weights share it.
     distinct = {id(data): data for data in datasets}
-    ids, lengths, labels = _pack_train([ex for data in distinct.values() for ex in data], mask_id)
+    pooled = [ex for data in distinct.values() for ex in data]
+    ids, lengths = pack_tokens([ex.tokens for ex in pooled], mask_id)
+    labels = _labels_and_weights(pooled, None)[0]
     offsets = np.array([list(distinct).index(id(data)) * n for data in datasets])[:, None]
     weights = np.stack([
         _labels_and_weights(data, compute_weights(count_cells(data, vocab.n_languages, vocab.n_classes)))[1]

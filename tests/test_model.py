@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from pblab.model import (
     init_params,
     load,
     mean_embeddings,
+    pack_tokens,
     save,
 )
 
@@ -248,6 +250,38 @@ def test_batch_layout_pads_each_arm_after_its_real_rows(with_mask, mask_id):
             expected = [[np.count_nonzero(seqs[s] == r) for r in real[k]] for s in batch[k]]
             assert np.array_equal(counts[k, :, : len(real[k])], expected)
             assert not counts[k, :, len(real[k]) :].any()
+
+
+# ---------------------------------------------------------------- the one token packer
+
+@pytest.mark.parametrize("mask_id, dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+                                            (65_536, np.uint32)])
+def test_pack_tokens_ids_in_the_smallest_dtype_that_holds_the_mask_id(mask_id, dtype):
+    seqs = [(0, mask_id), (mask_id - 1,), (1, 255, mask_id, 0)]
+    ids, lengths = pack_tokens(seqs, mask_id)
+    assert ids.dtype == dtype and lengths.dtype == np.int32
+    assert np.array_equal(ids, np.array(list(itertools.chain.from_iterable(seqs)), dtype=np.int64))
+    assert lengths.tolist() == [2, 1, 4]
+
+
+@pytest.mark.parametrize("mask_id, bad", [(255, -1), (255, 256), (255, 2**70), (1000, -1), (1000, 1001),
+                                          (1000, 2**16 + 5), (1000, 2**70)])
+def test_pack_tokens_rejects_an_id_outside_the_table(mask_id, bad):
+    with pytest.raises(ValueError, match="outside embedding table"):
+        pack_tokens([(0, 1), (2, bad, 3)], mask_id)
+
+
+def test_pack_tokens_memory_is_what_it_keeps():
+    """3 x 60,000 sequences of 4-10 tokens at V = 1,000, about 1.26 M ids: read straight into uint16 (2.5 MB),
+    the pack stays well below the 10 MB an int64 copy of the ids alone would take."""
+    rng = np.random.default_rng(8)
+    seqs = []
+    for _ in range(3):
+        lengths = rng.integers(4, 11, 60_000)
+        seqs += [tuple(t.tolist()) for t in np.split(rng.integers(0, 1000, lengths.sum()), np.cumsum(lengths)[:-1])]
+    peak, (ids, lengths) = traced_peak(lambda: pack_tokens(seqs, 1000))
+    assert ids.dtype == np.uint16 and ids.size > 1_200_000
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------- bounded forward passes and checkpoint reads

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from pblab.corpus import CorpusSpec, generate_corpus
+from pblab.corpus import CorpusSpec, Example, generate_corpus
 from pblab.sampler import JointSpec, plan_counts, preset, sample_paired, split_eval
 
 
@@ -111,11 +113,27 @@ def test_sample_paired_deterministic_and_pool_order_invariant(pool223):
     assert {e.id for e in b1} != {e.id for e in b3}
 
 
+def short_cell_pool(pool223, outside=None):
+    """pool223 with cell (1, 2) cut to 3 examples, plus ``outside`` (an example off the table) at the end."""
+    small = [e for e in pool223 if (e.language, e.label) != (1, 2)]
+    return small + [e for e in pool223 if (e.language, e.label) == (1, 2)][:3] + ([outside] if outside else [])
+
+
 def test_sample_paired_insufficient_pool_names_cell(pool223):
-    small = [e for e in pool223 if not (e.language == 1 and e.label == 2)]
-    small += [e for e in pool223 if e.language == 1 and e.label == 2][:3]
-    with pytest.raises(ValueError, match=r"language=1, label=2"):
-        sample_paired(small, preset("xnli_skew", 2, 3), 60, seed=0)
+    """The short cell's message names its need and its pool size, in both draws."""
+    with pytest.raises(ValueError, match=r"^cell \(language=1, label=2\): need 15 examples, pool has 3$"):
+        sample_paired(short_cell_pool(pool223), preset("xnli_skew", 2, 3), 60, seed=0)
+    with pytest.raises(ValueError, match=r"^cell \(language=1, label=2\): need 7 examples, pool has 3$"):
+        split_eval(short_cell_pool(pool223), 12, 30, seed=0)
+
+
+def test_example_off_the_table_is_rejected_before_a_short_cell(pool223):
+    off = Example(id="off", language=0, label=3, tokens=(1,))
+    with pytest.raises(ValueError, match=r"example off: \(language=0, label=3\) outside the 2x3 table"):
+        sample_paired(short_cell_pool(pool223, off), preset("xnli_skew", 2, 3), 60, seed=0)
+    off = Example(id="off", language=-1, label=0, tokens=(1,))
+    with pytest.raises(ValueError, match=r"example off: \(language=-1, label=0\) outside the 2x3 table"):
+        split_eval(short_cell_pool(pool223, off), 12, 30, seed=0)
 
 
 @pytest.mark.parametrize("name, L, C", [("xnli_skew", 2, 3), ("amazon_skew", 2, 5), ("amazon_skew", 4, 5),
@@ -153,3 +171,18 @@ def test_split_eval_balanced_cells(pool223):
 def test_split_eval_divisibility(pool223):
     with pytest.raises(ValueError, match="divisible"):
         split_eval(pool223, 12, 31, seed=1)
+
+
+def test_draws_of_the_acceptance_corpus_are_pinned():
+    """The ids an acceptance seed draws: split_eval(600, 2400), then the xnli_skew pair of 6,000 from the rest.
+    The hash is of one comma-joined id line per subset (val, test, balanced, imbalanced), newline-joined."""
+    spec = CorpusSpec(n_languages=2, n_classes=3, n_min=4, n_max=10, p_signal=0.18, p_noise=0.10,
+                      fillers_per_language=40, signals_per_language_class=8, seed=0)
+    _, pool = generate_corpus(spec, 2020)
+    val, test = split_eval(pool, 600, 2400, seed=0)
+    held_out = {e.id for e in val + test}
+    balanced, imbalanced, _ = sample_paired([e for e in pool if e.id not in held_out], preset("xnli_skew", 2, 3),
+                                            6000, seed=0)
+    lines = "\n".join(",".join(e.id for e in subset) for subset in (val, test, balanced, imbalanced))
+    assert hashlib.sha256(lines.encode()).hexdigest() == \
+        "e6644d6e97a218bbb75e220d6b54d1c7115b6cbd735f9bf65f93858ea84f9c19"
