@@ -60,8 +60,10 @@ class Vocab:
         return self.filler_sets is not None and self.signal_sets is not None
 
     def validate(self) -> None:
-        if len(set(self.token_strings)) != len(self.token_strings):
-            raise ValueError("token strings must be distinct")
+        for key, names in (("tokens", self.token_strings), ("languages", self.lang_names),
+                           ("labels", self.label_names)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"vocabulary {key!r} must hold distinct names")
         if not self.has_ground_truth:
             return
         seen = set()

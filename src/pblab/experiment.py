@@ -108,7 +108,7 @@ _JSON_TYPES = {
 }
 
 JOINT_FORMS = (f"{{'preset': one of {list(sampler_mod.PRESETS)}}} or "
-               "{'probs': L x C table of numbers, 'uniform_marginals': true (default) or false}")
+               "{'probs': L x C table of numbers, each row summing to 1/L and each column to 1/C}")
 
 
 def _default(f):
@@ -153,15 +153,13 @@ def _joint_table(joint) -> sampler_mod.JointSpec | None:
     """The checked table of a `joint` section, or None when it names a preset."""
     if type(joint) is dict and set(joint) == {"preset"} and joint["preset"] in sampler_mod.PRESETS:
         return None
+    probs = joint["probs"] if type(joint) is dict and set(joint) == {"probs"} else None
     number = _JSON_TYPES[float][0]
-    if type(joint) is dict and "probs" in joint and set(joint) <= {"probs", "uniform_marginals"}:
-        probs, uniform = joint["probs"], joint.get("uniform_marginals", True)
-        if (type(probs) is list and probs and type(uniform) is bool
-                and all(type(row) is list and len(row) == len(probs[0]) and all(map(number, row))
-                        for row in probs)):
-            spec = sampler_mod.JointSpec(probs=np.array(probs, dtype=float), uniform_marginals=uniform)
-            spec.validate()
-            return spec
+    if type(probs) is list and probs and all(type(row) is list and len(row) == len(probs[0]) and all(map(number, row))
+                                             for row in probs):
+        spec = sampler_mod.JointSpec(probs=np.array(probs, dtype=float))
+        spec.validate()
+        return spec
     raise ValueError(f"config section 'joint' must be {JOINT_FORMS}, got {joint!r}")
 
 
@@ -230,7 +228,17 @@ def _check_corpus_shape(config: ExperimentConfig, L: int, C: int) -> sampler_mod
                          "one datapoint per language")
     if "path" not in config.corpus and config.probe["holdout_per_language"] < C:
         raise ValueError(f"config value 'probe.holdout_per_language' must be at least n_classes={C}")
-    return joint_from_config(config.joint, L, C)
+    joint = joint_from_config(config.joint, L, C)
+    try:
+        plans = {"balanced": sampler_mod.plan_counts(sampler_mod.preset("uniform", L, C), config.train_size),
+                 "imbalanced": sampler_mod.plan_counts(joint, config.train_size)}
+    except ValueError as e:
+        raise ValueError(f"config value 'train_size': {e}") from None
+    for arm, (subset, weighting, _) in ARMS.items():
+        if weighting != "none" and (plans[subset].counts == 0).any():
+            raise ValueError(f"config value 'train_size'={config.train_size} leaves a cell of the {subset} plan "
+                             f"empty, and arm {arm!r} weights by cell ({weighting!r})")
+    return joint
 
 
 def config_schema() -> dict:

@@ -12,6 +12,7 @@ as a flat little-endian float32 payload in declared order.
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -126,8 +127,8 @@ def pack_tokens(sequences, mask_id: int):
     """The token layout of every pass: flat ids in the smallest dtype that holds ``mask_id``, and int32 lengths.
 
     This is the one token-id range check: no sequence may be empty and every id must index the embedding
-    table (the mask id included). Ids go straight into the narrow dtype, with no int64 copy; numpy 2 raises
-    on a Python int that dtype cannot hold, such as a negative id.
+    table (the mask id included). ``operator.index`` refuses a float or a string and makes each id a Python int,
+    which numpy 2 reads straight into the narrow dtype (no int64 copy) and refuses when it does not fit, such as -1.
     """
     lengths = np.array([len(s) for s in sequences], dtype=np.int32)
     if lengths.size == 0:
@@ -135,7 +136,10 @@ def pack_tokens(sequences, mask_id: int):
     if (lengths == 0).any():
         raise ValueError("empty token sequence")
     try:
-        ids = np.fromiter(chain.from_iterable(sequences), dtype=np.min_scalar_type(mask_id), count=int(lengths.sum()))
+        ids = np.fromiter(map(operator.index, chain.from_iterable(sequences)), dtype=np.min_scalar_type(mask_id),
+                          count=int(lengths.sum()))
+    except TypeError as e:
+        raise ValueError(f"token id must be an integer: {e}") from None
     except OverflowError:
         raise ValueError("token id outside embedding table") from None
     if ids.max() > mask_id:

@@ -13,20 +13,15 @@ from .jsonio import write_json
 from .seeds import derive_rng
 
 PRESETS = ("uniform", "amazon_skew", "xnli_skew")
-SUM_TOL = 1e-9  # absolute tolerance on the table's total and (with np.allclose's default relative 1e-5) its marginals
+SUM_TOL = 1e-9  # absolute tolerance on the table's total and (with a relative 1e-5) on its marginals
 
 
 @dataclass(frozen=True)
 class JointSpec:
-    """An L x C probability table over (language, label) pairs.
-
-    With ``uniform_marginals`` (the default), every language row must sum
-    to 1/L and every label column to 1/C: the joint is skewed but both
-    marginals stay uniform.
-    """
+    """An L x C probability table over (language, label) pairs whose every language row sums to 1/L and
+    every label column to 1/C: the joint is skewed but both marginals stay uniform."""
 
     probs: np.ndarray
-    uniform_marginals: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
@@ -39,10 +34,10 @@ class JointSpec:
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(p.sum() - 1.0) > SUM_TOL:
             raise ValueError("probabilities must sum to 1")
-        if self.uniform_marginals:
-            for axis, name in ((1, "language"), (0, "label")):
-                if not np.allclose(p.sum(axis=axis), 1.0 / p.shape[1 - axis], 1e-5, SUM_TOL):
-                    raise ValueError(f"{name} marginal is not uniform")
+        for axis, name in ((1, "language"), (0, "label")):
+            share = 1.0 / p.shape[1 - axis]
+            if (abs(p.sum(axis=axis) - share) > SUM_TOL + 1e-5 * share).any():  # np.allclose's test, at rtol 1e-5
+                raise ValueError(f"{name} marginal is not uniform")
 
 
 @dataclass(frozen=True)
@@ -86,30 +81,20 @@ def preset(name: str, n_languages: int, n_classes: int) -> JointSpec:
 
 
 def plan_counts(spec: JointSpec, n: int) -> SubsetPlan:
-    """Round n*probs to integers by largest remainder within each language row.
-
-    Each language row is rounded against its own exact total n/L, so the
-    language marginal of the plan is exact. With ``uniform_marginals`` set,
-    n must be divisible by L.
-    """
+    """Round n*probs to integers, each language row by largest remainder, ties to the lower label. Row l's
+    targets are (n/L)*p_l/sum(p_l), so each row sums to exactly n/L and the plan to n by construction. n must
+    be divisible by L, at least L*C, and at most 2**53, up to which a float64 holds every integer target."""
     spec.validate()
     L, C = spec.probs.shape
-    if n < L * C:
-        raise ValueError(f"n={n} too small for {L}x{C} cells")
-    if spec.uniform_marginals and n % L != 0:
+    if not L * C <= n <= 2**53:
+        raise ValueError(f"n={n} must be between L*C={L * C} and 2**53")
+    if n % L != 0:
         raise ValueError(f"n={n} not divisible by L={L}; exact language marginals are required")
-    counts = np.zeros((L, C), dtype=int)
-    for lang in range(L):
-        target = n * spec.probs[lang]
-        row_total = int(round(target.sum()))
-        base = np.floor(target).astype(int)
-        remainder = row_total - base.sum()
-        # Ties broken by column index: stable sort on descending fraction.
-        order = np.argsort(-(target - base), kind="stable")
-        base[order[:remainder]] += 1
-        counts[lang] = base
-    assert counts.sum() == n
-    return SubsetPlan(counts)
+    target = (n // L) * spec.probs / spec.probs.sum(axis=1, keepdims=True)
+    base = np.floor(target).astype(int)
+    # Each row's remainder goes to its largest fractions: a stable sort on descending fraction ranks the columns.
+    rank = np.argsort(np.argsort(base - target, axis=1, kind="stable"), axis=1)
+    return SubsetPlan(base + (rank < (n // L - base.sum(axis=1, keepdims=True))))
 
 
 def _cell_draws(pool, L: int, C: int, need, seed: int, stream: str):

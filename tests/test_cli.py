@@ -102,8 +102,12 @@ def test_eval_checkpoint_without_dims_exits_1(corpus_dir, tmp_path, capsys):
     lambda v: {**v, "filler_sets": 5},
     lambda v: {**v, "filler_sets": v["filler_sets"][:1]},
     lambda v: {**v, "signal_sets": [[["x"]]] * len(v["signal_sets"])},
+    lambda v: {**v, "tokens": [v["tokens"][0]] * len(v["tokens"])},
+    lambda v: {**v, "languages": ["x", "x"]},
+    lambda v: {**v, "labels": ["1", 1, "2"]},
 ], ids=["list", "empty object", "tokens str", "languages null", "labels nested",
-        "filler_sets int", "filler_sets short", "signal_sets str ids"])
+        "filler_sets int", "filler_sets short", "signal_sets str ids", "tokens repeated", "languages repeated",
+        "labels repeated as str and int"])
 def test_sample_malformed_vocab_exits_1(corpus_dir, tmp_path, capsys, mutate):
     vocab = json.loads((corpus_dir / "vocab.json").read_text())
     bad = tmp_path / "v.json"
@@ -127,6 +131,20 @@ def test_sample_mistyped_record_exits_1(corpus_dir, tmp_path, capsys):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["type"] == "ValueError" and "'lang' must be a string" in record["error"]
+
+
+def test_sample_joint_with_a_second_form_key_exits_1_before_any_output(corpus_dir, tmp_path, capsys):
+    """The joint table has one form: a `uniform_marginals` key is rejected like any other unknown key."""
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps({"probs": [[1 / 6] * 3] * 2, "uniform_marginals": False}))
+    rc = main(["sample", "--data", str(corpus_dir / "corpus.jsonl"), "--joint", str(joint), "--n", "12",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and "config section 'joint' must be" in record["error"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_print_schema(capsys):

@@ -263,6 +263,9 @@ def test_config_validation_errors(tmp_path):
     {"train": {"val_every": 1}},
     {"explain": {"exact_limit": 17}},
     {"explain": {"max_datapoints": 1}},
+    {"joint": {"probs": [[1 / 4, 1 / 6, 1 / 12], [1 / 12, 1 / 6, 1 / 4]], "uniform_marginals": True}},
+    {"train_size": 7},
+    {"train_size": 6},
 ], ids=["top-level list", "seeds int", "seeds float", "train int", "explain list", "probe str",
         "corpus int", "joint list", "train_size list", "train.epochs str", "train.batch_size bool",
         "probe.l2 str", "explain.target_labels int", "probe.max_iters unknown",
@@ -270,7 +273,8 @@ def test_config_validation_errors(tmp_path):
         "joint.probs str", "joint empty", "joint.preset unknown", "train.epochs negative",
         "explain.theta negative", "probe.k 0", "seeds repeated", "explain.target_labels repeated",
         "explain.target_labels >= n_classes", "val_size not divisible by L*C", "train.val_every unknown",
-        "explain.exact_limit 17", "explain.max_datapoints below n_languages"])
+        "explain.exact_limit 17", "explain.max_datapoints below n_languages", "joint uniform_marginals",
+        "train_size not divisible by L", "train_size leaves an xnli_skew cell empty"])
 def test_config_malformed_values_rejected(tmp_path, raw):
     """A malformed config value is a ValueError naming it at load, never a TypeError or a failed seed."""
     if isinstance(raw, dict):

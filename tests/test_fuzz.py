@@ -1,4 +1,5 @@
-"""Seeded byte-mutation fuzzing of every input loader: only ValueError may escape.
+"""Seeded byte-mutation fuzzing of every input loader, and random joint tables through the sampler: only
+ValueError may escape.
 
 Each target file is written once from valid data, then mutated many times
 (bytes flipped, deleted, inserted, spans cut or replaced by JSON fragments)
@@ -8,6 +9,7 @@ with a stdlib ``random.Random``; every mutant is fed to its loader.
 import json
 import random
 
+import numpy as np
 import pytest
 
 from pblab.corpus import CorpusSpec, generate_corpus, load_jsonl, load_vocab, save_jsonl, save_vocab
@@ -15,6 +17,7 @@ from pblab.experiment import load_config
 from pblab.model import init_params
 from pblab.model import load as load_checkpoint
 from pblab.model import save as save_checkpoint
+from pblab.sampler import JointSpec, plan_counts, sample_paired
 from pblab.seeds import derive_rng
 
 TRIALS = 2000
@@ -86,3 +89,54 @@ def test_mutated_input_raises_only_value_error(inputs, tmp_path, name):
             pass
         except Exception as e:  # anything else breaks the input contract
             pytest.fail(f"trial {trial}: {type(e).__name__}: {e}\nmutant: {mutant[:400]!r}")
+
+
+def uniform_marginal_table(rng, L: int, C: int):
+    """A random L x C table with both marginals uniform: 1/(L*C) plus a scaled outer product u v^T of two
+    zero-sum vectors, which moves no row or column sum; the scale makes the smallest cell 0 at most."""
+    u, v = rng.standard_normal(L), rng.standard_normal(C)
+    skew = np.outer(u - u.mean(), v - v.mean())
+    return 1 / (L * C) - rng.random() * skew / (L * C * max(skew.max(), 1e-12))
+
+
+def nudged(rng, probs):
+    """``probs`` with each language row shifted, spread evenly over its labels, by up to about twice the 1e-5
+    relative tolerance of validate; the shifts sum to 0, so the total and the label marginal stay put."""
+    L, C = probs.shape
+    shift = rng.uniform(-2e-5, 2e-5, L) / L
+    return probs + (shift - shift.mean())[:, None] / C
+
+
+def test_fuzzed_joint_tables_plan_exact_rows_or_raise_value_error():
+    """Seeded random uniform-marginal tables, nudged around the tolerance, at random n: a plan's every row
+    sums to exactly n/L, or plan_counts raises ValueError; sample_paired on a small pool raises only ValueError."""
+    rng = derive_rng(0, "fuzz", "plan")
+    pools = {}
+    planned = drawn = 0
+    for trial in range(TRIALS // 4):
+        L, C = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        probs = uniform_marginal_table(rng, L, C)
+        spec = JointSpec(nudged(rng, probs) if rng.random() < 0.5 else probs)
+        for top in (20, 10**6, 2**53 // L + 2):  # a multiple of L, or one more, up to just past 2**53
+            n = L * int(rng.integers(0, top)) + int(rng.random() < 0.2)
+            try:
+                counts = plan_counts(spec, n).counts
+            except ValueError:
+                continue
+            assert n % L == 0 and (counts >= 0).all(), (trial, n)
+            assert counts.sum(axis=1).tolist() == [n // L] * L, (trial, n, spec.probs.tolist())
+            planned += 1
+        if (L, C) not in pools:
+            pools[L, C] = generate_corpus(CorpusSpec(n_languages=L, n_classes=C, n_min=1, n_max=2, p_signal=0.5,
+                                                     fillers_per_language=2, signals_per_language_class=1), 6)[1]
+        n = int(rng.integers(0, 8 * L * C))
+        try:
+            balanced, imbalanced, report = sample_paired(pools[L, C], spec, n, seed=trial)
+        except ValueError:
+            continue
+        except Exception as e:  # anything else breaks the input contract
+            pytest.fail(f"trial {trial}: sample_paired at n={n}: {type(e).__name__}: {e}\n{spec.probs.tolist()}")
+        assert len(balanced) == len(imbalanced) == n and report.overlap_achieved == report.overlap_max
+        drawn += 1
+    # The targets reach the planner and the draw, not only their errors.
+    assert planned > TRIALS // 4 and drawn > TRIALS // 50

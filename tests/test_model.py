@@ -265,10 +265,25 @@ def test_pack_tokens_ids_in_the_smallest_dtype_that_holds_the_mask_id(mask_id, d
 
 
 @pytest.mark.parametrize("mask_id, bad", [(255, -1), (255, 256), (255, 2**70), (1000, -1), (1000, 1001),
-                                          (1000, 2**16 + 5), (1000, 2**70)])
+                                          (1000, 2**16 + 5), (1000, 2**70), (255, np.int64(-1)),
+                                          (255, np.uint16(300)), (1000, np.int64(-1)), (1000, np.uint32(2**16 + 5))])
 def test_pack_tokens_rejects_an_id_outside_the_table(mask_id, bad):
     with pytest.raises(ValueError, match="outside embedding table"):
         pack_tokens([(0, 1), (2, bad, 3)], mask_id)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", np.float64(3.0), None])
+def test_pack_tokens_rejects_an_id_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match="token id must be an integer"):
+        pack_tokens([(0, 1), (2, bad, 3)], 255)
+
+
+@pytest.mark.parametrize("token", [np.int64(3), np.uint8(3), np.uint16(3), np.int32(3)])
+def test_pack_tokens_packs_a_numpy_integer_like_a_python_int(token):
+    ids, lengths = pack_tokens([(1, token)], 255)
+    expected_ids, expected_lengths = pack_tokens([(1, 3)], 255)
+    assert ids.dtype == expected_ids.dtype and np.array_equal(ids, expected_ids)
+    assert np.array_equal(lengths, expected_lengths)
 
 
 def test_pack_tokens_memory_is_what_it_keeps():

@@ -54,8 +54,6 @@ def test_joint_spec_marginal_validation():
     bad = JointSpec(probs=np.array([[0.5, 0.1], [0.2, 0.2]]))
     with pytest.raises(ValueError):
         bad.validate()
-    # same table allowed when the uniform-marginal requirement is relaxed
-    JointSpec(probs=np.array([[0.5, 0.1], [0.2, 0.2]]), uniform_marginals=False).validate()
 
 
 def test_plan_counts_uniform():
@@ -84,6 +82,45 @@ def test_plan_counts_rows_exact_with_rounding():
 def test_plan_counts_divisibility_error():
     with pytest.raises(ValueError, match="divisible"):
         plan_counts(preset("uniform", 2, 3), 61)
+
+
+@pytest.mark.parametrize("n", [5, 2**53 + 2])
+def test_plan_counts_size_bounds(n):
+    with pytest.raises(ValueError, match="between L\\*C=6 and 2\\*\\*53"):
+        plan_counts(preset("uniform", 2, 3), n)
+
+
+PINNED_PRESETS = [("uniform", 2, 3), ("xnli_skew", 2, 3), ("amazon_skew", 2, 5), ("amazon_skew", 4, 5),
+                  ("amazon_skew", 6, 5), ("uniform", 3, 4)]
+
+
+def test_preset_plans_are_pinned():
+    """Every preset plan at every n divisible by L from L*C to 20,000: the sha256 of the counts, each plan
+    as little-endian int64 bytes in order, is the one the per-language rounding loop gave."""
+    digest = hashlib.sha256()
+    for name, L, C in PINNED_PRESETS:
+        spec = preset(name, L, C)
+        for n in range(L * C, 20_001, L):
+            digest.update(plan_counts(spec, n).counts.astype("<i8").tobytes())
+    assert digest.hexdigest() == "5fc75c28185d35c49a11d6ba82a06b15e5cb61dce7c99ad8a0a3f27f52abf8f2"
+
+
+def off_by(n):
+    """A 3 x 2 table that passes validate, its rows off 1/3 by +0.4/n, +0.4/n and -0.8/n; each row rounded on
+    its own to round(n * row sum) would give 1,000,000, 1,000,000 and 999,999 at n = 3,000,000."""
+    rows = np.array([1 / 3 + 0.4 / n, 1 / 3 + 0.4 / n, 1 / 3 - 0.8 / n])
+    spec = JointSpec(np.repeat(rows[:, None] / 2, 2, axis=1))
+    spec.validate()
+    return spec
+
+
+@pytest.mark.parametrize("spec, n", [(off_by(3_000_000), 3_000_000), (off_by(300_000), 300_000),
+                                     (off_by(3_000_000), 3_000_003), (preset("amazon_skew", 6, 5), 6 * 10**9),
+                                     (preset("uniform", 3, 4), 2**53 - 2)])
+def test_plan_rows_are_exact(spec, n):
+    L = spec.probs.shape[0]
+    counts = plan_counts(spec, n).counts
+    assert (counts >= 0).all() and counts.sum(axis=1).tolist() == [n // L] * L
 
 
 def test_sample_paired_uniform_identical(pool223):
