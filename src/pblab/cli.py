@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", default=None)
     for f in fields(training_mod.TrainConfig):  # one flag per field, defaulting to the field's default
         p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default,
-                       choices=training_mod.WEIGHTINGS if f.name == "weighting" else None)
+                       choices=list(training_mod.WEIGHTINGS) if f.name == "weighting" else None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 

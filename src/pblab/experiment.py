@@ -31,7 +31,7 @@ from . import probe as probe_mod
 from . import sampler as sampler_mod
 from . import training as training_mod
 from .jsonio import write_csv, write_json
-from .seeds import derive_int
+from .seeds import check_root_seed, derive_int
 
 # The arms, the only place they are defined: name -> (the sample_paired subset it trains on, its
 # training.WEIGHTINGS mode, the stem of its shapdiff report against the first row, the reference arm).
@@ -189,6 +189,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ValueError("seeds must be a non-empty list of distinct ints")
+        for seed in self.seeds:
+            check_root_seed(seed)
         if min(self.train_size, self.val_size, self.test_size) < 1:
             raise ValueError("train_size, val_size and test_size must be >= 1")
 
@@ -229,15 +231,13 @@ def _check_corpus_shape(config: ExperimentConfig, L: int, C: int) -> sampler_mod
     if "path" not in config.corpus and config.probe["holdout_per_language"] < C:
         raise ValueError(f"config value 'probe.holdout_per_language' must be at least n_classes={C}")
     joint = joint_from_config(config.joint, L, C)
-    try:
-        plans = {"balanced": sampler_mod.plan_counts(sampler_mod.preset("uniform", L, C), config.train_size),
-                 "imbalanced": sampler_mod.plan_counts(joint, config.train_size)}
-    except ValueError as e:
-        raise ValueError(f"config value 'train_size': {e}") from None
-    for arm, (subset, weighting, _) in ARMS.items():
-        if weighting != "none" and (plans[subset].counts == 0).any():
-            raise ValueError(f"config value 'train_size'={config.train_size} leaves a cell of the {subset} plan "
-                             f"empty, and arm {arm!r} weights by cell ({weighting!r})")
+    joints = {"balanced": sampler_mod.preset("uniform", L, C), "imbalanced": joint}
+    for arm, (subset, weighting, _) in ARMS.items():  # each arm's plan, and its weights on that plan
+        try:
+            training_mod.WEIGHTINGS[weighting](sampler_mod.plan_counts(joints[subset], config.train_size))
+        except ValueError as e:
+            raise ValueError(f"config value 'train_size'={config.train_size}, arm {arm!r} ({weighting!r}): "
+                             f"{e}") from None
     return joint
 
 

@@ -89,16 +89,14 @@ class ForwardOutput:
     pooled: np.ndarray  # (h,) post-tanh hidden representation
 
 
-def init_params(vocab_size: int, n_classes: int, embed_dim: int = DEFAULT_DIM, hidden_dim: int = DEFAULT_DIM,
-                rng: np.random.Generator | None = None) -> ModelParams:
+def init_params(vocab_size: int, n_classes: int, embed_dim: int = DEFAULT_DIM, hidden_dim: int = DEFAULT_DIM, *,
+                rng: np.random.Generator) -> ModelParams:
     """Fresh parameters: zero embeddings, random hidden/output weights, zero biases.
 
     Zero embeddings make every input indistinguishable at initialization
     (uniform output probabilities), so any structure the latent space
     acquires is attributable to training.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     return ModelParams(
         embedding=np.zeros((vocab_size + 1, embed_dim)),
         hidden_w=rng.normal(0.0, 1.0 / np.sqrt(embed_dim), size=(embed_dim, hidden_dim)),

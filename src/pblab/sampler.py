@@ -40,16 +40,6 @@ class JointSpec:
                 raise ValueError(f"{name} marginal is not uniform")
 
 
-@dataclass(frozen=True)
-class SubsetPlan:
-    """Integer per-cell counts of one subset."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=int))
-
-
 def preset(name: str, n_languages: int, n_classes: int) -> JointSpec:
     """Built-in joint distributions.
 
@@ -80,10 +70,11 @@ def preset(name: str, n_languages: int, n_classes: int) -> JointSpec:
     return spec
 
 
-def plan_counts(spec: JointSpec, n: int) -> SubsetPlan:
-    """Round n*probs to integers, each language row by largest remainder, ties to the lower label. Row l's
-    targets are (n/L)*p_l/sum(p_l), so each row sums to exactly n/L and the plan to n by construction. n must
-    be divisible by L, at least L*C, and at most 2**53, up to which a float64 holds every integer target."""
+def plan_counts(spec: JointSpec, n: int) -> np.ndarray:
+    """The (L, C) int64 cell counts of one subset: n*probs rounded to integers, each language row by largest
+    remainder, ties to the lower label. Row l's targets are (n/L)*p_l/sum(p_l), so each row sums to exactly n/L
+    and the plan to n by construction. n must be divisible by L, at least L*C, and at most 2**53, up to which a
+    float64 holds every integer target."""
     spec.validate()
     L, C = spec.probs.shape
     if not L * C <= n <= 2**53:
@@ -91,10 +82,10 @@ def plan_counts(spec: JointSpec, n: int) -> SubsetPlan:
     if n % L != 0:
         raise ValueError(f"n={n} not divisible by L={L}; exact language marginals are required")
     target = (n // L) * spec.probs / spec.probs.sum(axis=1, keepdims=True)
-    base = np.floor(target).astype(int)
+    base = np.floor(target).astype(np.int64)
     # Each row's remainder goes to its largest fractions: a stable sort on descending fraction ranks the columns.
     rank = np.argsort(np.argsort(base - target, axis=1, kind="stable"), axis=1)
-    return SubsetPlan(base + (rank < (n // L - base.sum(axis=1, keepdims=True))))
+    return base + (rank < (n // L - base.sum(axis=1, keepdims=True)))
 
 
 def _cell_draws(pool, L: int, C: int, need, seed: int, stream: str):
@@ -144,18 +135,18 @@ def sample_paired(pool, spec_imbal: JointSpec, n: int, seed: int = 0):
     L, C = spec_imbal.probs.shape
     plan_bal = plan_counts(preset("uniform", L, C), n)
     plan_imb = plan_counts(spec_imbal, n)
-    need = np.maximum(plan_bal.counts, plan_imb.counts)
+    need = np.maximum(plan_bal, plan_imb)
     balanced, imbalanced = [], []
-    for cell, nb, ni in zip(_cell_draws(pool, L, C, need, seed, "sampler"), plan_bal.counts.flat, plan_imb.counts.flat):
+    for cell, nb, ni in zip(_cell_draws(pool, L, C, need, seed, "sampler"), plan_bal.flat, plan_imb.flat):
         # Both subsets are prefixes of one permutation, so they share min(nb, ni) examples and nest.
         balanced += cell[:nb]
         imbalanced += cell[:ni]
 
     overlap_ids = {ex.id for ex in balanced} & {ex.id for ex in imbalanced}
     report = OverlapReport(
-        counts_balanced=plan_bal.counts,
-        counts_imbalanced=plan_imb.counts,
-        overlap_max=int(np.minimum(plan_bal.counts, plan_imb.counts).sum()),
+        counts_balanced=plan_bal,
+        counts_imbalanced=plan_imb,
+        overlap_max=int(np.minimum(plan_bal, plan_imb).sum()),
         overlap_achieved=len(overlap_ids),
         n=n,
         seed=seed,

@@ -10,6 +10,14 @@ import hashlib
 import numpy as np
 
 
+def check_root_seed(seed: int) -> int:
+    """``seed`` as an int, or a ValueError unless it is a root seed: an integer in [0, 2**64), the one 64-bit
+    word of every stream's entropy, so that no two root seeds share their streams."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed {seed} must be in [0, 2**64)")
+    return int(seed)
+
+
 def derive_seed_sequence(root_seed: int, *path) -> np.random.SeedSequence:
     """Build a SeedSequence for ``root_seed`` qualified by a name path.
 
@@ -19,7 +27,7 @@ def derive_seed_sequence(root_seed: int, *path) -> np.random.SeedSequence:
     key = "/".join(str(p) for p in path)
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.SeedSequence([int(root_seed) & 0xFFFFFFFFFFFFFFFF, *words])
+    return np.random.SeedSequence([check_root_seed(root_seed), *words])
 
 
 def derive_rng(root_seed: int, *path) -> np.random.Generator:

@@ -33,16 +33,6 @@ from .seeds import derive_rng
 PROB_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Per-(language, label) loss weights, rows = languages."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-
-
 def count_cells(examples, n_languages: int, n_classes: int) -> np.ndarray:
     counts = np.zeros((n_languages, n_classes), dtype=int)
     for ex in examples:
@@ -50,8 +40,8 @@ def count_cells(examples, n_languages: int, n_classes: int) -> np.ndarray:
     return counts
 
 
-def compute_weights(counts) -> WeightTable:
-    """w[l, c] = n_l / (C * n[l, c]).
+def compute_weights(counts) -> np.ndarray:
+    """The (L, C) float64 loss weights w[l, c] = n_l / (C * n[l, c]) of an (L, C) table of cell counts.
 
     For every language, sum_c n[l,c] * w[l,c] = n_l, so weighting preserves
     each language's total loss mass. A uniform table gives all weights 1.
@@ -66,10 +56,11 @@ def compute_weights(counts) -> WeightTable:
         raise ValueError(f"cell (language={bad[0]}, label={bad[1]}) has no examples; weight undefined")
     n_l = counts.sum(axis=1, keepdims=True)
     C = counts.shape[1]
-    return WeightTable(w=n_l / (C * counts))
+    return n_l / (C * counts)
 
 
-WEIGHTINGS = ("none", "per_language")
+# Each weighting mode: the function from an arm's (L, C) cell counts to its (L, C) loss weights.
+WEIGHTINGS = {"none": lambda counts: np.ones(np.shape(counts)), "per_language": compute_weights}
 
 
 @dataclass
@@ -118,12 +109,12 @@ HEAD_FIELDS = PARAM_FIELDS[1:]  # every parameter array but the embedding table
 LOCKSTEP_FIELDS = ("epochs", "batch_size", "lr", "mask_entropy_coeff", "embed_dim", "hidden_dim")
 
 
-def _labels_and_weights(examples, weights: WeightTable | None):
+def _labels_and_weights(examples, weights: np.ndarray | None):
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
     if weights is None:
         return labels, np.ones(labels.size)
     langs = np.array([ex.language for ex in examples], dtype=np.int64)
-    return labels, weights.w[langs, labels]
+    return labels, weights[langs, labels]
 
 
 def _loss_and_grad(head: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.ndarray, lam: float,
@@ -223,7 +214,7 @@ def _packed_loss(table: np.ndarray, mask_id: int, head: dict, ids, lengths, labe
     return values
 
 
-def loss(params: ModelParams, batch_examples, weights: WeightTable | None = None,
+def loss(params: ModelParams, batch_examples, weights: np.ndarray | None = None,
          mask_entropy_coeff: float = TrainConfig.mask_entropy_coeff) -> float:
     """Scalar training loss on a batch of examples."""
     ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
@@ -300,11 +291,9 @@ def train_arms(datasets, val, vocab, configs):
     ids, lengths = pack_tokens([ex.tokens for ex in pooled], mask_id)
     labels = _labels_and_weights(pooled, None)[0]
     offsets = np.array([list(distinct).index(id(data)) * n for data in datasets])[:, None]
-    weights = np.stack([
-        _labels_and_weights(data, compute_weights(count_cells(data, vocab.n_languages, vocab.n_classes)))[1]
-        if config.weighting == "per_language" else np.ones(n)
-        for data, config in zip(datasets, configs)
-    ])
+    cells = [count_cells(data, vocab.n_languages, vocab.n_classes) for data in datasets]
+    weights = np.stack([_labels_and_weights(data, WEIGHTINGS[config.weighting](counts))[1]
+                        for data, config, counts in zip(datasets, configs, cells)])
     val_ids, val_lengths = pack_tokens([ex.tokens for ex in val], mask_id)
     val_labels = _labels_and_weights(val, None)[0]
 
@@ -477,7 +466,7 @@ class GradCheckResult:
     n_checked: int
 
 
-def grad_check(params: ModelParams, batch_examples, weights: WeightTable | None = None,
+def grad_check(params: ModelParams, batch_examples, weights: np.ndarray | None = None,
                mask_entropy_coeff: float = TrainConfig.mask_entropy_coeff, n_samples: int = 150,
                step: float = 1e-4, seed: int = 0) -> GradCheckResult:
     """Compare the analytic gradient of a training step to central finite differences.

@@ -45,23 +45,23 @@ def random_model(vocab_size, n_classes, seed, d=4, h=4):
 
 def test_criterion_01_weights():
     plan_amz = plan_counts(preset("amazon_skew", 2, 5), 150)
-    w_amz = compute_weights(plan_amz.counts)
-    ok = np.allclose(w_amz.w[0], [3.0, 1.5, 1.0, 0.75, 0.6], atol=1e-9)
-    ok &= np.allclose(w_amz.w[1], [0.6, 0.75, 1.0, 1.5, 3.0], atol=1e-9)
+    w_amz = compute_weights(plan_amz)
+    ok = np.allclose(w_amz[0], [3.0, 1.5, 1.0, 0.75, 0.6], atol=1e-9)
+    ok &= np.allclose(w_amz[1], [0.6, 0.75, 1.0, 1.5, 3.0], atol=1e-9)
 
     plan_xnli = plan_counts(preset("xnli_skew", 2, 3), 72)
-    w_xnli = compute_weights(plan_xnli.counts)
-    ok &= np.allclose(w_xnli.w[0], [2 / 3, 1.0, 2.0], atol=1e-9)
-    ok &= np.allclose(w_xnli.w[1], [2.0, 1.0, 2 / 3], atol=1e-9)
+    w_xnli = compute_weights(plan_xnli)
+    ok &= np.allclose(w_xnli[0], [2 / 3, 1.0, 2.0], atol=1e-9)
+    ok &= np.allclose(w_xnli[1], [2.0, 1.0, 2 / 3], atol=1e-9)
 
     w_uni = compute_weights(np.full((4, 6), 13))
-    ok &= np.allclose(w_uni.w, 1.0, atol=1e-9)
+    ok &= np.allclose(w_uni, 1.0, atol=1e-9)
 
     rng = np.random.default_rng(1)
     for _ in range(10):
         counts = rng.integers(1, 40, size=(3, 4))
         w = compute_weights(counts)
-        ok &= bool(np.allclose((counts * w.w).sum(axis=1), counts.sum(axis=1), atol=1e-9))
+        ok &= bool(np.allclose((counts * w).sum(axis=1), counts.sum(axis=1), atol=1e-9))
     check(1, "per-language class weights", ok)
 
 
@@ -122,9 +122,9 @@ def test_criterion_03_shapley_oracles():
 
 def test_criterion_04_sampler():
     plan = plan_counts(preset("xnli_skew", 2, 3), 60)
-    ok = plan.counts.tolist() == [[15, 10, 5], [5, 10, 15]]
-    ok &= plan.counts.sum(axis=1).tolist() == [30, 30]
-    ok &= plan.counts.sum(axis=0).tolist() == [20, 20, 20]
+    ok = plan.tolist() == [[15, 10, 5], [5, 10, 15]]
+    ok &= plan.sum(axis=1).tolist() == [30, 30]
+    ok &= plan.sum(axis=0).tolist() == [20, 20, 20]
 
     spec = CorpusSpec(n_languages=2, n_classes=3, n_min=3, n_max=6, p_signal=0.4,
                       p_noise=0.1, seed=40)

@@ -147,6 +147,16 @@ def test_sample_joint_with_a_second_form_key_exits_1_before_any_output(corpus_di
     assert not (tmp_path / "out").exists()
 
 
+def test_gen_corpus_negative_seed_exits_1_before_any_output(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["gen-corpus", "--per-cell", "4", "--seed", "-1", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and "seed -1 must be in [0, 2**64)" in record["error"]
+    assert not out.exists()
+
+
 def test_experiment_print_schema(capsys):
     rc = main(["experiment", "--print-schema"])
     assert rc == 0

@@ -7,6 +7,7 @@ from pblab.corpus import load_jsonl, load_vocab
 from pblab.experiment import WEIGHT_FIELDS, ExperimentConfig, run_experiment
 from pblab.model import load as load_checkpoint
 from pblab.sampler import preset, sample_paired
+from pblab.seeds import derive_int
 
 
 CORPUS = {"n_languages": 2, "n_classes": 3, "n_min": 3, "n_max": 7,
@@ -109,7 +110,6 @@ def test_cli_and_experiment_share_the_stages(tiny_run, tmp_path, capsys):
     from pblab.cli import main
     from pblab.corpus import save_jsonl
     from pblab.sampler import split_eval
-    from pblab.seeds import derive_int
 
     config, out, _ = tiny_run
     seed_dir = out / "seed_0"
@@ -266,6 +266,8 @@ def test_config_validation_errors(tmp_path):
     {"joint": {"probs": [[1 / 4, 1 / 6, 1 / 12], [1 / 12, 1 / 6, 1 / 4]], "uniform_marginals": True}},
     {"train_size": 7},
     {"train_size": 6},
+    {"seeds": [0, 2**64]},
+    {"seeds": [-1]},
 ], ids=["top-level list", "seeds int", "seeds float", "train int", "explain list", "probe str",
         "corpus int", "joint list", "train_size list", "train.epochs str", "train.batch_size bool",
         "probe.l2 str", "explain.target_labels int", "probe.max_iters unknown",
@@ -274,7 +276,7 @@ def test_config_validation_errors(tmp_path):
         "explain.theta negative", "probe.k 0", "seeds repeated", "explain.target_labels repeated",
         "explain.target_labels >= n_classes", "val_size not divisible by L*C", "train.val_every unknown",
         "explain.exact_limit 17", "explain.max_datapoints below n_languages", "joint uniform_marginals",
-        "train_size not divisible by L", "train_size leaves an xnli_skew cell empty"])
+        "train_size not divisible by L", "train_size leaves an xnli_skew cell empty", "seeds 2**64", "seeds -1"])
 def test_config_malformed_values_rejected(tmp_path, raw):
     """A malformed config value is a ValueError naming it at load, never a TypeError or a failed seed."""
     if isinstance(raw, dict):
@@ -283,6 +285,20 @@ def test_config_malformed_values_rejected(tmp_path, raw):
         raw = base
     with pytest.raises(ValueError, match="config|seeds|train_size"):
         ExperimentConfig.from_dict(raw)
+
+
+def test_unweightable_plan_names_its_arm(tmp_path):
+    """train_size 6 leaves a cell of the xnli_skew plan empty, which only the per-language weighting refuses."""
+    with pytest.raises(ValueError, match="'train_size'=6, arm 'imbalanced_cw' \\('per_language'\\)"):
+        tiny_config(tmp_path, train_size=6)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_stream_refuses_a_root_seed_outside_64_bits(seed):
+    """Masked to 64 bits, seeds 2**64 apart would draw the same streams and run the same experiment."""
+    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+        derive_int(seed, "train", "balanced")
+    assert derive_int(2**64 - 1, "train", "balanced") != derive_int(0, "train", "balanced")
 
 
 def test_each_arm_explained_once(tmp_path, monkeypatch):

@@ -58,25 +58,31 @@ def test_joint_spec_marginal_validation():
 
 def test_plan_counts_uniform():
     plan = plan_counts(preset("uniform", 2, 2), 60)
-    assert plan.counts.tolist() == [[15, 15], [15, 15]]
+    assert plan.tolist() == [[15, 15], [15, 15]]
 
 
 def test_plan_counts_xnli_60():
     plan = plan_counts(preset("xnli_skew", 2, 3), 60)
-    assert plan.counts.tolist() == [[15, 10, 5], [5, 10, 15]]
-    assert plan.counts.sum(axis=0).tolist() == [20, 20, 20]
+    assert plan.tolist() == [[15, 10, 5], [5, 10, 15]]
+    assert plan.sum(axis=0).tolist() == [20, 20, 20]
 
 
 def test_plan_counts_amazon_30():
     plan = plan_counts(preset("amazon_skew", 2, 5), 30)
-    assert plan.counts.tolist() == [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]]
+    assert plan.tolist() == [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]]
 
 
 def test_plan_counts_rows_exact_with_rounding():
     # 70 is not divisible by the 12 cells, but each language row must hit 35.
     plan = plan_counts(preset("amazon_skew", 2, 5), 70)
-    assert plan.counts.sum(axis=1).tolist() == [35, 35]
-    assert plan.counts.sum() == 70
+    assert plan.sum(axis=1).tolist() == [35, 35]
+    assert plan.sum() == 70
+
+
+@pytest.mark.parametrize("name, L, C, n", [("xnli_skew", 2, 3, 60), ("amazon_skew", 4, 5, 100)])
+def test_plan_counts_is_an_int64_table(name, L, C, n):
+    plan = plan_counts(preset(name, L, C), n)
+    assert type(plan) is np.ndarray and plan.dtype == np.int64 and plan.shape == (L, C)
 
 
 def test_plan_counts_divisibility_error():
@@ -101,7 +107,7 @@ def test_preset_plans_are_pinned():
     for name, L, C in PINNED_PRESETS:
         spec = preset(name, L, C)
         for n in range(L * C, 20_001, L):
-            digest.update(plan_counts(spec, n).counts.astype("<i8").tobytes())
+            digest.update(plan_counts(spec, n).astype("<i8").tobytes())
     assert digest.hexdigest() == "5fc75c28185d35c49a11d6ba82a06b15e5cb61dce7c99ad8a0a3f27f52abf8f2"
 
 
@@ -119,7 +125,7 @@ def off_by(n):
                                      (preset("uniform", 3, 4), 2**53 - 2)])
 def test_plan_rows_are_exact(spec, n):
     L = spec.probs.shape[0]
-    counts = plan_counts(spec, n).counts
+    counts = plan_counts(spec, n)
     assert (counts >= 0).all() and counts.sum(axis=1).tolist() == [n // L] * L
 
 

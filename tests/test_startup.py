@@ -40,7 +40,7 @@ def test_every_public_name_is_its_home_modules_object():
         "names = {}\n"
         "exec('from pblab import *', names)\n"
         "print(len(pblab.__all__), len(set(pblab.__all__)), sorted(set(pblab.__all__) - set(names)))")
-    assert out == "41 41 []"
+    assert out == "39 39 []"
 
 
 def test_unknown_name_raises_and_submodules_still_import():
@@ -65,6 +65,13 @@ def test_cli_imported_after_numpy_leaves_the_environment_alone():
     out = run_python("import os, numpy; before = dict(os.environ); import pblab.cli; print(dict(os.environ) == before)",
                      OPENBLAS_NUM_THREADS=None)
     assert out == "True"
+
+
+def test_readme_library_example_runs():
+    """The README's Library code block runs as written, so a change to a public name cannot leave it stale."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    run_python(code)
 
 
 def test_version_matches_pyproject():

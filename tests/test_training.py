@@ -53,34 +53,53 @@ def random_params(vocab, n_classes=3, seed=0, d=8, h=6):
 
 def test_weights_uniform_counts_all_one():
     w = compute_weights(np.full((3, 4), 17))
-    assert np.allclose(w.w, 1.0, atol=1e-12)
+    assert np.allclose(w, 1.0, atol=1e-12)
 
 
 def test_weights_amazon_fractions():
     # counts in the 1:2:3:4:5 ratio per language
     counts = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]]) * 7
     w = compute_weights(counts)
-    assert np.allclose(w.w[0], [3.0, 1.5, 1.0, 0.75, 0.6], atol=1e-9)
-    assert np.allclose(w.w[1], [0.6, 0.75, 1.0, 1.5, 3.0], atol=1e-9)
+    assert np.allclose(w[0], [3.0, 1.5, 1.0, 0.75, 0.6], atol=1e-9)
+    assert np.allclose(w[1], [0.6, 0.75, 1.0, 1.5, 3.0], atol=1e-9)
 
 
 def test_weights_xnli_fractions():
     counts = np.array([[30, 20, 10], [10, 20, 30]])
     w = compute_weights(counts)
-    assert np.allclose(w.w[0], [2 / 3, 1.0, 2.0], atol=1e-9)
+    assert np.allclose(w[0], [2 / 3, 1.0, 2.0], atol=1e-9)
 
 
 def test_weights_mass_preservation():
     rng = np.random.default_rng(4)
     counts = rng.integers(1, 50, size=(4, 6))
     w = compute_weights(counts)
-    per_lang = (counts * w.w).sum(axis=1)
+    per_lang = (counts * w).sum(axis=1)
     assert np.allclose(per_lang, counts.sum(axis=1), atol=1e-9)
 
 
 def test_weights_zero_cell_error():
     with pytest.raises(ValueError, match="language=1, label=0"):
         compute_weights(np.array([[3, 3], [0, 3]]))
+
+
+@pytest.mark.parametrize("mode", list(training.WEIGHTINGS))
+def test_every_weighting_mode_is_one_on_uniform_counts_and_keeps_each_languages_mass(mode):
+    weigh = training.WEIGHTINGS[mode]
+    assert np.allclose(weigh(np.full((3, 4), 17)), 1.0, atol=1e-12)
+    rng = derive_rng(0, "test", "weightings")
+    for _ in range(20):
+        counts = rng.integers(1, 50, size=(int(rng.integers(1, 5)), int(rng.integers(2, 6))))
+        w = weigh(counts)
+        assert w.shape == counts.shape
+        assert np.allclose((counts * w).sum(axis=1), counts.sum(axis=1), atol=1e-9)
+
+
+def test_only_per_language_weighting_refuses_an_empty_cell():
+    counts = np.array([[3, 0], [2, 5]])
+    with pytest.raises(ValueError, match="language=0, label=1"):
+        training.WEIGHTINGS["per_language"](counts)
+    assert (training.WEIGHTINGS["none"](counts) == 1.0).all()
 
 
 # ---------------------------------------------------------------- loss
