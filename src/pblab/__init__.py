@@ -14,7 +14,7 @@ _EXPORTS = {
                 "categorize", "cumulative_diff", "diff_report", "explain_arm", "shapley_exact", "shapley_sampled"),
     "model": ("ForwardOutput", "ModelParams", "forward", "forward_masked", "init_params"),
     "probe": ("ProbeReport", "cross_validate", "extract_features", "fit_logreg", "probe_model"),
-    "sampler": ("JointSpec", "plan_counts", "preset", "sample_paired", "split_eval"),
+    "sampler": ("plan_counts", "preset", "sample_paired", "split_eval"),
     "training": ("EvalMetrics", "TrainConfig", "TrainReport",
                  "compute_weights", "evaluate", "grad_check", "loss", "train", "train_arms"),
 }

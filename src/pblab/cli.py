@@ -9,6 +9,7 @@ into --out (default $PBLAB_OUT), and a command that fails writes no manifest.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -58,9 +59,10 @@ def cmd_sample(args, manifest: Manifest) -> str:
 
 
 def cmd_train(args, manifest: Manifest) -> str:
+    config = training_mod.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(training_mod.TrainConfig)})
+    config.validate()  # before any file is read
     vocab, data = load_dataset(args.data, args.vocab)
     _, val = corpus_mod.load_jsonl(args.val, vocab)
-    config = training_mod.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(training_mod.TrainConfig)})
     header = {"seed": args.seed, "weighting": args.weighting}
     [(_, report)] = stage_train([(data, config, manifest.root, header)], val, vocab, manifest)
     return f"selected epoch {report.selected_epoch}, val accuracy {report.final.get('val_accuracy')}"
@@ -86,7 +88,7 @@ def cmd_shap_diff(args, manifest: Manifest) -> str:
     engine = explain_mod.EngineConfig(exact_limit=args.exact_limit, n_permutations=args.n_permutations,
                                       seed=derive_int(args.seed, "shapdiff"))
     engine.validate()  # these checks run before any file is read or written
-    if not args.theta > 0:
+    if not 0 < args.theta < math.inf:
         raise ValueError("theta must be > 0")
     if args.max_datapoints < 0:
         raise ValueError("max_datapoints must be >= 0 (0 = no cap)")

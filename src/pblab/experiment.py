@@ -79,7 +79,7 @@ class ExplainConfig(explain_mod.EngineConfig):
 
     def validate(self) -> None:
         super().validate()
-        if self.theta <= 0 or self.max_datapoints < 1:
+        if not 0 < self.theta < np.inf or self.max_datapoints < 1:  # NaN too
             raise ValueError("theta must be > 0 and max_datapoints >= 1")
         check_target_labels(self.target_labels)
 
@@ -92,7 +92,7 @@ def check_target_labels(labels) -> None:
 # Each config section: the dataclass whose fields it sets, less the fields each run sets itself.
 CORPUS_FORMS = {"synthetic": (SyntheticCorpus, ("seed",)), "ingested": (IngestedCorpus, ())}
 SECTIONS = {
-    "train": (training_mod.TrainConfig, ("seed", "weighting")),
+    "train": (training_mod.TrainConfig, training_mod.ARM_FIELDS),
     "explain": (ExplainConfig, ("seed",)),
     "probe": (probe_mod.ProbeConfig, ()),
 }
@@ -149,7 +149,7 @@ def _from_json(cls, raw, section: str | None = None, fixed=()):
     return obj
 
 
-def _joint_table(joint) -> sampler_mod.JointSpec | None:
+def _joint_table(joint) -> np.ndarray | None:
     """The checked table of a `joint` section, or None when it names a preset."""
     if type(joint) is dict and set(joint) == {"preset"} and joint["preset"] in sampler_mod.PRESETS:
         return None
@@ -157,19 +157,17 @@ def _joint_table(joint) -> sampler_mod.JointSpec | None:
     number = _JSON_TYPES[float][0]
     if type(probs) is list and probs and all(type(row) is list and len(row) == len(probs[0]) and all(map(number, row))
                                              for row in probs):
-        spec = sampler_mod.JointSpec(probs=np.array(probs, dtype=float))
-        spec.validate()
-        return spec
+        return sampler_mod.check_joint(probs)
     raise ValueError(f"config section 'joint' must be {JOINT_FORMS}, got {joint!r}")
 
 
-def joint_from_config(joint_cfg, L: int, C: int) -> sampler_mod.JointSpec:
-    spec = _joint_table(joint_cfg)
-    if spec is None:
+def joint_from_config(joint_cfg, L: int, C: int) -> np.ndarray:
+    probs = _joint_table(joint_cfg)
+    if probs is None:
         return sampler_mod.preset(joint_cfg["preset"], L, C)
-    if spec.probs.shape != (L, C):
-        raise ValueError(f"joint table shape {spec.probs.shape} does not match corpus ({L}, {C})")
-    return spec
+    if probs.shape != (L, C):
+        raise ValueError(f"joint table shape {probs.shape} does not match corpus ({L}, {C})")
+    return probs
 
 
 @dataclass(kw_only=True)
@@ -219,7 +217,7 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _check_corpus_shape(config: ExperimentConfig, L: int, C: int) -> sampler_mod.JointSpec:
+def _check_corpus_shape(config: ExperimentConfig, L: int, C: int) -> np.ndarray:
     """The checks that need the corpus's L languages and C labels; returns the joint table."""
     if config.val_size % (L * C) or config.test_size % (L * C):
         raise ValueError(f"config values 'val_size' and 'test_size' must be divisible by L*C={L * C}")
@@ -447,7 +445,7 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
                 "per_language_accuracy": metrics.per_language_accuracy,
                 "pred_dist": metrics.pred_dist.tolist(),
                 "selected_epoch": report.selected_epoch,
-                "spearman_vs_imbalanced_joint": training_mod.prediction_skew_spearman(metrics, joint.probs),
+                "spearman_vs_imbalanced_joint": training_mod.prediction_skew_spearman(metrics, joint),
                 "masked_probs": model_mod.forward(params, [params.mask_id]).probs.tolist(),
                 "masked_entropy": -training_mod.mask_entropy_loss(params),
             }

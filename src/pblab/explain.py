@@ -173,7 +173,7 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
 
 def categorize(expl_bal: ShapExplanation, theta: float = DEFAULT_THETA) -> tuple:
     """Each position's category: pos if S > theta, neg if S < -theta, neutral otherwise (boundaries inclusive)."""
-    if not theta > 0:  # NaN too: it would put every position in neutral
+    if not 0 < theta < math.inf:  # NaN or inf would put every position in neutral
         raise ValueError("theta must be > 0")
     return tuple("pos" if s > theta else "neg" if s < -theta else "neutral" for s in expl_bal.values)
 

@@ -25,7 +25,7 @@ class ProbeConfig:
     holdout_per_language: int = 500      # size of the fresh uniform probe corpus (synthetic corpora only)
 
     def validate(self) -> None:
-        if self.k < 2 or not self.l2 >= 0 or self.holdout_per_language < 1:  # NaN too
+        if self.k < 2 or not 0 <= self.l2 < np.inf or self.holdout_per_language < 1:  # NaN too
             raise ValueError("k must be >= 2, l2 >= 0 and holdout_per_language >= 1")
 
 

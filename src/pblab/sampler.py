@@ -16,32 +16,25 @@ PRESETS = ("uniform", "amazon_skew", "xnli_skew")
 SUM_TOL = 1e-9  # absolute tolerance on the table's total and (with a relative 1e-5) on its marginals
 
 
-@dataclass(frozen=True)
-class JointSpec:
-    """An L x C probability table over (language, label) pairs whose every language row sums to 1/L and
-    every label column to 1/C: the joint is skewed but both marginals stay uniform."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-
-    def validate(self) -> None:
-        p = self.probs
-        if p.ndim != 2:
-            raise ValueError("probs must be a 2-d table")
-        if not np.isfinite(p).all() or (p < 0).any():
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > SUM_TOL:
-            raise ValueError("probabilities must sum to 1")
-        for axis, name in ((1, "language"), (0, "label")):
-            share = 1.0 / p.shape[1 - axis]
-            if (abs(p.sum(axis=axis) - share) > SUM_TOL + 1e-5 * share).any():  # np.allclose's test, at rtol 1e-5
-                raise ValueError(f"{name} marginal is not uniform")
+def check_joint(probs) -> np.ndarray:
+    """``probs`` as a float64 L x C probability table over (language, label) pairs whose every language row sums
+    to 1/L and every label column to 1/C, or a ValueError: the joint is skewed but both marginals stay uniform."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2:
+        raise ValueError("probs must be a 2-d table")
+    if not np.isfinite(p).all() or (p < 0).any():
+        raise ValueError("probabilities must be finite and nonnegative")
+    if abs(p.sum() - 1.0) > SUM_TOL:
+        raise ValueError("probabilities must sum to 1")
+    for axis, name in ((1, "language"), (0, "label")):
+        share = 1.0 / p.shape[1 - axis]
+        if (abs(p.sum(axis=axis) - share) > SUM_TOL + 1e-5 * share).any():  # np.allclose's test, at rtol 1e-5
+            raise ValueError(f"{name} marginal is not uniform")
+    return p
 
 
-def preset(name: str, n_languages: int, n_classes: int) -> JointSpec:
-    """Built-in joint distributions.
+def preset(name: str, n_languages: int, n_classes: int) -> np.ndarray:
+    """Built-in joint distributions, each an (L, C) float64 table that passes ``check_joint``.
 
     ``uniform``: 1/(L*C) everywhere. ``amazon_skew`` (C=5, L even): one half
     of the languages gets within-language label fractions (1..5)/15, the
@@ -65,23 +58,21 @@ def preset(name: str, n_languages: int, n_classes: int) -> JointSpec:
         probs = np.stack([desc, desc[::-1]]) / 2.0
     else:
         raise ValueError(f"unknown preset {name!r}")
-    spec = JointSpec(probs=probs)
-    spec.validate()
-    return spec
+    return probs
 
 
-def plan_counts(spec: JointSpec, n: int) -> np.ndarray:
-    """The (L, C) int64 cell counts of one subset: n*probs rounded to integers, each language row by largest
-    remainder, ties to the lower label. Row l's targets are (n/L)*p_l/sum(p_l), so each row sums to exactly n/L
-    and the plan to n by construction. n must be divisible by L, at least L*C, and at most 2**53, up to which a
-    float64 holds every integer target."""
-    spec.validate()
-    L, C = spec.probs.shape
+def plan_counts(probs, n: int) -> np.ndarray:
+    """The (L, C) int64 cell counts of one subset of the joint ``probs``: n*probs rounded to integers, each
+    language row by largest remainder, ties to the lower label. Row l's targets are (n/L)*p_l/sum(p_l), so each
+    row sums to exactly n/L and the plan to n by construction. n must be divisible by L, at least L*C, and at most
+    2**53, up to which a float64 holds every integer target."""
+    probs = check_joint(probs)
+    L, C = probs.shape
     if not L * C <= n <= 2**53:
         raise ValueError(f"n={n} must be between L*C={L * C} and 2**53")
     if n % L != 0:
         raise ValueError(f"n={n} not divisible by L={L}; exact language marginals are required")
-    target = (n // L) * spec.probs / spec.probs.sum(axis=1, keepdims=True)
+    target = (n // L) * probs / probs.sum(axis=1, keepdims=True)
     base = np.floor(target).astype(np.int64)
     # Each row's remainder goes to its largest fractions: a stable sort on descending fraction ranks the columns.
     rank = np.argsort(np.argsort(base - target, axis=1, kind="stable"), axis=1)
@@ -122,8 +113,8 @@ class OverlapReport:
                 "counts_imbalanced": np.asarray(self.counts_imbalanced).tolist()}
 
 
-def sample_paired(pool, spec_imbal: JointSpec, n: int, seed: int = 0):
-    """Draw the balanced/imbalanced subset pair with maximal datapoint overlap.
+def sample_paired(pool, joint, n: int, seed: int = 0):
+    """Draw the balanced subset and the imbalanced subset of the table ``joint``, with maximal datapoint overlap.
 
     Within every cell the two subsets share exactly min(n_bal, n_imbal)
     examples; since subsets are unions of per-cell draws this is the
@@ -132,9 +123,9 @@ def sample_paired(pool, spec_imbal: JointSpec, n: int, seed: int = 0):
 
     Returns (balanced, imbalanced, overlap_report).
     """
-    L, C = spec_imbal.probs.shape
+    plan_imb = plan_counts(joint, n)
+    L, C = plan_imb.shape
     plan_bal = plan_counts(preset("uniform", L, C), n)
-    plan_imb = plan_counts(spec_imbal, n)
     need = np.maximum(plan_bal, plan_imb)
     balanced, imbalanced = [], []
     for cell, nb, ni in zip(_cell_draws(pool, L, C, need, seed, "sampler"), plan_bal.flat, plan_imb.flat):

@@ -9,7 +9,7 @@ differences (``grad_check``).
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -77,9 +77,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if self.lr <= 0 or self.embed_dim < 1 or self.hidden_dim < 1:
+        if not 0 < self.lr < math.inf or self.embed_dim < 1 or self.hidden_dim < 1:  # NaN too
             raise ValueError("lr must be > 0 and embed_dim, hidden_dim >= 1")
-        if self.mask_entropy_coeff < 0:
+        if not 0 <= self.mask_entropy_coeff < math.inf:
             raise ValueError("mask_entropy_coeff must be >= 0")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting mode {self.weighting!r}")
@@ -104,9 +104,9 @@ class TrainReport:
 
 
 HEAD_FIELDS = PARAM_FIELDS[1:]  # every parameter array but the embedding table
-# Settings every arm of one lockstep call must share: they fix the step count,
-# the learning-rate schedule, the loss and the stacked head shapes.
-LOCKSTEP_FIELDS = ("epochs", "batch_size", "lr", "mask_entropy_coeff", "embed_dim", "hidden_dim")
+# The TrainConfig fields each arm of one lockstep call sets for itself. The arms share every other field: those
+# fix the step count, the learning-rate schedule, the loss and the stacked head shapes.
+ARM_FIELDS = ("seed", "weighting")
 
 
 def _labels_and_weights(examples, weights: np.ndarray | None):
@@ -252,8 +252,8 @@ def train_arms(datasets, val, vocab, configs):
     table a view into it, and the hidden/output weights as one (K, P)
     buffer. So each step gathers, updates and scatters every arm's batch rows
     and head at once, and the per-epoch validation is one pass. The arms
-    must share ``LOCKSTEP_FIELDS`` and their train size; anything else is a
-    ``ValueError``.
+    must share every field but ``ARM_FIELDS``, and their train size;
+    anything else is a ``ValueError``.
 
     An arm's returned parameters are the snapshot from the epoch with the
     lowest validation loss (earliest epoch on ties). Divergence (non-finite
@@ -268,7 +268,8 @@ def train_arms(datasets, val, vocab, configs):
     if not val or not all(datasets):
         raise ValueError("train and validation sets must be non-empty")
     first = configs[0]
-    differing = [f for f in LOCKSTEP_FIELDS if any(getattr(c, f) != getattr(first, f) for c in configs)]
+    differing = [f.name for f in fields(TrainConfig)
+                 if f.name not in ARM_FIELDS and any(getattr(c, f.name) != getattr(first, f.name) for c in configs)]
     if differing:
         raise ValueError(f"arms trained in lockstep must share {', '.join(differing)}")
     n = len(datasets[0])

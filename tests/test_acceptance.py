@@ -250,7 +250,7 @@ def test_criterion_09_prediction_skew(directional):
 
 def test_criterion_10_cumulative_diff_direction(directional):
     _, summary1 = directional
-    over_lang = int(np.argmax(preset("xnli_skew", 2, 3).probs[:, TARGET_LABEL]))
+    over_lang = int(np.argmax(preset("xnli_skew", 2, 3)[:, TARGET_LABEL]))
     under_lang = 1 - over_lang
     sign_passes = 0
     shrink_passes = 0

@@ -274,7 +274,8 @@ def test_shapdiff_bad_engine_exits_1_before_any_output(corpus_dir, tmp_path, cap
     assert not sd_out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--l2", "-1"], ["--l2", "nan"], ["--k", "1"]], ids=["l2 -1", "l2 nan", "k 1"])
+@pytest.mark.parametrize("flags", [["--l2", "-1"], ["--l2", "nan"], ["--l2", "inf"], ["--k", "1"]],
+                         ids=["l2 -1", "l2 nan", "l2 inf", "k 1"])
 def test_probe_bad_options_exit_1_before_any_output(tmp_path, capsys, flags):
     out = tmp_path / "probe"
     missing = [str(tmp_path / name) for name in ("missing.pbl", "missing.jsonl", "missing.json")]
@@ -288,14 +289,36 @@ def test_probe_bad_options_exit_1_before_any_output(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [(["--lr", "nan"], "lr must be > 0"),
+                                            (["--lr", "inf"], "lr must be > 0"),
+                                            (["--lr", "0"], "lr must be > 0"),
+                                            (["--mask-entropy-coeff", "nan"], "mask_entropy_coeff must be >= 0"),
+                                            (["--mask-entropy-coeff", "inf"], "mask_entropy_coeff must be >= 0"),
+                                            (["--mask-entropy-coeff", "-1"], "mask_entropy_coeff must be >= 0")],
+                         ids=["lr nan", "lr inf", "lr 0", "mask-entropy-coeff nan", "mask-entropy-coeff inf",
+                              "mask-entropy-coeff -1"])
+def test_train_bad_options_exit_1_before_any_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "train"
+    missing = [str(tmp_path / name) for name in ("missing.jsonl", "missing_val.jsonl", "missing.json")]
+    rc = main(["train", "--data", missing[0], "--val", missing[1], "--vocab", missing[2], *flags,
+               "--out", str(out)])  # never opened: the options are checked first
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and message in record["error"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [(["--max-datapoints", "-1"], "max_datapoints must be >= 0"),
                                             (["--theta", "0"], "theta must be > 0"),
                                             (["--theta", "-0.1"], "theta must be > 0"),
                                             (["--theta", "nan"], "theta must be > 0"),
+                                            (["--theta", "inf"], "theta must be > 0"),
                                             (["--target-label", "0", "--target-label", "0"], "distinct label ids"),
                                             (["--target-label", "-1"], "distinct label ids")],
-                         ids=["max-datapoints -1", "theta 0", "theta -0.1", "theta nan", "target-label repeated",
-                              "target-label -1"])
+                         ids=["max-datapoints -1", "theta 0", "theta -0.1", "theta nan", "theta inf",
+                              "target-label repeated", "target-label -1"])
 def test_shapdiff_bad_report_flags_exit_1_before_any_output(corpus_dir, tmp_path, capsys, flags, message):
     sd_out = tmp_path / "sd"
     missing = str(tmp_path / "missing.pbl")  # never opened: the flags are checked first

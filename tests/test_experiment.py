@@ -403,7 +403,7 @@ def test_weights_hash_follows_every_weight_setting(tmp_path):
     base = tiny_config(tmp_path).content_hash(WEIGHT_FIELDS)
     changed = [tiny_config(tmp_path, train={"epochs": 3, "batch_size": 16, "lr": 0.1}),
                tiny_config(tmp_path, train_size=126),
-               tiny_config(tmp_path, joint={"probs": preset("xnli_skew", 2, 3).probs.tolist()}),
+               tiny_config(tmp_path, joint={"probs": preset("xnli_skew", 2, 3).tolist()}),
                tiny_config(tmp_path, corpus={**CORPUS, "p_noise": 0.2})]
     assert all(config.content_hash(WEIGHT_FIELDS) != base for config in changed)
     assert tiny_config(tmp_path / "x", seeds=(0, 1)).content_hash(WEIGHT_FIELDS) == base

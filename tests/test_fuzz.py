@@ -17,7 +17,7 @@ from pblab.experiment import load_config
 from pblab.model import init_params
 from pblab.model import load as load_checkpoint
 from pblab.model import save as save_checkpoint
-from pblab.sampler import JointSpec, plan_counts, sample_paired
+from pblab.sampler import plan_counts, sample_paired
 from pblab.seeds import derive_rng
 
 TRIALS = 2000
@@ -101,7 +101,7 @@ def uniform_marginal_table(rng, L: int, C: int):
 
 def nudged(rng, probs):
     """``probs`` with each language row shifted, spread evenly over its labels, by up to about twice the 1e-5
-    relative tolerance of validate; the shifts sum to 0, so the total and the label marginal stay put."""
+    relative tolerance of check_joint; the shifts sum to 0, so the total and the label marginal stay put."""
     L, C = probs.shape
     shift = rng.uniform(-2e-5, 2e-5, L) / L
     return probs + (shift - shift.mean())[:, None] / C
@@ -116,26 +116,26 @@ def test_fuzzed_joint_tables_plan_exact_rows_or_raise_value_error():
     for trial in range(TRIALS // 4):
         L, C = int(rng.integers(2, 5)), int(rng.integers(2, 6))
         probs = uniform_marginal_table(rng, L, C)
-        spec = JointSpec(nudged(rng, probs) if rng.random() < 0.5 else probs)
+        joint = nudged(rng, probs) if rng.random() < 0.5 else probs
         for top in (20, 10**6, 2**53 // L + 2):  # a multiple of L, or one more, up to just past 2**53
             n = L * int(rng.integers(0, top)) + int(rng.random() < 0.2)
             try:
-                counts = plan_counts(spec, n)
+                counts = plan_counts(joint, n)
             except ValueError:
                 continue
             assert n % L == 0 and (counts >= 0).all(), (trial, n)
-            assert counts.sum(axis=1).tolist() == [n // L] * L, (trial, n, spec.probs.tolist())
+            assert counts.sum(axis=1).tolist() == [n // L] * L, (trial, n, joint.tolist())
             planned += 1
         if (L, C) not in pools:
             pools[L, C] = generate_corpus(CorpusSpec(n_languages=L, n_classes=C, n_min=1, n_max=2, p_signal=0.5,
                                                      fillers_per_language=2, signals_per_language_class=1), 6)[1]
         n = int(rng.integers(0, 8 * L * C))
         try:
-            balanced, imbalanced, report = sample_paired(pools[L, C], spec, n, seed=trial)
+            balanced, imbalanced, report = sample_paired(pools[L, C], joint, n, seed=trial)
         except ValueError:
             continue
         except Exception as e:  # anything else breaks the input contract
-            pytest.fail(f"trial {trial}: sample_paired at n={n}: {type(e).__name__}: {e}\n{spec.probs.tolist()}")
+            pytest.fail(f"trial {trial}: sample_paired at n={n}: {type(e).__name__}: {e}\n{joint.tolist()}")
         assert len(balanced) == len(imbalanced) == n and report.overlap_achieved == report.overlap_max
         drawn += 1
     # The targets reach the planner and the draw, not only their errors.

@@ -1,10 +1,11 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from pblab.corpus import CorpusSpec, Example, generate_corpus
-from pblab.sampler import JointSpec, plan_counts, preset, sample_paired, split_eval
+from pblab.sampler import check_joint, plan_counts, preset, sample_paired, split_eval
 
 
 @pytest.fixture(scope="module")
@@ -16,27 +17,27 @@ def pool223():
 
 
 def test_preset_amazon_rows():
-    spec = preset("amazon_skew", 2, 5)
+    probs = preset("amazon_skew", 2, 5)
     expected0 = np.arange(1, 6) / 15.0 / 2.0
-    assert np.allclose(spec.probs[0], expected0, atol=1e-12)
-    assert np.allclose(spec.probs[1], expected0[::-1], atol=1e-12)
+    assert np.allclose(probs[0], expected0, atol=1e-12)
+    assert np.allclose(probs[1], expected0[::-1], atol=1e-12)
     # group split for more languages: first half ascending
-    spec6 = preset("amazon_skew", 6, 5)
+    probs6 = preset("amazon_skew", 6, 5)
     for lang in range(3):
-        assert np.allclose(spec6.probs[lang], np.arange(1, 6) / 15.0 / 6.0)
-        assert np.allclose(spec6.probs[lang + 3], np.arange(5, 0, -1) / 15.0 / 6.0)
+        assert np.allclose(probs6[lang], np.arange(1, 6) / 15.0 / 6.0)
+        assert np.allclose(probs6[lang + 3], np.arange(5, 0, -1) / 15.0 / 6.0)
 
 
 def test_preset_xnli_rows_and_marginals():
-    spec = preset("xnli_skew", 2, 3)
-    assert np.allclose(spec.probs[0], [1 / 4, 1 / 6, 1 / 12], atol=1e-12)
-    assert np.allclose(spec.probs[1], [1 / 12, 1 / 6, 1 / 4], atol=1e-12)
-    assert np.allclose(spec.probs.sum(axis=0), 1 / 3, atol=1e-12)
+    probs = preset("xnli_skew", 2, 3)
+    assert np.allclose(probs[0], [1 / 4, 1 / 6, 1 / 12], atol=1e-12)
+    assert np.allclose(probs[1], [1 / 12, 1 / 6, 1 / 4], atol=1e-12)
+    assert np.allclose(probs.sum(axis=0), 1 / 3, atol=1e-12)
 
 
 def test_preset_uniform():
-    spec = preset("uniform", 3, 4)
-    assert np.allclose(spec.probs, 1 / 12)
+    probs = preset("uniform", 3, 4)
+    assert np.allclose(probs, 1 / 12)
 
 
 def test_preset_incompatible_shapes():
@@ -50,10 +51,26 @@ def test_preset_incompatible_shapes():
         preset("nope", 2, 3)
 
 
-def test_joint_spec_marginal_validation():
-    bad = JointSpec(probs=np.array([[0.5, 0.1], [0.2, 0.2]]))
-    with pytest.raises(ValueError):
-        bad.validate()
+@pytest.mark.parametrize("name, L, C", [("uniform", L, C) for L in range(1, 7) for C in range(1, 7)]
+                         + [("amazon_skew", L, 5) for L in (2, 4, 6)] + [("xnli_skew", 2, 3)])
+def test_every_preset_passes_check_joint(name, L, C):
+    probs = preset(name, L, C)
+    assert probs.dtype == np.float64 and probs.shape == (L, C)
+    assert np.array_equal(check_joint(probs), probs)
+
+
+@pytest.mark.parametrize("probs, message", [
+    (np.full(6, 1 / 6), "probs must be a 2-d table"),
+    ([[np.nan, 0.5], [0.5, 0.0]], "probabilities must be finite and nonnegative"),
+    ([[np.inf, 0.5], [0.5, 0.0]], "probabilities must be finite and nonnegative"),
+    ([[-0.1, 0.6], [0.6, -0.1]], "probabilities must be finite and nonnegative"),
+    (np.full((2, 3), 1 / 5), "probabilities must sum to 1"),
+    ([[0.5, 0.1], [0.2, 0.2]], "language marginal is not uniform"),
+    ([[0.3, 0.2], [0.3, 0.2]], "label marginal is not uniform"),
+], ids=["not 2-d", "nan", "inf", "negative cell", "total not 1", "language marginal off", "label marginal off"])
+def test_check_joint_refusals(probs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_joint(probs)
 
 
 def test_plan_counts_uniform():
@@ -105,26 +122,24 @@ def test_preset_plans_are_pinned():
     as little-endian int64 bytes in order, is the one the per-language rounding loop gave."""
     digest = hashlib.sha256()
     for name, L, C in PINNED_PRESETS:
-        spec = preset(name, L, C)
+        probs = preset(name, L, C)
         for n in range(L * C, 20_001, L):
-            digest.update(plan_counts(spec, n).astype("<i8").tobytes())
+            digest.update(plan_counts(probs, n).astype("<i8").tobytes())
     assert digest.hexdigest() == "5fc75c28185d35c49a11d6ba82a06b15e5cb61dce7c99ad8a0a3f27f52abf8f2"
 
 
 def off_by(n):
-    """A 3 x 2 table that passes validate, its rows off 1/3 by +0.4/n, +0.4/n and -0.8/n; each row rounded on
+    """A 3 x 2 table that passes check_joint, its rows off 1/3 by +0.4/n, +0.4/n and -0.8/n; each row rounded on
     its own to round(n * row sum) would give 1,000,000, 1,000,000 and 999,999 at n = 3,000,000."""
     rows = np.array([1 / 3 + 0.4 / n, 1 / 3 + 0.4 / n, 1 / 3 - 0.8 / n])
-    spec = JointSpec(np.repeat(rows[:, None] / 2, 2, axis=1))
-    spec.validate()
-    return spec
+    return check_joint(np.repeat(rows[:, None] / 2, 2, axis=1))
 
 
 @pytest.mark.parametrize("spec, n", [(off_by(3_000_000), 3_000_000), (off_by(300_000), 300_000),
                                      (off_by(3_000_000), 3_000_003), (preset("amazon_skew", 6, 5), 6 * 10**9),
                                      (preset("uniform", 3, 4), 2**53 - 2)])
 def test_plan_rows_are_exact(spec, n):
-    L = spec.probs.shape[0]
+    L = spec.shape[0]
     counts = plan_counts(spec, n)
     assert (counts >= 0).all() and counts.sum(axis=1).tolist() == [n // L] * L
 

@@ -1,6 +1,7 @@
 """Start-up contract: what ``import pblab`` and ``import pblab.cli`` load and change, each in a fresh interpreter."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -40,7 +41,7 @@ def test_every_public_name_is_its_home_modules_object():
         "names = {}\n"
         "exec('from pblab import *', names)\n"
         "print(len(pblab.__all__), len(set(pblab.__all__)), sorted(set(pblab.__all__) - set(names)))")
-    assert out == "39 39 []"
+    assert out == "38 38 []"
 
 
 def test_unknown_name_raises_and_submodules_still_import():
@@ -72,6 +73,21 @@ def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
     run_python(code)
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch):
+    """Each ``pblab`` line of the README's CLI block but ``experiment --config`` returns 0, in order, in an empty
+    directory: every file a line reads, an earlier line wrote."""
+    from pblab.cli import main
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 1)[1].split("\n```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["pblab"] and argv[1:3] != ["experiment", "--config"]]
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_version_matches_pyproject():
