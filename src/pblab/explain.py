@@ -11,10 +11,11 @@ The first layer is affine in the mean embedding, so each token's shift of the
 all-mask hidden pre-activation is computed once and a coalition's pre-activation
 is a sum of shifts. The exact engine evaluates all 2^n coalitions in one batch
 (cheap up to the default 12-token limit, and never run past EXACT_LIMIT_MAX);
-the sampled engine keeps one (P, h) running pre-activation and one (n, P) float64
-table of marginals, folded once into (ceil(P/2), n) pair sums, so its memory is
-O(P * (n + h)) with P <= N_PERMUTATIONS_MAX. It walks each seeded ordering with its
-reversal (antithetic pairs, after Mitchell et al. 2022, "Sampling Permutations for
+the sampled engine keeps one (P, h) running pre-activation, the (n, P) orderings in a
+small unsigned dtype and (ceil(P/2), n) float64 pair sums that each marginal is added to
+during the walk: O(P * (n + h)) with P <= N_PERMUTATIONS_MAX, a 76 MiB tracemalloc peak at
+300 tokens and the cap (h = 32). It walks each seeded ordering with its reversal
+(antithetic pairs, after Mitchell et al. 2022, "Sampling Permutations for
 Shapley Value Estimation"), and reports a standard error from the pair means.
 """
 
@@ -33,8 +34,9 @@ DEFAULT_EXACT_LIMIT = 12
 # 2^16 coalitions take one (2^16, h) array, 16.8 MB at h = 32; past 13 tokens the default sampler needs fewer.
 EXACT_LIMIT_MAX = 16
 DEFAULT_N_PERMUTATIONS = 1000
-# The sampled engine holds one (n, P) float64 marginal table: 2^15 orderings keep it at 79 MB for a
-# 300-token datapoint, 32 times the default draw; a larger n_permutations is a ValueError before any allocation.
+# The sampled engine holds (ceil(P/2), n) float64 pair sums, the (n, P) orderings and a (P, h) pre-activation:
+# 2^15 orderings of a 300-token datapoint peak at 76 MiB under tracemalloc (h = 32), 32 times the default draw;
+# a larger n_permutations is a ValueError before any allocation.
 N_PERMUTATIONS_MAX = 2**15
 
 
@@ -132,9 +134,11 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
 
     small = np.min_scalar_type(n)  # uint8 below 256 tokens, uint16 below 65,536
     if permutations is None:
-        order = np.repeat(np.arange(n, dtype=small)[:, None], (n_permutations + 1) // 2, axis=1)
-        derive_rng(seed, "shapley_sampled").permuted(order.T, axis=1, out=order.T)
-        order = np.concatenate([order, order[::-1, : n_permutations // 2]], axis=1)  # the antithetic reversals
+        half = (n_permutations + 1) // 2
+        order = np.empty((n, n_permutations), dtype=small)
+        order[:, :half] = np.arange(n, dtype=small)[:, None]
+        derive_rng(seed, "shapley_sampled").permuted(order[:, :half].T, axis=1, out=order[:, :half].T)
+        order[:, half:] = order[::-1, : n_permutations // 2]  # the antithetic reversals
     else:
         perms = np.asarray(list(permutations))
         if perms.shape[1:] != (n,) or perms.dtype.kind not in "iu" or (np.sort(perms, 1) != np.arange(n)).any():
@@ -142,30 +146,24 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
         order = np.ascontiguousarray(perms.T, dtype=small)
     P = order.shape[1]  # order[k, p] = the token added at step k of ordering p
 
-    # m[k, p] = the marginal of token order[k, p]: the value after step k of ordering p minus the value before it.
+    # sums[j, i] is token i's summed marginal over pair j (its last row holds the unpaired middle column when P
+    # is odd); column p's row starts at flat offset row[p]. Each marginal, the value after step k minus the value
+    # before it, is added as the walk makes it, so a cell is 0.0 + m1 + m2 in one order or the other (IEEE addition
+    # commutes, and m is never -0.0); add.at also adds both when a pair's columns add one token at one step.
+    half, pairs = (P + 1) // 2, P // 2
+    sums, row = np.zeros((half, n)), np.arange(P) % half * n
     pre = np.tile(pre0, (P, 1))
     prev = _label_prob(head, np.tanh(pre), label)
     base = float(prev[0])
-    m = np.empty((n, P))
     for k in range(n):
         pre += delta[order[k]]
         cur = _label_prob(head, np.tanh(pre), label)
-        np.subtract(cur, prev, out=m[k])
+        np.add.at(sums.reshape(-1), row + order[k], cur - prev)
         prev = cur
     full = float(prev[0])
-    del pre  # the fold's working set is m, sums and one half of m
-
-    # Column p is paired with column ceil(P/2) + p; sums[j, i] is token i's summed marginal over pair j
-    # (the last row holds the unpaired middle column when P is odd). Each column of order is a permutation,
-    # so the put fills every cell once and the fold adds each pair's second marginal to its first.
-    half, pairs = (P + 1) // 2, P // 2
-    sums = np.empty((half, n))
-    np.put_along_axis(sums.T, order[:, :half], m[:, :half], axis=0)
-    second = np.take_along_axis(sums.T[:, :pairs], order[:, half:], axis=0)
-    np.put_along_axis(sums.T[:, :pairs], order[:, half:], np.add(second, m[:, half:], out=second), axis=0)
-    del m, second  # before std's copies of sums
+    del pre, order  # before std's (pairs, n) temporary
     values = sums.sum(axis=0) / P
-    stderr = float(np.std(sums[:pairs] / 2, axis=0, ddof=1).max() / math.sqrt(pairs)) if pairs > 1 else None
+    stderr = float(np.std(sums[:pairs], axis=0, ddof=1).max() / 2 / math.sqrt(pairs)) if pairs > 1 else None
 
     values += (full - base - values.sum()) / n
     return ShapExplanation(values=values, base=base, label=label, engine="sampled", stderr=stderr)

@@ -316,10 +316,11 @@ def train_arms(datasets, val, vocab, configs):
     best = [arm.copy() for arm in arms]  # each arm's snapshot of its best epoch so far
     for epoch in range(first.epochs):
         orders = np.stack([rng.permutation(n) for rng in shuffles])
-        epoch_losses = _train_epoch(table, head32, head64, shapes, (ids, lengths, labels), orders, offsets,
-                                    weights, first, epoch, steps_per_epoch)
-        val_losses = _packed_loss(table, mask_id, _head_views(head64, shapes), val_ids, val_lengths,
-                                  val_labels, 1.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails the next loss check
+            epoch_losses = _train_epoch(table, head32, head64, shapes, (ids, lengths, labels), orders, offsets,
+                                        weights, first, epoch, steps_per_epoch)
+            val_losses = _packed_loss(table, mask_id, _head_views(head64, shapes), val_ids, val_lengths,
+                                      val_labels, 1.0, 0.0)
         for k, report in enumerate(reports):
             val_loss = float(val_losses[k])
             if report.selected_epoch is None or val_loss < report.selected_val_loss:

@@ -396,3 +396,17 @@ def test_shapdiff_n_permutations_past_the_cap_exits_1_before_any_output(corpus_d
         record = json.loads(lines[0])
         assert record["type"] == "ValueError" and f"n_permutations in [1, {N_PERMUTATIONS_MAX}]" in record["error"]
         assert not sd_out.exists()
+
+
+def test_train_overflowing_step_exits_1_with_one_record(corpus_dir, tmp_path, capsys):
+    """A finite --lr whose first step overflows the float32 tables ends in the loss check's FloatingPointError:
+    one JSON record and no RuntimeWarning (an error in this suite), and no output directory."""
+    out = tmp_path / "train"
+    rc = main(["train", "--data", str(corpus_dir / "corpus.jsonl"), "--val", str(corpus_dir / "corpus.jsonl"),
+               "--vocab", str(corpus_dir / "vocab.json"), "--lr", "1e300", "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record == {"error": "non-finite loss at epoch 0 step 1", "type": "FloatingPointError"}
+    assert not out.exists()

@@ -11,6 +11,8 @@ from pblab.explain import (
     N_PERMUTATIONS_MAX,
     EngineConfig,
     _first_layer,
+    _head,
+    _label_prob,
     categorize,
     cumulative_diff,
     shapley_exact,
@@ -412,19 +414,22 @@ def test_engine_dispatch():
     assert np.array_equal(long.values, sampled.values)
 
 
-def test_sampled_memory_bounded_on_long_input():
-    """The sampled engine keeps one running pre-activation per ordering, not a P x (n+1) x n coalition tensor."""
+@pytest.mark.parametrize("n,P,limit_mb", [(150, 1000, 3), (600, 1000, 12), (150, 2000, 32), (300, 2**13, 28)])
+def test_sampled_memory_bounded_on_long_input(n, P, limit_mb):
+    """The sampled engine holds the (ceil(P/2), n) pair sums, the (n, P) small-int orderings and one (P, h) running
+    pre-activation: no P x (n+1) x n coalition tensor and no (n, P) marginal table, which took the peaks at
+    1,000 orderings to 2.6 and 10.6 MiB and at 300 tokens and 2^13 orderings to 42.5 MiB."""
     import tracemalloc
 
     params = make_params(200, seed=3, d=32, h=32)
-    tokens = tuple(int(t) for t in np.random.default_rng(4).integers(0, 200, 150))
+    tokens = tuple(int(t) for t in np.random.default_rng(4).integers(0, 200, n))
     tracemalloc.start()
     try:
-        shapley_sampled(params, tokens, 0, n_permutations=2000, seed=1)
+        shapley_sampled(params, tokens, 0, n_permutations=P, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < limit_mb * 2**20
 
 
 def test_exact_memory_bounded_at_the_hard_cap():
@@ -537,22 +542,70 @@ def test_sampled_given_rows_bit_identical_to_bincount():
         assert np.array_equal(expl.values, values) and expl.base == base and expl.stderr == stderr, len(rows)
 
 
-@pytest.mark.parametrize("n,limit_mb", [(150, 3), (600, 12)])
-def test_sampled_memory_is_one_marginal_table(n, limit_mb):
-    """1,000 orderings hold one (n, P) float64 marginal table, the (ceil(P/2), n) pair sums and a small-int
-    order table: under 3 MB at 150 tokens and 12 MB at 600, where a value table, pair keys and np.diff
-    besides took 5.5 and 21 MB."""
-    import tracemalloc
+def shapley_sampled_table_fold_oracle(params, tokens, label, n_permutations=DEFAULT_N_PERMUTATIONS, seed=0,
+                                     permutations=None):
+    """(values, base, stderr) as the engine computed them before it added each marginal to its pair sum during the
+    walk: every marginal in one (n, P) float64 table, folded into the pair sums by put/take along the orderings."""
+    n = len(tokens)
+    pre0, delta = _first_layer(params, tokens)
+    head = _head(params)
+    small = np.min_scalar_type(n)
+    if permutations is None:
+        order = np.repeat(np.arange(n, dtype=small)[:, None], (n_permutations + 1) // 2, axis=1)
+        derive_rng(seed, "shapley_sampled").permuted(order.T, axis=1, out=order.T)
+        order = np.concatenate([order, order[::-1, : n_permutations // 2]], axis=1)
+    else:
+        order = np.ascontiguousarray(np.asarray(list(permutations)).T, dtype=small)
+    P = order.shape[1]
+    pre = np.tile(pre0, (P, 1))
+    prev = _label_prob(head, np.tanh(pre), label)
+    base = float(prev[0])
+    m = np.empty((n, P))
+    for k in range(n):
+        pre += delta[order[k]]
+        cur = _label_prob(head, np.tanh(pre), label)
+        np.subtract(cur, prev, out=m[k])
+        prev = cur
+    full = float(prev[0])
+    half, pairs = (P + 1) // 2, P // 2
+    sums = np.empty((half, n))
+    np.put_along_axis(sums.T, order[:, :half], m[:, :half], axis=0)
+    second = np.take_along_axis(sums.T[:, :pairs], order[:, half:], axis=0)
+    np.put_along_axis(sums.T[:, :pairs], order[:, half:], np.add(second, m[:, half:], out=second), axis=0)
+    values = sums.sum(axis=0) / P
+    stderr = float(np.std(sums[:pairs] / 2, axis=0, ddof=1).max() / math.sqrt(pairs)) if pairs > 1 else None
+    values += (full - base - values.sum()) / n
+    return values, base, stderr
 
-    params = make_params(200, seed=3, d=32, h=32)
-    tokens = tuple(int(t) for t in np.random.default_rng(4).integers(0, 200, n))
-    tracemalloc.start()
-    try:
-        shapley_sampled(params, tokens, 0, n_permutations=1000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit_mb * 2**20
+
+def wide_params(seed, d=32, h=32):
+    """Weights wide enough that the label probabilities, and so the marginals, span many orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    return ModelParams(embedding=rng.normal(0, 3.0, (302, d)), hidden_w=rng.normal(0, 1.0, (d, h)),
+                       hidden_b=rng.normal(0, 1.0, h), out_w=rng.normal(0, 8.0, (h, 3)), out_b=rng.normal(0, 4.0, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 150, 301])
+def test_sampled_pair_sums_bit_identical_to_table_fold(n):
+    """Seeded draws: adding each marginal to its pair sum during the walk gives the table fold's values, base and
+    stderr bit for bit. Odd n has a middle step, where both columns of a pair add one token; 301 tokens take
+    uint16 orderings."""
+    params = wide_params(n)
+    tokens = tuple(int(t) for t in np.random.default_rng(n).integers(0, 301, n))
+    for P in (1, 2, 3, 1000, 1001):
+        expl = shapley_sampled(params, tokens, n % 3, n_permutations=P, seed=n + P)
+        values, base, stderr = shapley_sampled_table_fold_oracle(params, tokens, n % 3, P, n + P)
+        assert np.array_equal(expl.values, values) and expl.base == base and expl.stderr == stderr, P
+
+
+def test_sampled_given_rows_bit_identical_to_table_fold():
+    """Given orderings take the same path: 1,001 i.i.d. orderings of 13 tokens under wide weights."""
+    params = wide_params(7)
+    tokens = tuple(int(t) for t in np.random.default_rng(7).integers(0, 301, 13))
+    rows = derive_rng(5, "iid").permuted(np.tile(np.arange(13), (1001, 1)), axis=1)
+    expl = shapley_sampled(params, tokens, 2, permutations=rows)
+    values, base, stderr = shapley_sampled_table_fold_oracle(params, tokens, 2, permutations=rows)
+    assert np.array_equal(expl.values, values) and expl.base == base and expl.stderr == stderr
 
 
 def test_sampled_refuses_too_many_permutations_before_allocating():
