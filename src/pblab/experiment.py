@@ -1,19 +1,20 @@
 """End-to-end experiment pipeline: corpus -> paired subsets -> the arms of ``ARMS`` -> reports.
 
-For every seed: build (or load) the corpus, carve balanced validation/test
-splits, draw the balanced/imbalanced training pair, train the arms of
-``ARMS`` (balanced, imbalanced, imbalanced + per-language class weights),
-then evaluate accuracy, language-probe separability on two corpora, and the
-cumulative attribution-difference reports. Per-seed outputs live in their
-own directory; an aggregator collects means/stds across seeds.
+For every seed: build (or load) the corpus, carve balanced validation/test splits, draw the balanced/imbalanced
+training pair, train the arms of ``ARMS`` (balanced, imbalanced, imbalanced + per-language class weights), then
+evaluate accuracy, language-probe separability on two corpora, and the cumulative attribution-difference reports.
+Per-seed outputs live in their own directory; an aggregator collects means/stds across seeds.
 
-Everything is a pure function of (config, seeds): two runs with the same
-config produce byte-identical CSVs.
+Everything is a pure function of (config, seeds): two runs with the same config produce byte-identical CSVs. Each
+stage runs numpy's OpenBLAS on one thread (``Manifest.stage``), which changes no output byte.
 """
 
 import copy
+import ctypes
+import functools
 import hashlib
 import json
+import os
 import sys
 import time
 import traceback
@@ -258,6 +259,24 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(f))
 
 
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS this process has loaded, opened with RTLD_NOLOAD, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({p for line in f if os.path.basename(p := line.split(maxsplit=5)[-1].strip()).startswith(
+                ("libscipy_openblas", "libopenblas"))})
+        libs = [ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in paths]
+    except OSError:
+        return None
+    for get, set_ in ((getattr(lib, f"{p}_get_num_threads{s}", None), getattr(lib, f"{p}_set_num_threads{s}", None))
+                      for lib in libs for p in ("openblas", "scipy_openblas") for s in ("", "64_")):
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, set_
+    return None
+
+
 class Manifest:
     """Tracks every emitted file plus timings for one output directory."""
 
@@ -269,6 +288,7 @@ class Manifest:
             "versions": {"pblab": __version__, "numpy": np.__version__},
             "artifacts": [],
             "stages": [],
+            "blas_threads": None,  # the OpenBLAS thread count read inside the stages
             "started_unix": time.time(),
         }
 
@@ -282,10 +302,17 @@ class Manifest:
 
     @contextmanager
     def stage(self, stage: str, arm: str | None = None, corpus: str | None = None):
-        """Time one pipeline stage into the manifest's ``stages`` list: wall seconds, and the CPU
-        seconds of every thread of the process (numpy's BLAS threads included)."""
+        """Run one pipeline stage with numpy's OpenBLAS on one thread and time it into the ``stages`` list: wall
+        seconds, and the CPU seconds of every thread of the process (numpy's BLAS threads included)."""
+        get, set_ = _openblas() or (lambda: None, lambda count: None)
+        before = get()
+        set_(before if "OPENBLAS_NUM_THREADS" in os.environ else 1)  # a caller's count wins, as in pblab.cli
         start, cpu_start = time.perf_counter(), time.process_time()
-        yield
+        try:
+            self.entry["blas_threads"] = get()
+            yield
+        finally:
+            set_(before)  # also when the stage raises
         self.entry["stages"].append(
             {"stage": stage, "arm": arm, "corpus": corpus, "seconds": time.perf_counter() - start,
              "cpu_seconds": time.process_time() - cpu_start})

@@ -7,16 +7,14 @@ same length. Attributions satisfy sum_i S(t_i) + b = p(T, y): exactly for
 the exact engine, and enforced by uniform residual redistribution for the
 permutation-sampled engine (downstream category sums rely on additivity).
 
-The first layer is affine in the mean embedding, so each token's shift of the
-all-mask hidden pre-activation is computed once and a coalition's pre-activation
-is a sum of shifts. The exact engine evaluates all 2^n coalitions in one batch
-(cheap up to the default 12-token limit, and never run past EXACT_LIMIT_MAX);
-the sampled engine keeps one (P, h) running pre-activation, the (n, P) orderings in a
-small unsigned dtype and (ceil(P/2), n) float64 pair sums that each marginal is added to
-during the walk: O(P * (n + h)) with P <= N_PERMUTATIONS_MAX, a 76 MiB tracemalloc peak at
-300 tokens and the cap (h = 32). It walks each seeded ordering with its reversal
-(antithetic pairs, after Mitchell et al. 2022, "Sampling Permutations for
-Shapley Value Estimation"), and reports a standard error from the pair means.
+The first layer is affine in the mean embedding, so each token's shift of the all-mask hidden pre-activation is
+computed once and a coalition's pre-activation is a sum of shifts. The exact engine evaluates all 2^n coalitions in
+one batch (cheap up to the default 12-token limit, and never run past EXACT_LIMIT_MAX); the sampled engine keeps a
+(P, h) running pre-activation and a (P, h) buffer that each step's shifts and tanh reuse, the (n, P) orderings in a
+small unsigned dtype and (ceil(P/2), n) float64 pair sums that each marginal is added to during the walk:
+O(P * (n + h)) with P <= N_PERMUTATIONS_MAX, a 75 MiB tracemalloc peak at 300 tokens and the cap (h = 32). It walks
+each seeded ordering with its reversal (antithetic pairs, after Mitchell et al. 2022, "Sampling Permutations for
+Shapley Value Estimation"), and reports a standard error from the pair means, a block of columns at a time.
 """
 
 import math
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jsonio import write_csv, write_json
-from .model import ModelParams, pack_tokens
+from .model import BLOCK_VALUES, ModelParams, pack_tokens
 from .seeds import derive_rng
 
 CATEGORIES = ("pos", "neg", "neutral")
@@ -34,8 +32,8 @@ DEFAULT_EXACT_LIMIT = 12
 # 2^16 coalitions take one (2^16, h) array, 16.8 MB at h = 32; past 13 tokens the default sampler needs fewer.
 EXACT_LIMIT_MAX = 16
 DEFAULT_N_PERMUTATIONS = 1000
-# The sampled engine holds (ceil(P/2), n) float64 pair sums, the (n, P) orderings and a (P, h) pre-activation:
-# 2^15 orderings of a 300-token datapoint peak at 76 MiB under tracemalloc (h = 32), 32 times the default draw;
+# The sampled engine holds (ceil(P/2), n) float64 pair sums, the (n, P) orderings and two (P, h) arrays: 2^15
+# orderings of a 300-token datapoint peak at 75 MiB under tracemalloc (h = 32), 32 times the default draw;
 # a larger n_permutations is a ValueError before any allocation.
 N_PERMUTATIONS_MAX = 2**15
 
@@ -152,18 +150,20 @@ def shapley_sampled(params: ModelParams, tokens, label: int,
     # commutes, and m is never -0.0); add.at also adds both when a pair's columns add one token at one step.
     half, pairs = (P + 1) // 2, P // 2
     sums, row = np.zeros((half, n)), np.arange(P) % half * n
-    pre = np.tile(pre0, (P, 1))
-    prev = _label_prob(head, np.tanh(pre), label)
+    pre, buf = np.tile(pre0, (P, 1)), np.empty((P, delta.shape[1]))  # buf: a step's shifts, then its tanh
+    prev = _label_prob(head, np.tanh(pre, out=buf), label)
     base = float(prev[0])
     for k in range(n):
-        pre += delta[order[k]]
-        cur = _label_prob(head, np.tanh(pre), label)
+        pre += np.take(delta, order[k], axis=0, out=buf, mode="clip")  # "raise" would buffer out; order is checked
+        cur = _label_prob(head, np.tanh(pre, out=buf), label)
         np.add.at(sums.reshape(-1), row + order[k], cur - prev)
         prev = cur
     full = float(prev[0])
-    del pre, order  # before std's (pairs, n) temporary
+    del pre, buf, order  # before np.std's block temporaries
     values = sums.sum(axis=0) / P
-    stderr = float(np.std(sums[:pairs], axis=0, ddof=1).max() / 2 / math.sqrt(pairs)) if pairs > 1 else None
+    # np.std in column blocks of about BLOCK_VALUES, each 2+ columns wide: a 1-column block would be summed pairwise
+    blocks = np.array_split(sums[:pairs], max(1, min(n // 2, -(-n * pairs // BLOCK_VALUES))), axis=1)
+    stderr = float(np.max([b.std(0, ddof=1).max() for b in blocks]) / 2 / math.sqrt(pairs)) if pairs > 1 else None
 
     values += (full - base - values.sum()) / n
     return ShapExplanation(values=values, base=base, label=label, engine="sampled", stderr=stderr)

@@ -84,8 +84,10 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TO
         grad = Xb.T @ (P - np.eye(K)[y]) / n + ridge[:, None] * W
         if np.abs(grad).max() <= tol:
             return W
-        # Hessian block (a, b) is Xb^T diag(P_a (1[a=b] - P_b)) Xb / n, plus the ridge on the diagonal.
-        H = np.block([[Xb.T @ (Xb * (P[:, [a]] * ((a == b) - P[:, [b]]))) for b in range(K)] for a in range(K)])
+        # Hessian block (a, b) is Xb^T diag(P_a (1[a=b] - P_b)) Xb / n, plus the ridge on the diagonal. Block (b, a)
+        # weighs Xb by P_b (0 - P_a), bitwise P_a (0 - P_b), so it is block (a, b) itself: each is built once, a <= b.
+        blocks = {(a, b): Xb.T @ (Xb * (P[:, [a]] * ((a == b) - P[:, [b]]))) for a in range(K) for b in range(a, K)}
+        H = np.block([[blocks[min(a, b), max(a, b)] for b in range(K)] for a in range(K)])
         H = H / n + np.diag(np.tile(ridge, K))
         # H is singular along "shift every intercept alike", which the gradient has no part of;
         # adding that direction to H leaves the step none either, so the intercepts sum to zero.

@@ -608,6 +608,63 @@ def test_sampled_given_rows_bit_identical_to_table_fold():
     assert np.array_equal(expl.values, values) and expl.base == base and expl.stderr == stderr
 
 
+def shapley_sampled_fresh_temporaries_oracle(params, tokens, label, n_permutations=DEFAULT_N_PERMUTATIONS, seed=0,
+                                             permutations=None):
+    """(values, base, stderr) as the engine computed them before it reused one (P, h) buffer: each step's shifts
+    and tanh in fresh arrays, and the standard error by one np.std over the whole (pairs, n) table."""
+    n = len(tokens)
+    pre0, delta = _first_layer(params, tokens)
+    head = _head(params)
+    small = np.min_scalar_type(n)
+    if permutations is None:
+        half = (n_permutations + 1) // 2
+        order = np.empty((n, n_permutations), dtype=small)
+        order[:, :half] = np.arange(n, dtype=small)[:, None]
+        derive_rng(seed, "shapley_sampled").permuted(order[:, :half].T, axis=1, out=order[:, :half].T)
+        order[:, half:] = order[::-1, : n_permutations // 2]
+    else:
+        order = np.ascontiguousarray(np.asarray(permutations).T, dtype=small)
+    P = order.shape[1]
+    half, pairs = (P + 1) // 2, P // 2
+    sums, row = np.zeros((half, n)), np.arange(P) % half * n
+    pre = np.tile(pre0, (P, 1))
+    prev = _label_prob(head, np.tanh(pre), label)
+    base = float(prev[0])
+    for k in range(n):
+        pre += delta[order[k]]
+        cur = _label_prob(head, np.tanh(pre), label)
+        np.add.at(sums.reshape(-1), row + order[k], cur - prev)
+        prev = cur
+    values = sums.sum(axis=0) / P
+    stderr = float(np.std(sums[:pairs], axis=0, ddof=1).max() / 2 / math.sqrt(pairs)) if pairs > 1 else None
+    values += (float(prev[0]) - base - values.sum()) / n
+    return values, base, stderr
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 150, 301])
+def test_sampled_reused_buffer_and_blocked_std_bit_identical(n):
+    """The reused (P, h) buffer and the standard error over column blocks give the values, base and stderr of fresh
+    temporaries and one whole-table np.std, bit for bit. 150 and 301 tokens at 1,000 orderings take 2 and 3 blocks;
+    5 tokens at 2^15 orderings take blocks 2 and 3 columns wide."""
+    params = wide_params(n)
+    tokens = tuple(int(t) for t in np.random.default_rng(n).integers(0, 301, n))
+    for P in (1, 2, 3, 1000, 1001) + ((N_PERMUTATIONS_MAX,) if n == 5 else ()):
+        expl = shapley_sampled(params, tokens, n % 3, n_permutations=P, seed=n + P)
+        values, base, stderr = shapley_sampled_fresh_temporaries_oracle(params, tokens, n % 3, P, n + P)
+        assert np.array_equal(expl.values, values) and expl.base == base and expl.stderr == stderr, P
+
+
+def test_sampled_many_given_rows_keep_blocks_two_columns_wide():
+    """200,000 given orderings of 5 tokens ask for more blocks than columns; blocks stay 2 or more columns wide, as a
+    1-column block is summed pairwise, so the standard error keeps the whole table's bits."""
+    params = wide_params(11, h=4)
+    tokens = (5, 80, 13, 200, 7)
+    rows = derive_rng(9, "iid").permuted(np.tile(np.arange(5, dtype=np.uint8), (200_000, 1)), axis=1)
+    expl = shapley_sampled(params, tokens, 1, permutations=rows)
+    values, base, stderr = shapley_sampled_fresh_temporaries_oracle(params, tokens, 1, permutations=rows)
+    assert np.array_equal(expl.values, values) and expl.base == base and expl.stderr == stderr
+
+
 def test_sampled_refuses_too_many_permutations_before_allocating():
     """N_PERMUTATIONS_MAX + 1 orderings are a ValueError before the order table or the marginal table exists."""
     import tracemalloc

@@ -131,7 +131,8 @@ def test_fit_deterministic():
 
 
 def fit_logreg_objective_twice(X, y, l2=1.0, tol=1e-6):
-    """The Newton loop as it was: the objective at each new W is computed again as the next step's f."""
+    """The Newton loop as it was: all K^2 Hessian blocks built, and the objective at each new W computed again as the
+    next step's f."""
     K = int(y.max()) + 1
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
@@ -159,8 +160,11 @@ def fit_logreg_objective_twice(X, y, l2=1.0, tol=1e-6):
     raise AssertionError("the reference loop did not converge")
 
 
-@pytest.mark.parametrize("K, seed, l2", [(2, 0, 1.0), (2, 1, 1e-3), (3, 2, 1.0), (3, 3, 1e-3)])
+@pytest.mark.parametrize("K, seed, l2", [(2, 0, 1.0), (2, 1, 1e-3), (3, 2, 1.0), (3, 3, 1e-3), (4, 4, 1.0),
+                                         (4, 5, 1e-3)])
 def test_fit_carries_the_accepted_objective_bit_for_bit(K, seed, l2):
+    """Bit for bit the reference loop's weights: the accepted trial's objective is carried to the next step, and each
+    Hessian block (b, a) below the diagonal is block (a, b), built once."""
     X, y = overlapping(K, seed=seed)
     assert np.array_equal(fit_logreg(X, y, l2=l2), fit_logreg_objective_twice(X, y, l2=l2))
 

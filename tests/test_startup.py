@@ -1,5 +1,7 @@
-"""Start-up contract: what ``import pblab`` and ``import pblab.cli`` load and change, each in a fresh interpreter."""
+"""Start-up contract: what ``import pblab`` and ``import pblab.cli`` load and change, and what a pipeline stage does
+to numpy's OpenBLAS thread count, each in a fresh interpreter."""
 
+import json
 import os
 import shlex
 import subprocess
@@ -66,6 +68,87 @@ def test_cli_imported_after_numpy_leaves_the_environment_alone():
     out = run_python("import os, numpy; before = dict(os.environ); import pblab.cli; print(dict(os.environ) == before)",
                      OPENBLAS_NUM_THREADS=None)
     assert out == "True"
+
+
+def numpy_links_openblas_on_linux() -> bool:
+    import numpy
+
+    return sys.platform == "linux" and "openblas" in numpy.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+
+
+needs_openblas = pytest.mark.skipif(not numpy_links_openblas_on_linux(), reason="numpy's BLAS is not an OpenBLAS "
+                                    "that /proc/self/maps can show")
+# A child's first lines: numpy loaded before pblab, and the thread count's getter and setter.
+WITH_COUNT = "import numpy\nfrom pblab.experiment import Manifest, _openblas\nget, set_ = _openblas()\n"
+
+
+@needs_openblas
+def test_stage_runs_openblas_on_one_thread_and_restores_the_count():
+    """numpy loaded first and no OPENBLAS_NUM_THREADS: a stage reads 1, and after it, nested or raising, the count
+    it found; a stage that raises records no timing."""
+    out = run_python(WITH_COUNT + (
+        "set_(2)\n"
+        "m = Manifest('unused', 'hash')\n"
+        "with m.stage('outer'):\n"
+        "    with m.stage('inner'):\n"
+        "        print(get())\n"
+        "    print(get())\n"
+        "print(get())\n"
+        "try:\n"
+        "    with m.stage('raises'):\n"
+        "        print(get())\n"
+        "        raise KeyError\n"
+        "except KeyError:\n"
+        "    print(get(), m.entry['blas_threads'], [s['stage'] for s in m.entry['stages']])"), OPENBLAS_NUM_THREADS=None)
+    assert out.splitlines() == ["1", "1", "2", "1", "2 1 ['inner', 'outer']"]
+
+
+@needs_openblas
+def test_stage_leaves_a_callers_count_alone():
+    """With OPENBLAS_NUM_THREADS set, a stage neither caps the count nor applies the variable's value."""
+    out = run_python(WITH_COUNT + (
+        "set_(3)\n"
+        "m = Manifest('unused', 'hash')\n"
+        "with m.stage('s'):\n"
+        "    print(get())\n"
+        "print(get(), m.entry['blas_threads'])"), OPENBLAS_NUM_THREADS="2")
+    assert out.splitlines() == ["3", "3 3"]
+
+
+def test_stage_without_openblas_runs_and_records_null(tmp_path):
+    out = run_python(
+        "import json, pathlib\n"
+        "from pblab import experiment\n"
+        "experiment._openblas = lambda: None\n"
+        f"m = experiment.Manifest({str(tmp_path)!r}, 'hash')\n"
+        "with m.stage('s'):\n"
+        "    print('ran')\n"
+        "m.write()\n"
+        "entry = json.loads((m.root / 'manifest.json').read_text())\n"
+        "print(entry['blas_threads'], [s['stage'] for s in entry['stages']])", OPENBLAS_NUM_THREADS=None)
+    assert out.splitlines() == ["ran", "None ['s']"]
+
+
+@needs_openblas
+def test_thread_count_changes_no_output_byte(tmp_path):
+    """The tiny experiment with the cap engaged (no OPENBLAS_NUM_THREADS) and on 2 threads writes the same bytes to
+    every file but the manifests, which record the count each ran with."""
+    from test_experiment import tiny_config
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tiny_config(tmp_path / "unused").to_dict()))
+    roots = {threads: tmp_path / f"threads_{threads}" for threads in (None, "2")}
+    for threads, root in roots.items():
+        run_python("import numpy\nfrom pblab.experiment import load_config, run_experiment\n"
+                   f"run_experiment(load_config({str(config)!r}), {str(root)!r})", OPENBLAS_NUM_THREADS=threads)
+
+    def outputs(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file() and p.name != "manifest.json"}
+
+    capped, two = roots.values()
+    assert len(outputs(capped)) > 20 and outputs(capped) == outputs(two)
+    counts = [json.loads((root / "seed_0" / "manifest.json").read_text())["blas_threads"] for root in (capped, two)]
+    assert counts == [1, min(2, len(os.sched_getaffinity(0)))]
 
 
 def test_readme_library_example_runs():
