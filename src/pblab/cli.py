@@ -55,7 +55,7 @@ def cmd_sample(args, manifest: Manifest) -> str:
             raw_joint = json.load(f)
     joint = joint_from_config(raw_joint, vocab.n_languages, vocab.n_classes)
     *_, overlap = stage_sample(pool, vocab, joint, args.n, args.seed, manifest.root, manifest)
-    return f"overlap {overlap.overlap_achieved}/{args.n}"
+    return f"overlap {overlap['overlap_achieved']}/{args.n}"
 
 
 def cmd_train(args, manifest: Manifest) -> str:
@@ -100,7 +100,7 @@ def cmd_shap_diff(args, manifest: Manifest) -> str:
     if args.max_datapoints and len(data) > args.max_datapoints:
         data = sorted(data, key=lambda ex: ex.id)[: args.max_datapoints]
     stage_explain({"bal": bal, "cmp": cmp}, "bal", {"shapdiff": "cmp"}, data, engine, args.theta, manifest.root,
-                  manifest, y_mode=args.y_mode, target_labels=args.target_label)
+                  manifest, target_labels=args.target_label)
     return f"wrote {manifest.root / 'shapdiff.csv'}"
 
 
@@ -186,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", default=None)
     p.add_argument("--theta", type=float, default=explain_mod.DEFAULT_THETA)
-    p.add_argument("--y-mode", choices=["fixed", "true"], default="fixed")
-    p.add_argument("--target-label", type=int, action="append",
-                   help="repeatable; with --y-mode fixed, defaults to all labels")
+    p.add_argument("--target-label", type=int, action="append", help="repeatable; defaults to all labels")
     p.add_argument("--max-datapoints", type=int, default=0, help="0 = no cap")
     p.add_argument("--exact-limit", type=int, default=explain_mod.DEFAULT_EXACT_LIMIT)
     p.add_argument("--n-permutations", type=int, default=explain_mod.DEFAULT_N_PERMUTATIONS)

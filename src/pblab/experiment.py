@@ -167,7 +167,7 @@ def joint_from_config(joint_cfg, L: int, C: int) -> np.ndarray:
     if probs is None:
         return sampler_mod.preset(joint_cfg["preset"], L, C)
     if probs.shape != (L, C):
-        raise ValueError(f"joint table shape {probs.shape} does not match corpus ({L}, {C})")
+        raise ValueError(f"config section 'joint': table shape {probs.shape} does not match corpus ({L}, {C})")
     return probs
 
 
@@ -396,17 +396,18 @@ def stage_probe(models: dict, dataset, corpus_tag: str, probe: dict, csv_path: P
 
 
 def stage_explain(models: dict, ref: str, pairs: dict, data, engine: explain_mod.EngineConfig, theta: float,
-                  out: Path, manifest: Manifest, y_mode: str = "fixed", target_labels=None) -> dict:
-    """Explain each model, {tag: params}, once; then for each {stem: compared tag} write the report of
-    the compared model against the reference model ``ref``, <stem>.csv and its <stem>.json sidecar.
-    The reference model's values define the token categories, and its base values are tagged "bal"."""
+                  out: Path, manifest: Manifest, target_labels=None) -> dict:
+    """Explain each model, {tag: params}, at each of ``target_labels`` (all labels when None) once; then for each
+    {stem: compared tag} write the report of the compared model against the reference model ``ref``, <stem>.csv and
+    its <stem>.json sidecar. The reference model's values define the token categories, and every report keys its
+    base values "bal", whatever the tag of ``ref``."""
     expl = {}
     for tag, params in models.items():
         with manifest.stage("explain", arm=tag):
-            expl[tag] = explain_mod.explain_arm(params, data, engine, y_mode, target_labels)
+            expl[tag] = explain_mod.explain_arm(params, data, engine, target_labels)
     reports = {}
     for stem, cmp in pairs.items():
-        reports[stem] = explain_mod.diff_report(data, expl[ref], expl[cmp], engine, theta, y_mode, tags=("bal", cmp))
+        reports[stem] = explain_mod.diff_report(data, expl[ref], expl[cmp], engine, theta, tags=("bal", cmp))
         reports[stem].write_csv(manifest.add(out / f"{stem}.csv"))
         reports[stem].write_sidecar(manifest.add(out / f"{stem}.json"))
     return reports
@@ -454,7 +455,7 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         val, test, subsets, overlap = stage_sample(
             pool, vocab, joint, config.train_size, seed, seed_dir / "subsets", manifest,
             eval_sizes=(config.val_size, config.test_size))
-        record["overlap"] = overlap.to_dict()
+        record["overlap"] = overlap
 
         # The arms train in lockstep, each on its row's subset with its row's weighting.
         weights_hash = config.content_hash(WEIGHT_FIELDS)

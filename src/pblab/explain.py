@@ -210,7 +210,6 @@ class CumulativeDiffReport:
     base_values: dict = field(default_factory=dict)
     split_fractions: dict = field(default_factory=dict)
     theta: float = DEFAULT_THETA
-    y_mode: str = "fixed"
     engine: dict = field(default_factory=dict)
     explanations: dict = field(default_factory=dict)  # engine name -> (datapoint, label) pairs it explained
     max_stderr: float | None = 0.0  # largest ShapExplanation.stderr; None if one is unknown
@@ -223,7 +222,6 @@ class CumulativeDiffReport:
     def sidecar_dict(self) -> dict:
         return {
             "theta": self.theta,
-            "y_mode": self.y_mode,
             "engine": self.engine,
             "explanations": self.explanations,
             "max_stderr": self.max_stderr,
@@ -238,27 +236,22 @@ class CumulativeDiffReport:
         write_json(path, self.sidecar_dict())
 
 
-def explain_arm(params: ModelParams, examples, engine: EngineConfig, y_mode: str = "fixed",
-                target_labels=None) -> list:
-    """One model's explanations, per datapoint one for each label: with ``y_mode="fixed"`` the
-    ``target_labels`` (all labels when None), with ``y_mode="true"`` the datapoint's own label."""
+def explain_arm(params: ModelParams, examples, engine: EngineConfig, target_labels=None) -> list:
+    """One model's explanations, per datapoint one for each of ``target_labels`` (all labels when None)."""
     if not examples:
         raise ValueError("empty dataset")
-    if y_mode not in ("fixed", "true"):
-        raise ValueError(f"unknown y_mode {y_mode!r}")
     labels = list(target_labels) if target_labels is not None else list(range(params.n_classes))
-    if y_mode == "fixed" and not labels:
+    if not labels:
         raise ValueError("target_labels must be non-empty")
-    return [[engine.explain(params, ex.tokens, label)
-             for label in (labels if y_mode == "fixed" else (ex.label,))]
-            for ex in examples]
+    return [[engine.explain(params, ex.tokens, label) for label in labels] for ex in examples]
 
 
 def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, theta: float = DEFAULT_THETA,
-                y_mode: str = "fixed", tags: tuple = ("bal", "cmp")) -> CumulativeDiffReport:
+                tags: tuple = ("bal", "cmp")) -> CumulativeDiffReport:
     """Average per-category sum of S_cmp - S_bal by language, by arithmetic alone over two
     ``explain_arm`` results for ``examples``; ``expl_bal``'s values define the token categories
-    and ``tags`` name the two models in ``base_values``."""
+    and ``tags`` name the two models in ``base_values``. Every report keys the reference model's
+    base values "bal": ``stage_explain`` passes ("bal", compared tag), whatever its reference model."""
     sums: dict = {}
     counts: dict = {}
     base_acc: dict = {}
@@ -296,7 +289,6 @@ def diff_report(examples, expl_bal: list, expl_cmp: list, engine: EngineConfig, 
         },
         split_fractions={c: cat_counts[c] / sum(cat_counts.values()) for c in CATEGORIES},
         theta=theta,
-        y_mode=y_mode,
         engine=engine.to_dict(),
         explanations=explanations,
         max_stderr=None if None in errors else max(errors),
@@ -309,14 +301,13 @@ def check_pair(params_bal: ModelParams, params_cmp: ModelParams) -> None:
         raise ValueError("models do not share vocabulary/dimensions")
 
 
-def cumulative_diff(params_bal: ModelParams, params_cmp: ModelParams, examples,
-                    y_mode: str = "fixed", target_labels=None, theta: float = DEFAULT_THETA,
-                    engine: EngineConfig | None = None) -> CumulativeDiffReport:
+def cumulative_diff(params_bal: ModelParams, params_cmp: ModelParams, examples, target_labels=None,
+                    theta: float = DEFAULT_THETA, engine: EngineConfig | None = None) -> CumulativeDiffReport:
     """``diff_report`` of ``explain_arm`` on both models: ``params_bal`` is the reference
     model whose values define the token categories, ``params_cmp`` the compared one."""
     if engine is None:
         engine = EngineConfig()
     check_pair(params_bal, params_cmp)
-    expl_bal = explain_arm(params_bal, examples, engine, y_mode, target_labels)
-    expl_cmp = explain_arm(params_cmp, examples, engine, y_mode, target_labels)
-    return diff_report(examples, expl_bal, expl_cmp, engine, theta, y_mode)
+    expl_bal = explain_arm(params_bal, examples, engine, target_labels)
+    expl_cmp = explain_arm(params_cmp, examples, engine, target_labels)
+    return diff_report(examples, expl_bal, expl_cmp, engine, theta)

@@ -5,8 +5,6 @@ number of datapoints (per-cell min), so that any downstream difference
 between models is attributable to the joint distribution alone.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .jsonio import write_json
@@ -99,20 +97,6 @@ def _cell_draws(pool, L: int, C: int, need, seed: int, stream: str):
         yield [cell[i] for i in order[:k]]
 
 
-@dataclass
-class OverlapReport:
-    counts_balanced: np.ndarray
-    counts_imbalanced: np.ndarray
-    overlap_max: int
-    overlap_achieved: int
-    n: int
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "counts_balanced": np.asarray(self.counts_balanced).tolist(),
-                "counts_imbalanced": np.asarray(self.counts_imbalanced).tolist()}
-
-
 def sample_paired(pool, joint, n: int, seed: int = 0):
     """Draw the balanced subset and the imbalanced subset of the table ``joint``, with maximal datapoint overlap.
 
@@ -121,7 +105,9 @@ def sample_paired(pool, joint, n: int, seed: int = 0):
     theoretical maximum overlap. Draws are without replacement from a
     per-cell derived stream.
 
-    Returns (balanced, imbalanced, overlap_report).
+    Returns (balanced, imbalanced, overlap): ``overlap`` is the plain dict that plan.json and the seed record
+    hold, both cell-count plans as (L, C) lists, ``n``, ``seed``, ``overlap_max`` (the per-cell minimum's sum)
+    and ``overlap_achieved`` (the ids the two subsets share, measured).
     """
     plan_imb = plan_counts(joint, n)
     L, C = plan_imb.shape
@@ -133,17 +119,11 @@ def sample_paired(pool, joint, n: int, seed: int = 0):
         balanced += cell[:nb]
         imbalanced += cell[:ni]
 
-    overlap_ids = {ex.id for ex in balanced} & {ex.id for ex in imbalanced}
-    report = OverlapReport(
-        counts_balanced=plan_bal,
-        counts_imbalanced=plan_imb,
-        overlap_max=int(np.minimum(plan_bal, plan_imb).sum()),
-        overlap_achieved=len(overlap_ids),
-        n=n,
-        seed=seed,
-    )
-    assert report.overlap_achieved == report.overlap_max
-    return balanced, imbalanced, report
+    overlap = {"counts_balanced": plan_bal.tolist(), "counts_imbalanced": plan_imb.tolist(), "n": n, "seed": seed,
+               "overlap_max": int(np.minimum(plan_bal, plan_imb).sum()),
+               "overlap_achieved": len({ex.id for ex in balanced} & {ex.id for ex in imbalanced})}
+    assert overlap["overlap_achieved"] == overlap["overlap_max"]
+    return balanced, imbalanced, overlap
 
 
 def split_eval(pool, n_val: int, n_test: int, seed: int = 0):
@@ -173,9 +153,8 @@ def split_eval(pool, n_val: int, n_test: int, seed: int = 0):
     return val, test
 
 
-def write_plan_json(report: OverlapReport, path) -> None:
-    """plan.json: both subset plans, read back from the overlap report, and the report."""
-    overlap = report.to_dict()
-    plans = {f"plan_{tag}": {"counts": overlap[f"counts_{tag}"], "n": report.n, "seed": report.seed}
+def write_plan_json(overlap: dict, path) -> None:
+    """plan.json: both subset plans, read back from ``sample_paired``'s overlap dict, and that dict."""
+    plans = {f"plan_{tag}": {"counts": overlap[f"counts_{tag}"], "n": overlap["n"], "seed": overlap["seed"]}
              for tag in ("balanced", "imbalanced")}
     write_json(path, {**plans, "overlap": overlap})

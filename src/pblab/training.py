@@ -353,9 +353,10 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, w
     its own). A step's rows, counts and arithmetic do not depend on the
     block it is in, so every step computes what a whole-epoch layout gives.
     """
-    bs, lam = config.batch_size, config.mask_entropy_coeff
     ids, lengths, labels = packed
     seqs = orders + offsets
+    # A batch of n or more is one full batch; the cap keeps a batch size past int64 out of numpy.
+    bs, lam = min(config.batch_size, seqs.shape[1]), config.mask_entropy_coeff
     # Step b reads the epoch's tokens tok_ptr[b]:tok_ptr[b + 1], over all arms.
     step_tokens = np.add.reduceat(lengths[seqs].sum(axis=0), np.arange(0, seqs.shape[1], bs))
     tok_ptr = np.concatenate([[0], np.cumsum(step_tokens)])

@@ -130,7 +130,7 @@ def test_criterion_04_sampler():
                       p_noise=0.1, seed=40)
     _, pool = generate_corpus(spec, 40)
     bal1, imb1, report = sample_paired(pool, preset("xnli_skew", 2, 3), 60, seed=4)
-    ok &= report.overlap_achieved == 50
+    ok &= report["overlap_achieved"] == 50
     ok &= len({e.id for e in bal1} & {e.id for e in imb1}) == 50
     bal2, imb2, _ = sample_paired(pool, preset("xnli_skew", 2, 3), 60, seed=4)
     ok &= [e.id for e in bal1] == [e.id for e in bal2]

@@ -105,9 +105,10 @@ def test_eval_checkpoint_without_dims_exits_1(corpus_dir, tmp_path, capsys):
     lambda v: {**v, "tokens": [v["tokens"][0]] * len(v["tokens"])},
     lambda v: {**v, "languages": ["x", "x"]},
     lambda v: {**v, "labels": ["1", 1, "2"]},
+    lambda v: {**v, "filler_sets": [v["filler_sets"][0] + [len(v["tokens"]) + 1], *v["filler_sets"][1:]]},
 ], ids=["list", "empty object", "tokens str", "languages null", "labels nested",
         "filler_sets int", "filler_sets short", "signal_sets str ids", "tokens repeated", "languages repeated",
-        "labels repeated as str and int"])
+        "labels repeated as str and int", "filler id outside the vocabulary"])
 def test_sample_malformed_vocab_exits_1(corpus_dir, tmp_path, capsys, mutate):
     vocab = json.loads((corpus_dir / "vocab.json").read_text())
     bad = tmp_path / "v.json"
@@ -119,6 +120,37 @@ def test_sample_malformed_vocab_exits_1(corpus_dir, tmp_path, capsys, mutate):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["type"] == "ValueError" and "vocabulary" in record["error"]
+
+
+def test_sample_vocab_with_overlapping_sets_exits_1(corpus_dir, tmp_path, capsys):
+    vocab = json.loads((corpus_dir / "vocab.json").read_text())
+    vocab["filler_sets"][0].append(vocab["signal_sets"][0][0][0])  # a signal id that is also a filler
+    bad = tmp_path / "v.json"
+    bad.write_text(json.dumps(vocab))
+    rc = main(["sample", "--data", str(corpus_dir / "corpus.jsonl"), "--vocab", str(bad),
+               "--preset", "uniform", "--n", "60", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "filler/signal sets must be pairwise disjoint", "type": "ValueError"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ('[{"id": "a"}]', "record is not an object"),
+    ('"a"', "record is not an object"),
+    ('{"id": "a", "lang": "L0", "label": "0", "tokens": "t u"}', "'tokens' must be a list of strings"),
+    ('{"id": "a", "lang": "L0", "label": "0", "tokens": ["t", 1]}', "'tokens' must be a list of strings"),
+], ids=["list", "string", "tokens str", "tokens holding an int"])
+def test_sample_malformed_jsonl_line_exits_1(tmp_path, capsys, line, message):
+    bad = tmp_path / "d.jsonl"
+    bad.write_text('{"id": "z", "lang": "L0", "label": "0", "tokens": ["t"]}\n' + line + "\n")
+    rc = main(["sample", "--data", str(bad), "--preset", "uniform", "--n", "6", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": f"{bad}: line 2: {message}", "type": "ValueError"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_sample_mistyped_record_exits_1(corpus_dir, tmp_path, capsys):
@@ -410,3 +442,15 @@ def test_train_overflowing_step_exits_1_with_one_record(corpus_dir, tmp_path, ca
     record = json.loads(lines[0])
     assert record == {"error": "non-finite loss at epoch 0 step 1", "type": "FloatingPointError"}
     assert not out.exists()
+
+
+def test_train_batch_size_past_int64_is_one_full_batch(corpus_dir, tmp_path):
+    """A batch size at or above the train size trains as one full batch, also past what an int64 holds."""
+    outs = {}
+    for batch_size in ("240", "100000000000000000000"):  # the corpus holds 240 examples
+        outs[batch_size] = tmp_path / batch_size
+        assert main(["train", "--data", str(corpus_dir / "corpus.jsonl"), "--val", str(corpus_dir / "corpus.jsonl"),
+                     "--vocab", str(corpus_dir / "vocab.json"), "--epochs", "2", "--batch-size", batch_size,
+                     "--out", str(outs[batch_size])]) == 0
+    for name in ("checkpoint.pbl", "train_report.json"):
+        assert (outs["240"] / name).read_bytes() == (outs["100000000000000000000"] / name).read_bytes()

@@ -81,7 +81,7 @@ def test_manifest_times_every_stage(tiny_run):
 
 
 def test_arms_train_on_sampled_ids(tiny_run):
-    config, out, _ = tiny_run
+    config, out, summary = tiny_run
     seed_dir = out / "seed_0"
     vocab = load_vocab(seed_dir / "corpus" / "vocab.json")
     _, pool = load_jsonl(seed_dir / "corpus" / "corpus.jsonl", vocab)
@@ -99,9 +99,21 @@ def test_arms_train_on_sampled_ids(tiny_run):
     val, test = split_eval(pool, config.val_size, config.test_size, seed=0)
     eval_ids = {e.id for e in val} | {e.id for e in test}
     train_pool = [e for e in pool if e.id not in eval_ids]
-    bal2, imb2, _ = sample_paired(train_pool, preset("xnli_skew", 2, 3), config.train_size, seed=0)
+    bal2, imb2, overlap2 = sample_paired(train_pool, preset("xnli_skew", 2, 3), config.train_size, seed=0)
     assert {e.id for e in bal_sub} == {e.id for e in bal2}
     assert {e.id for e in imb_sub} == {e.id for e in imb2}
+    # One overlap dict: sample_paired's, plan.json's and the seed record's.
+    assert overlap2 == overlap == summary["per_seed"][0]["overlap"]
+    assert set(overlap2) == {"counts_balanced", "counts_imbalanced", "n", "seed", "overlap_max", "overlap_achieved"}
+
+
+def test_shapdiff_sidecar_keys(tiny_run):
+    _, out, _ = tiny_run
+    sidecars = sorted((out / "seed_0" / "shapdiff").glob("*.json"))
+    assert [p.name for p in sidecars] == ["bal_vs_imbal.json", "bal_vs_imbal_cw.json"]
+    for path in sidecars:
+        assert set(json.loads(path.read_text())) == {"base_values", "engine", "explanations", "max_stderr",
+                                                     "split_fractions", "theta"}, path.name
 
 
 def test_cli_and_experiment_share_the_stages(tiny_run, tmp_path, capsys):
@@ -285,6 +297,26 @@ def test_config_malformed_values_rejected(tmp_path, raw):
         raw = base
     with pytest.raises(ValueError, match="config|seeds|train_size"):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"corpus": {**CORPUS, "n_min": 8}}, "config section 'corpus': need 1 <= n_min <= n_max"),
+    ({"corpus": {**CORPUS, "p_noise": 1.0}}, "config section 'corpus': p_noise must be in [0, 1)"),
+    ({"corpus": {**CORPUS, "p_noise": -0.1}}, "config section 'corpus': p_noise must be in [0, 1)"),
+    ({"corpus": {**CORPUS, "n_examples_per_cell": 0}}, "config section 'corpus': n_examples_per_cell must be >= 1"),
+    ({"corpus": {"path": ""}}, "config section 'corpus': path must not be empty"),
+    ({"joint": {"probs": [[1 / 9] * 3] * 3}}, "config section 'joint': table shape (3, 3) does not match corpus (2, 3)"),
+    ({"probe": {"holdout_per_language": 2}},
+     "config value 'probe.holdout_per_language' must be at least n_classes=3"),
+], ids=["corpus.n_min above n_max", "corpus.p_noise 1", "corpus.p_noise negative", "corpus.n_examples_per_cell 0",
+        "corpus.path empty", "joint.probs 3x3 for a 2x3 corpus", "probe.holdout_per_language below n_classes"])
+def test_config_contract_errors_name_their_key(tmp_path, raw, message):
+    """Each section's own contract is a ValueError at load whose message names the key it breaks."""
+    base = tiny_config(tmp_path).to_dict()
+    base.update(raw)
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig.from_dict(base)
+    assert str(exc.value) == message
 
 
 def test_unweightable_plan_names_its_arm(tmp_path):

@@ -385,16 +385,6 @@ def test_cumulative_diff_efficiency_invariant():
         assert total == pytest.approx(-(dp - db), abs=1e-9)
 
 
-def test_cumulative_diff_y_mode_true():
-    spec = CorpusSpec(n_languages=2, n_classes=3, n_min=3, n_max=5, p_signal=0.5, seed=8)
-    vocab, examples = generate_corpus(spec, 2)
-    pa = make_params(vocab.size, seed=30)
-    pb = make_params(vocab.size, seed=31)
-    report = cumulative_diff(pa, pb, examples, y_mode="true")
-    labels_seen = {label for (_, label, _) in report.rows}
-    assert labels_seen == {0, 1, 2}
-
-
 def test_cumulative_diff_dimension_mismatch():
     pa = make_params(6)
     pb = make_params(7)

@@ -136,7 +136,7 @@ def test_fuzzed_joint_tables_plan_exact_rows_or_raise_value_error():
             continue
         except Exception as e:  # anything else breaks the input contract
             pytest.fail(f"trial {trial}: sample_paired at n={n}: {type(e).__name__}: {e}\n{joint.tolist()}")
-        assert len(balanced) == len(imbalanced) == n and report.overlap_achieved == report.overlap_max
+        assert len(balanced) == len(imbalanced) == n and report["overlap_achieved"] == report["overlap_max"]
         drawn += 1
     # The targets reach the planner and the draw, not only their errors.
     assert planned > TRIALS // 4 and drawn > TRIALS // 50

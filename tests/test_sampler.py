@@ -147,7 +147,7 @@ def test_plan_rows_are_exact(spec, n):
 def test_sample_paired_uniform_identical(pool223):
     balanced, imbalanced, report = sample_paired(pool223, preset("uniform", 2, 3), 60, seed=2)
     assert {e.id for e in balanced} == {e.id for e in imbalanced}
-    assert report.overlap_achieved == 60
+    assert report["overlap_achieved"] == 60
 
 
 def test_sample_paired_xnli_overlap_50(pool223):
@@ -155,7 +155,7 @@ def test_sample_paired_xnli_overlap_50(pool223):
     assert len(balanced) == len(imbalanced) == 60
     shared = {e.id for e in balanced} & {e.id for e in imbalanced}
     assert len(shared) == 50
-    assert report.overlap_max == report.overlap_achieved == 50
+    assert report["overlap_max"] == report["overlap_achieved"] == 50
     # no duplicates within a subset
     assert len({e.id for e in balanced}) == 60
     assert len({e.id for e in imbalanced}) == 60
@@ -213,7 +213,7 @@ def test_subset_follows_plan(pool223):
     got = np.zeros((2, 3), dtype=int)
     for e in imbalanced:
         got[e.language, e.label] += 1
-    assert got.tolist() == report.counts_imbalanced.tolist()
+    assert got.tolist() == report["counts_imbalanced"]
 
 
 def test_split_eval_balanced_cells(pool223):
