@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pblab import probe
 from pblab.corpus import CorpusSpec, generate_corpus
 from pblab.model import ModelParams, softmax
 from pblab.probe import (
@@ -11,6 +12,7 @@ from pblab.probe import (
     probe_model,
     stratified_folds,
 )
+from pblab.seeds import derive_rng
 
 
 def clusters(n_per=100, gap=6.0, d=8, seed=0):
@@ -130,10 +132,11 @@ def test_fit_deterministic():
     assert np.array_equal(fit_logreg(X, y), fit_logreg(X, y))
 
 
-def fit_logreg_objective_twice(X, y, l2=1.0, tol=1e-6):
-    """The Newton loop as it was: all K^2 Hessian blocks built, and the objective at each new W computed again as the
-    next step's f."""
-    K = int(y.max()) + 1
+def reference_fit_logreg(X, y, l2=1.0, tol=1e-6):
+    """The Newton loop in its plainest form: K from np.unique, its own design matrix and one-hot targets, all K^2
+    Hessian blocks, the logits recomputed for each softmax and the objective at each new W computed again as the next
+    step's f. Returns the weights and the number of times the line search halved a step."""
+    K = int(np.unique(y).max()) + 1
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
     ridge = np.append(np.full(d, l2 / n), 0.0)
@@ -144,11 +147,12 @@ def fit_logreg_objective_twice(X, y, l2=1.0, tol=1e-6):
         return (np.log(np.exp(Z).sum(axis=1)) - Z[np.arange(n), y]).mean() + 0.5 * ridge @ (W * W).sum(axis=1)
 
     W = np.zeros((d + 1, K))
+    halvings = 0
     for _ in range(50):
         P = softmax(Xb @ W)
         grad = Xb.T @ (P - np.eye(K)[y]) / n + ridge[:, None] * W
         if np.abs(grad).max() <= tol:
-            return W
+            return W, halvings
         H = np.block([[Xb.T @ (Xb * (P[:, [a]] * ((a == b) - P[:, [b]]))) for b in range(K)] for a in range(K)])
         H = H / n + np.diag(np.tile(ridge, K))
         H[d::d + 1, d::d + 1] += 1.0
@@ -156,17 +160,71 @@ def fit_logreg_objective_twice(X, y, l2=1.0, tol=1e-6):
         t, f = 1.0, objective(W)
         while objective(W + t * step) > f:
             t /= 2
+            halvings += 1
         W = W + t * step
     raise AssertionError("the reference loop did not converge")
+
+
+def reference_cross_validate(X, y, k, seed, l2):
+    """Cross-validation with np.setdiff1d training rows, the reference fit and each held fold's own design matrix:
+    (each fold's W, fold accuracies)."""
+    weights, accs = [], []
+    for held in stratified_folds(y, k, seed):
+        train = np.setdiff1d(np.arange(y.size), held)
+        W = reference_fit_logreg(X[train], y[train], l2=l2)[0]
+        weights.append(W)
+        accs.append(float(((np.hstack([X[held], np.ones((held.size, 1))]) @ W).argmax(axis=1) == y[held]).mean()))
+    return weights, accs
 
 
 @pytest.mark.parametrize("K, seed, l2", [(2, 0, 1.0), (2, 1, 1e-3), (3, 2, 1.0), (3, 3, 1e-3), (4, 4, 1.0),
                                          (4, 5, 1e-3)])
 def test_fit_carries_the_accepted_objective_bit_for_bit(K, seed, l2):
-    """Bit for bit the reference loop's weights: the accepted trial's objective is carried to the next step, and each
-    Hessian block (b, a) below the diagonal is block (a, b), built once."""
+    """Bit for bit the reference loop's weights: the accepted trial's objective and logits are carried to the next
+    step, and each Hessian block (b, a) below the diagonal is block (a, b), built once."""
     X, y = overlapping(K, seed=seed)
-    assert np.array_equal(fit_logreg(X, y, l2=l2), fit_logreg_objective_twice(X, y, l2=l2))
+    assert np.array_equal(fit_logreg(X, y, l2=l2), reference_fit_logreg(X, y, l2=l2)[0])
+
+
+def halving_case():
+    """17 examples whose fit at l2 = 1e-3 halves its Newton step in the line search."""
+    rng = np.random.default_rng(1963)
+    y = rng.integers(0, 2, 17)
+    return rng.normal(0, 20, (17, 3)) + y[:, None] * rng.normal(0, 3, 3), y
+
+
+@pytest.mark.parametrize("case, l2", [
+    ("2 languages", 1e-3), ("3 languages", 1.0), ("ids 0 and 2", 1.0), ("3 languages", 1e9), ("halving", 1e-3)])
+def test_fit_and_cross_validate_match_the_reference_bit_for_bit(case, l2, monkeypatch):
+    """np.bincount counts, boolean training masks, each fold's design matrix handed straight to the fit and the
+    carried logits leave every W and fold accuracy as the reference computes them."""
+    if case == "halving":
+        X, y = halving_case()
+        assert reference_fit_logreg(X, y, l2=l2)[1] > 0
+    else:
+        X, y = overlapping(3 if case == "3 languages" else 2, n=120, seed=7)
+        y = 2 * y if case == "ids 0 and 2" else y
+    assert np.array_equal(fit_logreg(X, y, l2=l2), reference_fit_logreg(X, y, l2=l2)[0])
+
+    fold_weights = []
+
+    def recording(*args):
+        fold_weights.append(newton(*args))
+        return fold_weights[-1]
+
+    newton = probe._newton
+    monkeypatch.setattr(probe, "_newton", recording)
+    report = cross_validate(X, y, k=4, seed=3, l2=l2)
+    weights, accs = reference_cross_validate(X, y, k=4, seed=3, l2=l2)
+    assert report.fold_accuracies == accs
+    assert len(fold_weights) == 4 and all(np.array_equal(a, b) for a, b in zip(fold_weights, weights))
+    assert report.n_per_language == [int((y == lang).sum()) for lang in sorted(set(y.tolist()))]
+
+
+@pytest.mark.parametrize("fit", [fit_logreg, cross_validate])
+def test_negative_language_id_is_a_value_error(fit):
+    with pytest.raises(ValueError, match=r"^language ids must be >= 0, got -1$"):
+        fit(np.ones((40, 3)), [-1, 0] * 20)
 
 
 def test_cross_validate_separable():
@@ -206,6 +264,24 @@ def test_folds_partition_and_stratified():
         per_fold = [int((y[f] == lang).sum()) for f in folds]
         assert max(per_fold) - min(per_fold) <= 1
         assert sum(per_fold) == n_lang
+
+
+def test_folds_are_the_round_robin_deal():
+    """Fold j is the sorted order[j::k]: the folds of dealing the shuffled order one example at a time."""
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        y = rng.integers(0, int(rng.integers(2, 5)), int(rng.integers(4, 60)))
+        for k in (2, 3, 5, y.size):
+            order = []
+            for lang in sorted(set(y.tolist())):
+                idx = np.flatnonzero(y == lang)
+                order.extend(idx[derive_rng(trial, "probe", "fold", lang).permutation(idx.size)].tolist())
+            dealt = [[] for _ in range(k)]
+            for pos, idx in enumerate(order):
+                dealt[pos % k].append(idx)
+            folds = stratified_folds(y, k, seed=trial)
+            assert [f.tolist() for f in folds] == [sorted(f) for f in dealt]
+            assert all(f.dtype == np.int64 for f in folds)
 
 
 def test_folds_never_empty_and_training_splits_hold_every_language():

@@ -151,6 +151,27 @@ def test_thread_count_changes_no_output_byte(tmp_path):
     assert counts == [1, min(2, len(os.sched_getaffinity(0)))]
 
 
+def test_a_seed_and_the_probe_command_leave_numpy_ma_unloaded(tmp_path):
+    """np.unique without return_counts imports numpy.ma (about 1.2 MB); neither run_seed nor ``pblab probe`` on its
+    outputs loads it."""
+    from test_experiment import tiny_config
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tiny_config(tmp_path / "unused").to_dict()))
+    seed = tmp_path / "seed_0"
+    out = run_python(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from pblab.experiment import load_config, run_seed\n"
+        f"run_seed(load_config({str(config)!r}), 0, Path({str(seed)!r}))\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from pblab.cli import main\n"
+        f"print(main(['probe', '--checkpoint', {str(seed / 'arms' / 'imbalanced' / 'checkpoint.pbl')!r}, '--data', "
+        f"{str(seed / 'corpus' / 'corpus.jsonl')!r}, '--vocab', {str(seed / 'corpus' / 'vocab.json')!r}, '--out', "
+        f"{str(tmp_path / 'probe')!r}]), 'numpy.ma' in sys.modules)")
+    assert out.splitlines()[0] == "False" and out.splitlines()[-1] == "0 False"
+
+
 def test_readme_library_example_runs():
     """The README's Library code block runs as written, so a change to a public name cannot leave it stale."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
