@@ -52,23 +52,6 @@ def extract_features(params: ModelParams, dataset):
     return pooled, langs
 
 
-def _features_and_ids(features, labels) -> tuple:
-    """(float64 features (n, d), int64 language ids (n,)); ValueError on a shape mismatch or a negative id."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("features/labels shape mismatch")
-    if y.size and y.min() < 0:
-        raise ValueError(f"language ids must be >= 0, got {int(y.min())}")
-    return X, y
-
-
-def _design(features) -> np.ndarray:
-    """The (n, d+1) design matrix: features, then a column of ones for the intercept."""
-    X = np.asarray(features, dtype=np.float64)
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
 def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Multinomial logistic regression by Newton's method, from zero.
 
@@ -77,32 +60,30 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TO
     |gradient| <= tol; raises ValueError if NEWTON_STEPS steps do not get there.
     Returns stacked (d+1, K) weights, last row intercept, K the largest id + 1.
     """
-    X, y = _features_and_ids(features, labels)
-    counts = np.bincount(y)
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError("features/labels shape mismatch")
+    if y.size and y.min() < 0:
+        raise ValueError(f"language ids must be >= 0, got {int(y.min())}")
+    counts = np.bincount(y)  # not np.unique, whose call without return_counts imports numpy.ma
     if np.count_nonzero(counts) < 2:
         raise ValueError("need at least 2 languages to fit the probe")
-    return _newton(_design(X), y, counts.size, l2, tol)
-
-
-def _newton(Xb: np.ndarray, y: np.ndarray, K: int, l2: float, tol: float) -> np.ndarray:
-    """``fit_logreg`` on a design matrix ``Xb`` and valid ids ``y`` below ``K``."""
-    n, d = Xb.shape[0], Xb.shape[1] - 1
+    K = counts.size
+    n, d = X.shape
+    Xb = np.hstack([X, np.ones((n, 1))])
     ridge = np.append(np.full(d, l2 / n), 0.0)
-    rows = np.arange(n)
-    targets = np.eye(K)[y]
 
     def objective(W):
-        """The objective at W, and the logits Xb @ W shifted by their row maxima."""
         Z = Xb @ W
         Z -= Z.max(axis=1, keepdims=True)
-        return (np.log(np.exp(Z).sum(axis=1)) - Z[rows, y]).mean() + 0.5 * ridge @ (W * W).sum(axis=1), Z
+        return (np.log(np.exp(Z).sum(axis=1)) - Z[np.arange(n), y]).mean() + 0.5 * ridge @ (W * W).sum(axis=1)
 
     W = np.zeros((d + 1, K))
-    f, Z = objective(W)
+    f = objective(W)
     for _ in range(NEWTON_STEPS):
-        # Z's row maxima are exactly 0.0, so softmax's own shift leaves it as it is: these are softmax(Xb @ W)'s bits.
-        P = softmax(Z)
-        grad = Xb.T @ (P - targets) / n + ridge[:, None] * W
+        P = softmax(Xb @ W)
+        grad = Xb.T @ (P - np.eye(K)[y]) / n + ridge[:, None] * W
         if np.abs(grad).max() <= tol:
             return W
         # Hessian block (a, b) is Xb^T diag(P_a (1[a=b] - P_b)) Xb / n, plus the ridge on the diagonal. Block (b, a)
@@ -115,14 +96,16 @@ def _newton(Xb: np.ndarray, y: np.ndarray, K: int, l2: float, tol: float) -> np.
         H[d::d + 1, d::d + 1] += 1.0
         step = np.linalg.lstsq(H, -grad.T.ravel(), rcond=None)[0].reshape(K, d + 1).T
         t = 1.0
-        while (trial := objective(W + t * step))[0] > f:
+        while (f_trial := objective(W + t * step)) > f:
             t /= 2
-        W, (f, Z) = W + t * step, trial  # the accepted trial's objective and logits are those at the new W
+        W, f = W + t * step, f_trial  # the accepted trial's value is the objective at the new W
     raise ValueError(f"probe fit did not reach max |gradient| <= {tol} in {NEWTON_STEPS} Newton steps")
 
 
 def predict_logreg(W: np.ndarray, features) -> np.ndarray:
-    return (_design(features) @ W).argmax(axis=1)
+    X = np.asarray(features, dtype=np.float64)
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    return (Xb @ W).argmax(axis=1)
 
 
 def stratified_folds(labels, k: int, seed: int = 0):
@@ -151,24 +134,26 @@ def cross_validate(features, labels, k: int = ProbeConfig.k, seed: int = 0, l2: 
     With k >= 2 and at least 2 examples per language, ``stratified_folds``
     leaves no fold empty and every training split holds every language.
     """
-    X, y = _features_and_ids(features, labels)
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if y.size and y.min() < 0:
+        raise ValueError(f"language ids must be >= 0, got {int(y.min())}")
     counts = np.bincount(y)
-    present = counts[counts > 0]
-    if present.size < 2:
+    counts = counts[counts > 0]
+    if counts.size < 2:
         raise ValueError("need at least 2 languages")
-    if present.min() < 2:
+    if counts.min() < 2:
         raise ValueError("every language needs at least 2 examples")
     accs = []
     for held in stratified_folds(y, k, seed):
         train = np.ones(y.size, dtype=bool)
         train[held] = False
-        # the fit holds its rows' design matrix only, not X[train] as well
-        W = _newton(_design(X[train]), y[train], counts.size, l2, DEFAULT_TOL)
+        W = fit_logreg(X[train], y[train], l2=l2)
         accs.append(float((predict_logreg(W, X[held]) == y[held]).mean()))
     return ProbeReport(
         fold_accuracies=accs,
         mean_accuracy=float(np.mean(accs)),
-        n_per_language=[int(c) for c in present],
+        n_per_language=[int(c) for c in counts],
         l2=l2,
         seed=seed,
     )

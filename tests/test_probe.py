@@ -133,9 +133,8 @@ def test_fit_deterministic():
 
 
 def reference_fit_logreg(X, y, l2=1.0, tol=1e-6):
-    """The Newton loop in its plainest form: K from np.unique, its own design matrix and one-hot targets, all K^2
-    Hessian blocks, the logits recomputed for each softmax and the objective at each new W computed again as the next
-    step's f. Returns the weights and the number of times the line search halved a step."""
+    """The Newton loop in its plainest form: K from np.unique, all K^2 Hessian blocks and the objective at each new W
+    computed again as the next step's f. Returns the weights and the number of times the line search halved a step."""
     K = int(np.unique(y).max()) + 1
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
@@ -180,8 +179,8 @@ def reference_cross_validate(X, y, k, seed, l2):
 @pytest.mark.parametrize("K, seed, l2", [(2, 0, 1.0), (2, 1, 1e-3), (3, 2, 1.0), (3, 3, 1e-3), (4, 4, 1.0),
                                          (4, 5, 1e-3)])
 def test_fit_carries_the_accepted_objective_bit_for_bit(K, seed, l2):
-    """Bit for bit the reference loop's weights: the accepted trial's objective and logits are carried to the next
-    step, and each Hessian block (b, a) below the diagonal is block (a, b), built once."""
+    """Bit for bit the reference loop's weights: the accepted trial's objective is carried to the next step, and each
+    Hessian block (b, a) below the diagonal is block (a, b), built once."""
     X, y = overlapping(K, seed=seed)
     assert np.array_equal(fit_logreg(X, y, l2=l2), reference_fit_logreg(X, y, l2=l2)[0])
 
@@ -196,8 +195,8 @@ def halving_case():
 @pytest.mark.parametrize("case, l2", [
     ("2 languages", 1e-3), ("3 languages", 1.0), ("ids 0 and 2", 1.0), ("3 languages", 1e9), ("halving", 1e-3)])
 def test_fit_and_cross_validate_match_the_reference_bit_for_bit(case, l2, monkeypatch):
-    """np.bincount counts, boolean training masks, each fold's design matrix handed straight to the fit and the
-    carried logits leave every W and fold accuracy as the reference computes them."""
+    """np.bincount counts and boolean training masks leave every W and fold accuracy as the reference computes them;
+    each fold's fit is a call of the module's ``fit_logreg``, where a tracer wrapping that attribute sees it."""
     if case == "halving":
         X, y = halving_case()
         assert reference_fit_logreg(X, y, l2=l2)[1] > 0
@@ -208,12 +207,12 @@ def test_fit_and_cross_validate_match_the_reference_bit_for_bit(case, l2, monkey
 
     fold_weights = []
 
-    def recording(*args):
-        fold_weights.append(newton(*args))
+    def recording(*args, **kwargs):
+        fold_weights.append(fit(*args, **kwargs))
         return fold_weights[-1]
 
-    newton = probe._newton
-    monkeypatch.setattr(probe, "_newton", recording)
+    fit = probe.fit_logreg
+    monkeypatch.setattr(probe, "fit_logreg", recording)
     report = cross_validate(X, y, k=4, seed=3, l2=l2)
     weights, accs = reference_cross_validate(X, y, k=4, seed=3, l2=l2)
     assert report.fold_accuracies == accs
