@@ -12,7 +12,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 if "numpy" not in sys.modules:  # the CLI owns its process: one BLAS thread unless the caller set a count
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -29,6 +30,17 @@ from .experiment import (Manifest, SyntheticCorpus, check_target_labels, config_
 from .seeds import derive_int
 
 
+# gen-corpus's flag for each SyntheticCorpus field, in usage-line order, and defaults for the fields a config requires.
+CORPUS_FLAGS = {"n_languages": "--languages", "n_classes": "--classes", "n_min": "--min-tokens",
+                "n_max": "--max-tokens", "p_signal": "--p-signal", "p_noise": "--p-noise",
+                "fillers_per_language": "--fillers", "signals_per_language_class": "--signals",
+                "n_examples_per_cell": "--per-cell", "seed": "--seed"}
+CORPUS_DEFAULTS = {"n_languages": 2, "n_classes": 3, "n_min": 6, "n_max": 12, "p_signal": 0.25}
+# The flags several commands take, each declared once; a command adds them where its usage line lists them.
+SHARED = {"--checkpoint": {"required": True}, "--data": {"required": True}, "--vocab": {"default": None},
+          "--seed": {"type": int, "default": 0}, "--out": {"default": None}}
+
+
 def _manifest(args) -> Manifest:
     """The command's manifest in --out (default $PBLAB_OUT, else "."), keyed by every argument but --out."""
     payload = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
@@ -36,34 +48,32 @@ def _manifest(args) -> Manifest:
     return Manifest(args.out or os.environ.get("PBLAB_OUT", "."), config_hash, getattr(args, "seed", None))
 
 
+def _settings(cls, args, **fixed):
+    """The settings dataclass ``cls`` from the flags named after its fields (a field without one keeps its
+    default) and the values ``fixed`` by the command, validated before any file is read."""
+    settings = cls(**{**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}, **fixed})
+    settings.validate()
+    return settings
+
+
 def cmd_gen_corpus(args, manifest: Manifest) -> str:
-    spec = SyntheticCorpus(
-        n_languages=args.languages, n_classes=args.classes, n_min=args.min_tokens,
-        n_max=args.max_tokens, p_signal=args.p_signal, p_noise=args.p_noise,
-        fillers_per_language=args.fillers, signals_per_language_class=args.signals,
-        seed=args.seed, n_examples_per_cell=args.per_cell,
-    )
-    _, examples = stage_corpus(spec, manifest.root, manifest)
+    _, examples = stage_corpus(_settings(SyntheticCorpus, args), manifest.root, manifest)
     return f"wrote {len(examples)} examples to {manifest.root / 'corpus.jsonl'}"
 
 
 def cmd_sample(args, manifest: Manifest) -> str:
     vocab, pool = load_dataset(args.data, args.vocab)
-    raw_joint = {"preset": args.preset}
-    if args.joint:
-        with open(args.joint, encoding="utf-8") as f:
-            raw_joint = json.load(f)
+    raw_joint = json.loads(Path(args.joint).read_text(encoding="utf-8")) if args.joint else {"preset": args.preset}
     joint = joint_from_config(raw_joint, vocab.n_languages, vocab.n_classes)
     *_, overlap = stage_sample(pool, vocab, joint, args.n, args.seed, manifest.root, manifest)
     return f"overlap {overlap['overlap_achieved']}/{args.n}"
 
 
 def cmd_train(args, manifest: Manifest) -> str:
-    config = training_mod.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(training_mod.TrainConfig)})
-    config.validate()  # before any file is read
+    config = _settings(training_mod.TrainConfig, args)
     vocab, data = load_dataset(args.data, args.vocab)
     _, val = corpus_mod.load_jsonl(args.val, vocab)
-    header = {"seed": args.seed, "weighting": args.weighting}
+    header = {"seed": config.seed, "weighting": config.weighting}
     [(_, report)] = stage_train([(data, config, manifest.root, header)], val, vocab, manifest)
     return f"selected epoch {report.selected_epoch}, val accuracy {report.final.get('val_accuracy')}"
 
@@ -76,19 +86,17 @@ def cmd_eval(args, manifest: Manifest) -> str:
 
 
 def cmd_probe(args, manifest: Manifest) -> str:
-    probe_mod.ProbeConfig(k=args.k, l2=args.l2).validate()  # before any file is read
+    probe = _settings(probe_mod.ProbeConfig, args)
     vocab, data = load_dataset(args.data, args.vocab)
     params, _ = model_mod.load(args.checkpoint, vocab)
-    reports = stage_probe({"model": (params, args.seed)}, data, "data", {"k": args.k, "l2": args.l2},
-                          manifest.root / "probe.csv", manifest, json_path=manifest.root / "probe.json")
+    reports = stage_probe({"model": (params, args.seed)}, data, "data", probe, manifest.root / "probe.csv", manifest,
+                          json_path=manifest.root / "probe.json")
     return f"probe mean accuracy {reports['model'].mean_accuracy}"
 
 
 def cmd_shap_diff(args, manifest: Manifest) -> str:
-    engine = explain_mod.EngineConfig(exact_limit=args.exact_limit, n_permutations=args.n_permutations,
-                                      seed=derive_int(args.seed, "shapdiff"))
-    engine.validate()  # these checks run before any file is read or written
-    if not 0 < args.theta < math.inf:
+    engine = _settings(explain_mod.EngineConfig, args, seed=derive_int(args.seed, "shapdiff"))
+    if not 0 < args.theta < math.inf:  # these checks too run before any file is read or written
         raise ValueError("theta must be > 0")
     if args.max_datapoints < 0:
         raise ValueError("max_datapoints must be >= 0 (0 = no cap)")
@@ -97,8 +105,7 @@ def cmd_shap_diff(args, manifest: Manifest) -> str:
     vocab, data = load_dataset(args.data, args.vocab)
     bal, cmp = (model_mod.load(path, vocab)[0] for path in (args.checkpoint_bal, args.checkpoint_cmp))
     explain_mod.check_pair(bal, cmp)
-    if args.max_datapoints and len(data) > args.max_datapoints:
-        data = sorted(data, key=lambda ex: ex.id)[: args.max_datapoints]
+    data = sorted(data, key=lambda ex: ex.id)[: args.max_datapoints or None]  # id order, whatever the file's order
     stage_explain({"bal": bal, "cmp": cmp}, "bal", {"shapdiff": "cmp"}, data, engine, args.theta, manifest.root,
                   manifest, target_labels=args.target_label)
     return f"wrote {manifest.root / 'shapdiff.csv'}"
@@ -121,91 +128,82 @@ def cmd_experiment(args) -> int:
     return 1 if summary["failures"] else 0
 
 
+def _shared(p, *flags) -> None:
+    for flag in flags:
+        p.add_argument(flag, **SHARED[flag])
+
+
+def _field_flags(p, cls, names=None, flags=None, defaults=None) -> None:
+    """A flag per field of ``cls`` in ``names`` (all when None), in order: the field name dashed or, shown as such in
+    usage, its name in ``flags``; of the field's type and default, else the one in ``defaults``, else required."""
+    by_name = {f.name: f for f in fields(cls)}
+    for f in (by_name[name] for name in names or by_name):
+        flag = (flags or {}).get(f.name, "--" + f.name.replace("_", "-"))
+        default = (defaults or {}).get(f.name, f.default)
+        p.add_argument(flag, dest=f.name, type=f.type, metavar=flag[2:].replace("-", "_").upper() if flags else None,
+                       default=None if default is MISSING else default, required=default is MISSING,
+                       choices=list(training_mod.WEIGHTINGS) if f.name == "weighting" else None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="pblab",
-        description="Controlled experiments on per-language label imbalance in multilingual classifiers",
-    )
+        prog="pblab", description="Controlled experiments on per-language label imbalance in multilingual classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic multilingual corpus")
-    p.add_argument("--languages", type=int, default=2)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--min-tokens", type=int, default=6)
-    p.add_argument("--max-tokens", type=int, default=12)
-    p.add_argument("--p-signal", type=float, default=0.25)
-    p.add_argument("--p-noise", type=float, default=corpus_mod.CorpusSpec.p_noise)
-    p.add_argument("--fillers", type=int, default=corpus_mod.CorpusSpec.fillers_per_language)
-    p.add_argument("--signals", type=int, default=corpus_mod.CorpusSpec.signals_per_language_class)
-    p.add_argument("--per-cell", type=int, required=True)
-    p.add_argument("--seed", type=int, default=corpus_mod.CorpusSpec.seed)
-    p.add_argument("--out", default=None)
+    _field_flags(p, SyntheticCorpus, CORPUS_FLAGS, flags=CORPUS_FLAGS, defaults=CORPUS_DEFAULTS)
+    _shared(p, "--out")
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("sample", help="draw the balanced/imbalanced training pair")
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", default=None)
+    _shared(p, "--data", "--vocab")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=sampler_mod.PRESETS)
     group.add_argument("--joint", help="JSON file with a joint table")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    _shared(p, "--seed", "--out")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("train", help="train the classifier")
-    p.add_argument("--data", required=True)
+    _shared(p, "--data")
     p.add_argument("--val", required=True)
-    p.add_argument("--vocab", default=None)
-    for f in fields(training_mod.TrainConfig):  # one flag per field, defaulting to the field's default
-        p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default,
-                       choices=list(training_mod.WEIGHTINGS) if f.name == "weighting" else None)
-    p.add_argument("--out", default=None)
+    _shared(p, "--vocab")
+    _field_flags(p, training_mod.TrainConfig)
+    _shared(p, "--out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", default=None)
-    p.add_argument("--out", default=None)
+    _shared(p, "--checkpoint", "--data", "--vocab", "--out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("probe", help="language-identification probe on pooled features")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", default=None)
-    p.add_argument("--k", type=int, default=probe_mod.ProbeConfig.k)
-    p.add_argument("--l2", type=float, default=probe_mod.ProbeConfig.l2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    _shared(p, "--checkpoint", "--data", "--vocab")
+    _field_flags(p, probe_mod.ProbeConfig, ("k", "l2"))
+    _shared(p, "--seed", "--out")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("shap-diff", help="cumulative attribution difference between two checkpoints")
     p.add_argument("--checkpoint-bal", required=True)
     p.add_argument("--checkpoint-cmp", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--vocab", default=None)
+    _shared(p, "--data", "--vocab")
     p.add_argument("--theta", type=float, default=explain_mod.DEFAULT_THETA)
     p.add_argument("--target-label", type=int, action="append", help="repeatable; defaults to all labels")
     p.add_argument("--max-datapoints", type=int, default=0, help="0 = no cap")
-    p.add_argument("--exact-limit", type=int, default=explain_mod.DEFAULT_EXACT_LIMIT)
-    p.add_argument("--n-permutations", type=int, default=explain_mod.DEFAULT_N_PERMUTATIONS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    _field_flags(p, explain_mod.EngineConfig, ("exact_limit", "n_permutations"))
+    _shared(p, "--seed", "--out")
     p.set_defaults(func=cmd_shap_diff)
 
     p = sub.add_parser("experiment", help="run the full multi-seed experiment from a config file")
     p.add_argument("--config", default=None)
     p.add_argument("--print-schema", action="store_true", help="print the config schema and exit")
-    p.add_argument("--out", default=None, help="override the config's out_dir")
+    p.add_argument("--out", **SHARED["--out"], help="override the config's out_dir")
     p.set_defaults(func=cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.func is cmd_experiment:
             return cmd_experiment(args)

@@ -97,7 +97,9 @@ class Vocab:
             if not isinstance(d.get(key), list) or not all(type(x) in kinds for x in d[key]):
                 raise ValueError(f"vocabulary {key!r} must be a list of {' or '.join(k.__name__ for k in kinds)}")
         filler = signal = None
-        if "filler_sets" in d and "signal_sets" in d:
+        if ("filler_sets" in d) != ("signal_sets" in d):  # ground truth is both sets or neither
+            raise ValueError(f"vocabulary {'signal_sets' if 'filler_sets' in d else 'filler_sets'!r} is missing")
+        if "filler_sets" in d:
             L, C = len(d["languages"]), len(d["labels"])
             if not _id_lists(d["filler_sets"], L):
                 raise ValueError(f"vocabulary 'filler_sets' must be {L} lists of token ids, one per language")

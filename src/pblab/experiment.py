@@ -379,14 +379,14 @@ def stage_evaluate(params, test, vocab, out: Path, manifest: Manifest, arm: str 
     return metrics
 
 
-def stage_probe(models: dict, dataset, corpus_tag: str, probe: dict, csv_path: Path, manifest: Manifest,
-                json_path: Path | None = None) -> dict:
+def stage_probe(models: dict, dataset, corpus_tag: str, probe: probe_mod.ProbeConfig, csv_path: Path,
+                manifest: Manifest, json_path: Path | None = None) -> dict:
     """The language probe of each model, {tag: (params, fold seed)}, on ``dataset``: every fold's accuracy
     goes to ``csv_path`` and, with ``json_path`` given, the one model's report to that file."""
     reports = {}
     for tag, (params, seed) in models.items():
         with manifest.stage("probe", arm=tag, corpus=corpus_tag):
-            reports[tag] = probe_mod.probe_model(params, dataset, k=probe["k"], seed=seed, l2=probe["l2"])
+            reports[tag] = probe_mod.probe_model(params, dataset, k=probe.k, seed=seed, l2=probe.l2)
     if json_path is not None:
         (report,) = reports.values()
         write_json(manifest.add(json_path), report.to_dict())
@@ -479,12 +479,13 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
             }
 
         # Language-identification probe on the task test split and on a fresh uniform corpus.
+        probe = probe_mod.ProbeConfig(**config.probe)
         probe_corpora = {"original": test}
         if synthetic:
             with manifest.stage("corpus", corpus="holdout"):
                 holdout_spec = SyntheticCorpus(**config.corpus, seed=derive_int(seed, "probe_holdout"))
-                per_cell = -(-config.probe["holdout_per_language"] // C)
-                surplus = per_cell * C - config.probe["holdout_per_language"]
+                per_cell = -(-probe.holdout_per_language // C)
+                surplus = per_cell * C - probe.holdout_per_language
                 _, holdout = corpus_mod.generate_corpus(holdout_spec, per_cell)
             # Exactly holdout_per_language per language: the last `surplus` label cells drop their last example.
             probe_corpora["holdout"] = [ex for i, ex in enumerate(holdout)
@@ -492,8 +493,8 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         record["probe"] = {}
         for corpus_tag, dataset in probe_corpora.items():
             models = {arm: (arm_params[arm], derive_int(seed, "probe", arm, corpus_tag)) for arm in ARMS}
-            reports = stage_probe(models, dataset, corpus_tag, config.probe,
-                                  seed_dir / "probe" / f"{corpus_tag}.csv", manifest)
+            reports = stage_probe(models, dataset, corpus_tag, probe, seed_dir / "probe" / f"{corpus_tag}.csv",
+                                  manifest)
             record["probe"][corpus_tag] = {arm: report.mean_accuracy for arm, report in reports.items()}
 
         # Attribution-difference reports against the reference arm.

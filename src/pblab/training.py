@@ -22,7 +22,6 @@ from .model import (
     batch_layout,
     forward,
     forward_examples,
-    forward_means,
     init_params,
     mean_embeddings,
     pack_tokens,
@@ -332,8 +331,7 @@ def train_arms(datasets, val, vocab, configs):
                                             val_loss=val_loss))
 
     for selected, report in zip(best, reports):
-        probs, _ = forward_means(selected, mean_embeddings(selected.embedding, val_ids, val_lengths))
-        report.final = {"val_accuracy": float((probs.argmax(axis=1) == val_labels).mean())}
+        report.final = {"val_accuracy": evaluate(selected, val, vocab.n_languages, vocab.n_classes).overall_accuracy}
     return list(zip(best, reports))
 
 

@@ -106,9 +106,12 @@ def test_eval_checkpoint_without_dims_exits_1(corpus_dir, tmp_path, capsys):
     lambda v: {**v, "languages": ["x", "x"]},
     lambda v: {**v, "labels": ["1", 1, "2"]},
     lambda v: {**v, "filler_sets": [v["filler_sets"][0] + [len(v["tokens"]) + 1], *v["filler_sets"][1:]]},
+    lambda v: {k: x for k, x in v.items() if k != "signal_sets"},
+    lambda v: {k: x for k, x in v.items() if k != "filler_sets"},
 ], ids=["list", "empty object", "tokens str", "languages null", "labels nested",
         "filler_sets int", "filler_sets short", "signal_sets str ids", "tokens repeated", "languages repeated",
-        "labels repeated as str and int", "filler id outside the vocabulary"])
+        "labels repeated as str and int", "filler id outside the vocabulary", "signal_sets missing",
+        "filler_sets missing"])
 def test_sample_malformed_vocab_exits_1(corpus_dir, tmp_path, capsys, mutate):
     vocab = json.loads((corpus_dir / "vocab.json").read_text())
     bad = tmp_path / "v.json"
@@ -284,6 +287,24 @@ def test_probe_and_shapdiff_cli(corpus_dir, tmp_path):
     assert rows[0] == "language,label,category,mean_cum_diff,n_datapoints"
     # same checkpoint on both sides: all differences are zero
     assert all(float(r.split(",")[3]) == 0.0 for r in rows[1:])
+
+
+def test_shapdiff_explains_in_id_order_whatever_the_file_order(corpus_dir, tmp_path):
+    """Without a --max-datapoints cap too, shap-diff explains its data in id order: a shuffled copy of --data gives
+    byte-identical outputs (in file order, a sum over datapoints could differ in its last bits)."""
+    data, vocab = str(corpus_dir / "corpus.jsonl"), str(corpus_dir / "vocab.json")
+    for seed in ("1", "2"):
+        assert main(["train", "--data", data, "--val", data, "--vocab", vocab, "--epochs", "2", "--seed", seed,
+                     "--out", str(tmp_path / f"run{seed}")]) == 0
+    lines = (corpus_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
+    np.random.default_rng(0).shuffle(lines)
+    (tmp_path / "shuffled.jsonl").write_text("".join(lines))
+    for name, path in (("sd", data), ("sd_shuffled", str(tmp_path / "shuffled.jsonl"))):
+        assert main(["shap-diff", "--checkpoint-bal", str(tmp_path / "run1" / "checkpoint.pbl"),
+                     "--checkpoint-cmp", str(tmp_path / "run2" / "checkpoint.pbl"), "--data", path, "--vocab", vocab,
+                     "--out", str(tmp_path / name)]) == 0
+    for name in ("shapdiff.csv", "shapdiff.json"):
+        assert (tmp_path / "sd" / name).read_bytes() == (tmp_path / "sd_shuffled" / name).read_bytes()
 
 
 @pytest.mark.parametrize("flags", [["--exact-limit", "17"], ["--exact-limit", "-1"], ["--n-permutations", "0"]],

@@ -96,6 +96,15 @@ def test_vocab_disjointness_after_generation():
     assert all(t < vocab.size for t in seen)
 
 
+@pytest.mark.parametrize("missing", ["filler_sets", "signal_sets"])
+def test_vocab_with_half_the_ground_truth_is_rejected(missing):
+    """Ground truth is both token-set lists or neither: one alone is an error naming the other, not a vocabulary
+    that quietly has none."""
+    d = {k: v for k, v in build_vocab(spec_223()).to_dict().items() if k != missing}
+    with pytest.raises(ValueError, match=f"'{missing}' is missing"):
+        Vocab.from_dict(d)
+
+
 def test_ground_truth_categories():
     vocab, _ = generate_corpus(spec_223(), 1)
     sig00 = next(iter(vocab.signal_sets[0][0]))

@@ -308,8 +308,10 @@ def test_config_malformed_values_rejected(tmp_path, raw):
     ({"joint": {"probs": [[1 / 9] * 3] * 3}}, "config section 'joint': table shape (3, 3) does not match corpus (2, 3)"),
     ({"probe": {"holdout_per_language": 2}},
      "config value 'probe.holdout_per_language' must be at least n_classes=3"),
+    ({"val_size": 0}, "config: train_size, val_size and test_size must be >= 1"),
 ], ids=["corpus.n_min above n_max", "corpus.p_noise 1", "corpus.p_noise negative", "corpus.n_examples_per_cell 0",
-        "corpus.path empty", "joint.probs 3x3 for a 2x3 corpus", "probe.holdout_per_language below n_classes"])
+        "corpus.path empty", "joint.probs 3x3 for a 2x3 corpus", "probe.holdout_per_language below n_classes",
+        "val_size 0"])
 def test_config_contract_errors_name_their_key(tmp_path, raw, message):
     """Each section's own contract is a ValueError at load whose message names the key it breaks."""
     base = tiny_config(tmp_path).to_dict()

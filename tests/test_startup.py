@@ -179,6 +179,15 @@ def test_readme_library_example_runs():
     run_python(code)
 
 
+def test_readme_experiment_config_loads():
+    """The README's experiment-config JSON block is a config that loads as written."""
+    from pblab.experiment import ExperimentConfig
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n### Experiment config\n", 1)[1].split("```json\n", 1)[1].split("\n```", 1)[0]
+    assert ExperimentConfig.from_dict(json.loads(block)).name == "xnli-skew-demo"
+
+
 def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch):
     """Each ``pblab`` line of the README's CLI block but ``experiment --config`` returns 0, in order, in an empty
     directory: every file a line reads, an earlier line wrote."""
