@@ -25,8 +25,8 @@ from . import probe as probe_mod
 from . import sampler as sampler_mod
 from . import training as training_mod
 from .experiment import (Manifest, SyntheticCorpus, check_target_labels, config_schema, joint_from_config,
-                         load_config, load_dataset, run_experiment, stage_corpus, stage_evaluate, stage_explain,
-                         stage_probe, stage_sample, stage_train)
+                         load_config, load_dataset, run_experiment, shap_subset, stage_corpus, stage_evaluate,
+                         stage_explain, stage_probe, stage_sample, stage_train)
 from .seeds import derive_int
 
 
@@ -105,7 +105,8 @@ def cmd_shap_diff(args, manifest: Manifest) -> str:
     vocab, data = load_dataset(args.data, args.vocab)
     bal, cmp = (model_mod.load(path, vocab)[0] for path in (args.checkpoint_bal, args.checkpoint_cmp))
     explain_mod.check_pair(bal, cmp)
-    data = sorted(data, key=lambda ex: ex.id)[: args.max_datapoints or None]  # id order, whatever the file's order
+    # The experiment's deal under a cap, else id order: either way the file's line order does not matter.
+    data = shap_subset(data, args.max_datapoints) if args.max_datapoints else sorted(data, key=lambda ex: ex.id)
     stage_explain({"bal": bal, "cmp": cmp}, "bal", {"shapdiff": "cmp"}, data, engine, args.theta, manifest.root,
                   manifest, target_labels=args.target_label)
     return f"wrote {manifest.root / 'shapdiff.csv'}"

@@ -20,6 +20,7 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -413,28 +414,18 @@ def stage_explain(models: dict, ref: str, pairs: dict, data, engine: explain_mod
     return reports
 
 
-def _shap_subset(test, max_datapoints: int):
-    """Deterministic per-language subsample of test datapoints, of any length.
-
-    Examples are taken round-robin across the (language, label) cells so the
-    cap never skews the subsample toward particular true labels.
-    """
-    langs = sorted({ex.language for ex in test})
-    per_lang = max_datapoints // len(langs)
-    subset = []
-    for lang in langs:
-        cells: dict = {}
-        for ex in test:
-            if ex.language == lang:
-                cells.setdefault(ex.label, []).append(ex)
-        ordered = [sorted(cell, key=lambda ex: ex.id) for _, cell in sorted(cells.items())]
-        picks = []
-        rank = 0
-        while len(picks) < per_lang and any(rank < len(c) for c in ordered):
-            picks.extend(c[rank] for c in ordered if rank < len(c))
-            rank += 1
-        subset.extend(picks[:per_lang])
-    return subset
+def shap_subset(test, max_datapoints: int):
+    """The datapoints a cap of ``max_datapoints`` explains: max_datapoints // L per language, dealt round-robin over
+    its label cells, each cell in id order, so the cap never skews the subsample toward particular true labels."""
+    cells: dict = {}
+    for ex in sorted(test, key=lambda ex: (ex.language, ex.label, ex.id)):
+        cells.setdefault(ex.language, {}).setdefault(ex.label, []).append(ex)
+    per_lang = max_datapoints // len(cells)
+    if per_lang < 1:
+        raise ValueError(f"max_datapoints={max_datapoints} is below n_languages={len(cells)}: "
+                         "every language needs a datapoint")
+    dealt = (filter(None, chain.from_iterable(zip_longest(*by_label.values()))) for by_label in cells.values())
+    return [ex for picks in dealt for ex in islice(picks, per_lang)]
 
 
 def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
@@ -499,7 +490,7 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
 
         # Attribution-difference reports against the reference arm.
         engine = ExplainConfig(**config.explain, seed=derive_int(seed, "shapdiff"))
-        shap_data = _shap_subset(test, engine.max_datapoints)
+        shap_data = shap_subset(test, engine.max_datapoints)
         pairs = {stem: arm for arm, (*_, stem) in ARMS.items() if stem}
         reports = stage_explain(arm_params, next(iter(ARMS)), pairs, shap_data, engine, engine.theta,
                                 seed_dir / "shapdiff", manifest, target_labels=engine.target_labels)

@@ -27,7 +27,6 @@ PARAM_FIELDS = ("embedding", "hidden_w", "hidden_b", "out_w", "out_b")
 DIM_FIELDS = ("vocab_size", "embed_dim", "hidden_dim", "n_classes")
 DEFAULT_DIM = 32  # default embedding and hidden width
 BLOCK_VALUES = 2**16  # float64 values a forward pass widens at a time, whatever the table's stack and width
-BLOCK_TOKENS = 2**15  # tokens, over all arms, of the steps one training ``batch_layout`` covers at a time
 PAIRWISE_BLOCK = 128  # numpy sums more values than this pairwise, as two halves
 
 
@@ -143,95 +142,6 @@ def pack_tokens(sequences, mask_id: int):
     if ids.max() > mask_id:
         raise ValueError("token id outside embedding table")
     return ids, lengths
-
-
-def batch_layout(ids: np.ndarray, lengths: np.ndarray, orders: np.ndarray, batch_size: int, mask_id: int,
-                 with_mask: bool):
-    """Every lockstep step of K arms as one padded block of embedding rows plus its token-count cells.
-
-    ``ids``/``lengths`` are a packed layout (``pack_tokens``); ``orders`` is
-    (K, n), and arm k's batch b holds sequences
-    ``orders[k, b * batch_size:][:batch_size]``. Rows index the arms' tables
-    stacked as one (K * (mask_id + 2), d) table: arm k's row i is
-    ``k * (mask_id + 2) + i``, and its row ``mask_id + 1`` is a scratch row
-    that no batch reads. Step b's rows ``rows[row_ptr[b]:row_ptr[b + 1]]``
-    are a (K, U_b) block: each arm's distinct rows ascending (``with_mask``
-    puts its mask row among them, last, as the largest id), then its scratch
-    row as padding up to the widest arm's count. Padding after the real rows
-    keeps every sum in the order of an arm's step alone, and a pad aliasing
-    a real row would overwrite that row's update in the scatter. The step's (K, B_b, U_b)
-    count tensor N is the bincount of ``cells[tok_ptr[b]:tok_ptr[b + 1]]``:
-    ``N[k] @ emb[k] / lengths`` is arm k's mean embeddings, and
-    ``N[k].T @ (dx / lengths)`` maps a gradient on them back onto its rows.
-    ``last[b]`` holds each arm's last real row as an index into the flattened
-    block (the mask row with ``with_mask``). A K = 1 layout has no padding.
-    One sort over (step, arm, id) keys serves every step. The arrays are
-    int32 whenever every key fits; the ``del``s keep the transient memory to
-    a few token-length arrays.
-    """
-    K, n = orders.shape
-    width, stride = mask_id + 1, mask_id + 2
-    n_batches = -(-n // batch_size)
-    n_groups = n_batches * K  # group g = b * K + k: arm k's batch b
-    dtype = np.int32 if max(n_groups * width, K * stride) < 2**31 else np.int64
-    # Sequences in step order: step b holds arm 0's batch, then arm 1's, and so on; j becomes each
-    # sequence's place in its step.
-    j = np.arange(K * n)
-    b = j // (batch_size * K)
-    j -= b * batch_size * K
-    size = np.minimum(batch_size, n - b * batch_size)  # B_b, the step's batch size
-    k = j // size
-    seq = orders[k, b * batch_size + j - k * size]
-    group = (b * K + k).astype(dtype)
-    sel = lengths[seq]
-    ends = np.cumsum(sel)
-    # Token t of the step-ordered layout is ids[t + shift of its sequence]; its key is group * width + id.
-    n_tok = int(ends[-1])
-    at = np.arange(n_tok, dtype=dtype)
-    at += np.repeat((np.cumsum(lengths)[seq] - ends).astype(dtype), sel)
-    keys = np.empty(n_tok + (n_groups if with_mask else 0), dtype=dtype)
-    keys[:n_tok] = np.repeat(group * width, sel)
-    keys[:n_tok] += ids[at]
-    del at
-    group_base = np.arange(n_groups + 1, dtype=dtype) * width
-    if with_mask:  # one mask key per group, after the tokens
-        keys[n_tok:] = group_base[:-1] + mask_id
-    # Sorting the keys gives the rows; each key's place among them is scattered back in place.
-    perm = keys.argsort()
-    rows = keys[perm]
-    first = np.concatenate([[True], rows[1:] != rows[:-1]])
-    rows = rows[first]
-    rank = np.cumsum(first, dtype=dtype)
-    rank -= 1
-    keys[perm] = rank
-    del perm, first, rank
-    group_ptr = np.searchsorted(rows, group_base).astype(dtype)
-    width_g = np.diff(group_ptr)
-    width_b = width_g.reshape(n_batches, K).max(axis=1)
-    row_ptr = np.concatenate([[0], np.cumsum(K * width_b)])
-    # Group g's block of U_b rows starts at block[g]; its real rows go first, the scratch row fills the rest.
-    g_batch, g_arm = np.divmod(np.arange(n_groups), K)
-    block = row_ptr[g_batch] + g_arm * width_b[g_batch]
-    padded = np.repeat((g_arm * stride + width).astype(dtype), width_b[g_batch])
-    at = np.arange(rows.size, dtype=dtype)
-    at += np.repeat((block - group_ptr[:-1]).astype(dtype), width_g)
-    rows -= np.repeat((group_base[:-1] - g_arm * stride).astype(dtype), width_g)  # key -> row of the stacked table
-    padded[at] = rows
-    del at
-    # A token's cell is (its sequence's place in the step) * U_b + (its row's place among its group's rows).
-    cells = keys[:n_tok]
-    cells += np.repeat((j * width_b[b] - group_ptr[group]).astype(dtype), sel)
-    tok_ptr = np.concatenate([[0], ends])[np.minimum(np.arange(n_batches + 1) * batch_size * K, K * n)]
-    last = (g_arm * width_b[g_batch] + width_g - 1).reshape(n_batches, K)
-    return padded, row_ptr.tolist(), cells, tok_ptr.tolist(), last
-
-
-def batch_counts(layout, b: int, n_seqs: int):
-    """Step b's (K * U,) table rows, its (K, n_seqs, U) float64 token counts and each arm's last real row."""
-    rows, row_ptr, cells, tok_ptr, last = layout
-    rows = rows[row_ptr[b] : row_ptr[b + 1]]
-    counts = np.bincount(cells[tok_ptr[b] : tok_ptr[b + 1]], minlength=n_seqs * rows.size)
-    return rows, counts.reshape(last.shape[1], n_seqs, -1).astype(np.float64), last[b]
 
 
 def mean_embeddings(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -14,12 +14,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .model import (
-    BLOCK_TOKENS,
     DEFAULT_DIM,
     PARAM_FIELDS,
     ModelParams,
-    batch_counts,
-    batch_layout,
     forward,
     forward_examples,
     init_params,
@@ -30,6 +27,7 @@ from .model import (
 from .seeds import derive_rng
 
 PROB_CLAMP = 1e-12
+BLOCK_TOKENS = 2**15  # tokens, over all arms, of the steps one ``batch_layout`` covers at a time
 
 
 def count_cells(examples, n_languages: int, n_classes: int) -> np.ndarray:
@@ -171,16 +169,91 @@ def _loss_and_grad(head: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.
     return values, g_x, (w_h @ da_m.transpose(0, 2, 1))[:, :, 0]
 
 
-def _row_grads(counts: np.ndarray, lengths: np.ndarray, g_x: np.ndarray, g_mask, last) -> np.ndarray:
-    """The (K * U, d) gradient on a step's embedding rows (consumes ``g_x``).
+def batch_layout(ids: np.ndarray, lengths: np.ndarray, orders: np.ndarray, batch_size: int, mask_id: int):
+    """Every lockstep step of K arms as one padded block of embedding rows plus its token-count cells.
 
-    ``g_mask`` (lambda != 0) goes to each arm's ``last`` row.
+    ``ids``/``lengths`` are a packed layout (``pack_tokens``); ``orders`` is
+    (K, n), and arm k's batch b holds sequences
+    ``orders[k, b * batch_size:][:batch_size]``. Rows index the arms' tables
+    stacked as one (K * (mask_id + 2), d) table: arm k's row i is
+    ``k * (mask_id + 2) + i``, and its row ``mask_id + 1`` is a scratch row
+    that no batch reads. Step b's rows ``rows[row_ptr[b]:row_ptr[b + 1]]``
+    are a (K, U_b) block: each arm's distinct token rows ascending, then its
+    scratch row as padding up to the widest arm's count. Padding after the
+    real rows keeps every sum in the order of an arm's step alone, and a pad
+    aliasing a real row would overwrite that row's update in the scatter.
+    The step's (K, B_b, U_b) count tensor N is the bincount of
+    ``cells[tok_ptr[b]:tok_ptr[b + 1]]``: ``N[k] @ emb[k] / lengths`` is arm
+    k's mean embeddings, and ``N[k].T @ (dx / lengths)`` maps a gradient on
+    them back onto its rows. A K = 1 layout has no padding. One sort over
+    (step, arm, id) keys serves every step. The arrays are int32 whenever
+    every key fits; the ``del``s keep the transient memory to a few
+    token-length arrays.
     """
+    K, n = orders.shape
+    width, stride = mask_id + 1, mask_id + 2
+    n_batches = -(-n // batch_size)
+    n_groups = n_batches * K  # group g = b * K + k: arm k's batch b
+    dtype = np.int32 if max(n_groups * width, K * stride) < 2**31 else np.int64
+    # Sequences in step order: step b holds arm 0's batch, then arm 1's, and so on; j becomes each
+    # sequence's place in its step.
+    j = np.arange(K * n)
+    b = j // (batch_size * K)
+    j -= b * batch_size * K
+    size = np.minimum(batch_size, n - b * batch_size)  # B_b, the step's batch size
+    k = j // size
+    seq = orders[k, b * batch_size + j - k * size]
+    group = (b * K + k).astype(dtype)
+    sel = lengths[seq]
+    ends = np.cumsum(sel)
+    # Token t of the step-ordered layout is ids[t + shift of its sequence]; its key is group * width + id.
+    at = np.arange(int(ends[-1]), dtype=dtype)
+    at += np.repeat((np.cumsum(lengths)[seq] - ends).astype(dtype), sel)
+    keys = np.repeat(group * width, sel)
+    keys += ids[at]
+    del at
+    group_base = np.arange(n_groups + 1, dtype=dtype) * width
+    # Sorting the keys gives the rows; each key's place among them is scattered back in place.
+    perm = keys.argsort()
+    rows = keys[perm]
+    first = np.concatenate([[True], rows[1:] != rows[:-1]])
+    rows = rows[first]
+    rank = np.cumsum(first, dtype=dtype)
+    rank -= 1
+    keys[perm] = rank
+    del perm, first, rank
+    group_ptr = np.searchsorted(rows, group_base).astype(dtype)
+    width_g = np.diff(group_ptr)
+    width_b = width_g.reshape(n_batches, K).max(axis=1)
+    row_ptr = np.concatenate([[0], np.cumsum(K * width_b)])
+    # Group g's block of U_b rows starts at block[g]; its real rows go first, the scratch row fills the rest.
+    g_batch, g_arm = np.divmod(np.arange(n_groups), K)
+    block = row_ptr[g_batch] + g_arm * width_b[g_batch]
+    padded = np.repeat((g_arm * stride + width).astype(dtype), width_b[g_batch])
+    at = np.arange(rows.size, dtype=dtype)
+    at += np.repeat((block - group_ptr[:-1]).astype(dtype), width_g)
+    rows -= np.repeat((group_base[:-1] - g_arm * stride).astype(dtype), width_g)  # key -> row of the stacked table
+    padded[at] = rows
+    del at
+    # A token's cell is (its sequence's place in the step) * U_b + (its row's place among its group's rows).
+    cells = keys
+    cells += np.repeat((j * width_b[b] - group_ptr[group]).astype(dtype), sel)
+    tok_ptr = np.concatenate([[0], ends])[np.minimum(np.arange(n_batches + 1) * batch_size * K, K * n)]
+    return padded, row_ptr.tolist(), cells, tok_ptr.tolist()
+
+
+def batch_counts(layout, b: int, K: int, n_seqs: int):
+    """Step b's (K * U,) table rows and its (K, n_seqs, U) float64 token counts."""
+    rows, row_ptr, cells, tok_ptr = layout
+    rows = rows[row_ptr[b] : row_ptr[b + 1]]
+    counts = np.bincount(cells[tok_ptr[b] : tok_ptr[b + 1]], minlength=n_seqs * rows.size)
+    return rows, counts.reshape(K, n_seqs, -1).astype(np.float64)
+
+
+def _row_grads(counts: np.ndarray, lengths: np.ndarray, g_x: np.ndarray) -> np.ndarray:
+    """The (K * U, d) gradient on a step's embedding rows (consumes ``g_x``)."""
     g_x /= lengths
-    g_rows = (counts.transpose(0, 2, 1) @ g_x).reshape(-1, g_x.shape[2])
-    if g_mask is not None:
-        g_rows[last] += g_mask
-    return g_rows
+    return (counts.transpose(0, 2, 1) @ g_x).reshape(-1, g_x.shape[2])
 
 
 def _head_views(buf: np.ndarray, shapes: dict) -> dict:
@@ -258,7 +331,11 @@ def train_arms(datasets, val, vocab, configs):
     lowest validation loss (earliest epoch on ties). Divergence (non-finite
     loss) raises with epoch/step. A step rewrites only the embedding rows its
     batch reads (plus the mask row when the entropy loss is on); the rest of
-    the table stays bit-identical.
+    the table stays bit-identical. The entropy loss's update of the mask row
+    comes after the token rows' update. So where a batch holds the mask id as
+    a token (``pack_tokens`` accepts it; generated and loaded data never hold
+    it), that row is x - lr * g_tok and then - lr * g_mask, each rounded to
+    float32, not x - lr * (g_tok + g_mask).
     """
     if not configs or len(datasets) != len(configs):
         raise ValueError("train_arms needs one dataset per config, and at least one arm")
@@ -350,6 +427,8 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, w
     at most BLOCK_TOKENS tokens over all arms (a larger step is a block of
     its own). A step's rows, counts and arithmetic do not depend on the
     block it is in, so every step computes what a whole-epoch layout gives.
+    The arms' mask rows ``table[:, mask_id]`` are read and updated outside
+    the layout, after the token rows' scatter (when lambda != 0).
     """
     ids, lengths, labels = packed
     seqs = orders + offsets
@@ -358,35 +437,38 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, w
     # Step b reads the epoch's tokens tok_ptr[b]:tok_ptr[b + 1], over all arms.
     step_tokens = np.add.reduceat(lengths[seqs].sum(axis=0), np.arange(0, seqs.shape[1], bs))
     tok_ptr = np.concatenate([[0], np.cumsum(step_tokens)])
-    flat, d = table.reshape(-1, table.shape[2]), table.shape[2]
+    K, mask_id, d = table.shape[0], table.shape[1] - 2, table.shape[2]
+    flat = table.reshape(-1, d)
     grad64 = np.empty_like(head64)
     head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
-    losses = np.empty((table.shape[0], steps_per_epoch))
+    losses = np.empty((K, steps_per_epoch))
     b0 = b1 = 0  # the current block's steps
     for b in range(steps_per_epoch):
         if b == b1:
             b0, b1 = b, max(b + 1, int(np.searchsorted(tok_ptr, tok_ptr[b] + BLOCK_TOKENS, "right")) - 1)
             block = seqs[:, b0 * bs : b1 * bs]
-            layout = batch_layout(ids, lengths, block, bs, table.shape[1] - 2, lam != 0.0)
+            layout = batch_layout(ids, lengths, block, bs, mask_id)
             # Lengths are exact in float64, so dividing by them gives the same bits as dividing by the ints.
             block_lengths, block_labels = lengths[block][:, :, None].astype(np.float64), labels[block]
             w_ex = np.take_along_axis(weights, orders[:, b0 * bs : b1 * bs], axis=1)
         step = epoch * steps_per_epoch + b
         cols = slice((b - b0) * bs, (b - b0 + 1) * bs)
         lens = block_lengths[:, cols]
-        rows, counts, last = batch_counts(layout, b - b0, lens.shape[1])
+        rows, counts = batch_counts(layout, b - b0, K, lens.shape[1])
         emb = np.take(flat, rows, axis=0).astype(np.float64)
-        x = counts @ emb.reshape(counts.shape[0], -1, d)
+        x = counts @ emb.reshape(K, -1, d)
         x /= lens
-        losses[:, b], g_x, g_mask = _loss_and_grad(head, x, emb[last] if lam != 0.0 else None,
-                                                   block_labels[:, cols], w_ex[:, cols], lam, grads)
+        x_m = table[:, mask_id].astype(np.float64) if lam != 0.0 else None
+        losses[:, b], g_x, g_mask = _loss_and_grad(head, x, x_m, block_labels[:, cols], w_ex[:, cols], lam, grads)
         if g_x is None:
             raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
         lr = learning_rate(config.lr, step, config.epochs * steps_per_epoch)
-        g_rows = _row_grads(counts, lens, g_x, g_mask, last)
+        g_rows = _row_grads(counts, lens, g_x)
         g_rows *= lr
         np.subtract(emb, g_rows, out=emb)
         flat[rows] = emb
+        if g_mask is not None:
+            table[:, mask_id] -= g_mask * lr
         grad64 *= lr
         np.subtract(head64, grad64, out=head32, casting="same_kind")
         head64[...] = head32
@@ -478,8 +560,8 @@ def grad_check(params: ModelParams, batch_examples, weights: np.ndarray | None =
     """
     lam = mask_entropy_coeff
     ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
-    layout = batch_layout(ids, lengths, np.arange(lengths.size)[None], lengths.size, params.mask_id, lam != 0.0)
-    rows, counts, last = batch_counts(layout, 0, lengths.size)  # one arm: no padding, rows are token ids
+    layout = batch_layout(ids, lengths, np.arange(lengths.size)[None], lengths.size, params.mask_id)
+    rows, counts = batch_counts(layout, 0, 1, lengths.size)  # one arm: no padding, rows are token ids
     lengths = lengths[None, :, None]
     labels, w_ex = _labels_and_weights(batch_examples, weights)
     arrs = {name: getattr(params, name).astype(np.float64)[None] for name in PARAM_FIELDS}  # K = 1
@@ -492,7 +574,9 @@ def grad_check(params: ModelParams, batch_examples, weights: np.ndarray | None =
     grads = {name: np.empty_like(arrs[name]) for name in HEAD_FIELDS}
     _, g_x, g_mask = loss_at(grads)
     grads["embedding"] = np.zeros_like(arrs["embedding"])
-    grads["embedding"][0, rows] = _row_grads(counts, lengths, g_x, g_mask, last)
+    grads["embedding"][0, rows] = _row_grads(counts, lengths, g_x)
+    if g_mask is not None:  # after the token rows: the mask id may be a token of the batch too
+        grads["embedding"][0, -1] += g_mask[0]
 
     # Coordinates are numbered across all arrays in PARAM_FIELDS order; array k starts at starts[k].
     starts = np.cumsum([0] + [arrs[name].size for name in PARAM_FIELDS])

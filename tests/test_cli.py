@@ -307,6 +307,26 @@ def test_shapdiff_explains_in_id_order_whatever_the_file_order(corpus_dir, tmp_p
         assert (tmp_path / "sd" / name).read_bytes() == (tmp_path / "sd_shuffled" / name).read_bytes()
 
 
+def test_shapdiff_cap_below_a_cell_explains_every_language(corpus_dir, tmp_path, capsys):
+    """--max-datapoints deals cap // L datapoints to each language, round-robin over its label cells, as an
+    experiment seed does: a cap of 6 on 2 languages x 3 labels of 40 explains one datapoint per cell."""
+    data, vocab = str(corpus_dir / "corpus.jsonl"), str(corpus_dir / "vocab.json")
+    run = tmp_path / "run"
+    assert main(["train", "--data", data, "--val", data, "--vocab", vocab, "--epochs", "0", "--out", str(run)]) == 0
+    ckpt = str(run / "checkpoint.pbl")
+    common = ["shap-diff", "--checkpoint-bal", ckpt, "--checkpoint-cmp", ckpt, "--data", data, "--vocab", vocab]
+    assert main([*common, "--target-label", "0", "--max-datapoints", "6", "--out", str(tmp_path / "sd")]) == 0
+    rows = [r.split(",") for r in (tmp_path / "sd" / "shapdiff.csv").read_text().strip().splitlines()[1:]]
+    assert {(r[0], r[1]) for r in rows} == {("0", "0"), ("1", "0")} and {r[4] for r in rows} == {"3"}
+    capsys.readouterr()
+    assert main([*common, "--max-datapoints", "1", "--out", str(tmp_path / "sd1")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["type"] == "ValueError" and "max_datapoints=1 is below n_languages=2" in record["error"]
+    assert not (tmp_path / "sd1").exists()
+
+
 @pytest.mark.parametrize("flags", [["--exact-limit", "17"], ["--exact-limit", "-1"], ["--n-permutations", "0"]],
                          ids=["exact-limit 17", "exact-limit -1", "n-permutations 0"])
 def test_shapdiff_bad_engine_exits_1_before_any_output(corpus_dir, tmp_path, capsys, flags):

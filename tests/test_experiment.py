@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pblab.corpus import load_jsonl, load_vocab
-from pblab.experiment import WEIGHT_FIELDS, ExperimentConfig, run_experiment
+from pblab.corpus import Example, load_jsonl, load_vocab
+from pblab.experiment import WEIGHT_FIELDS, ExperimentConfig, run_experiment, shap_subset
 from pblab.model import load as load_checkpoint
 from pblab.sampler import preset, sample_paired
 from pblab.seeds import derive_int
@@ -391,11 +391,10 @@ def test_long_datapoints_explained_by_sampled_engine(tmp_path):
     seed_dir = tmp_path / "long" / "seed_0"
     vocab = load_vocab(seed_dir / "corpus" / "vocab.json")
     _, pool = load_jsonl(seed_dir / "corpus" / "corpus.jsonl", vocab)
-    from pblab.experiment import _shap_subset
     from pblab.sampler import split_eval
 
     _, test = split_eval(pool, config.val_size, config.test_size, seed=0)
-    explained = _shap_subset(test, 12)
+    explained = shap_subset(test, 12)
     assert max(len(ex.tokens) for ex in explained) > 5
     n_pairs = summary["per_seed"][0]["shapdiff"]["n_datapoints"]
     for tag in ("bal_vs_imbal", "bal_vs_imbal_cw"):
@@ -405,6 +404,20 @@ def test_long_datapoints_explained_by_sampled_engine(tmp_path):
         assert counts["exact"] + counts["sampled"] == n_pairs
         assert counts["sampled"] == sum(len(ex.tokens) > 5 for ex in explained)
         assert sidecar["max_stderr"] > 0
+
+
+def test_shap_subset_deals_each_language_round_robin_over_its_uneven_label_cells():
+    """Per language, cap // L datapoints: rank 0 of every label cell, then rank 1 of those that have one, and so on,
+    each cell in id order whatever the input order."""
+    cells = {(0, 0): 3, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 2): 4}
+    test = [Example(f"{lang}{label}{i}", lang, label, (1,)) for (lang, label), n in cells.items() for i in range(n)]
+    np.random.default_rng(0).shuffle(test)
+    dealt = ["000", "010", "020", "001", "021", "100", "120", "121", "122", "123"]
+    assert [ex.id for ex in shap_subset(test, 10)] == dealt
+    assert [ex.id for ex in shap_subset(test, 5)] == dealt[:2] + dealt[5:7]
+    assert [ex.id for ex in shap_subset(test, 13)] == dealt[:5] + ["002"] + dealt[5:]  # language 1 has only five
+    with pytest.raises(ValueError, match="max_datapoints=1 is below n_languages=2"):
+        shap_subset(test, 1)
 
 
 def test_config_hash_ignores_out_dir(tmp_path):

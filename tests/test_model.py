@@ -13,8 +13,6 @@ from pblab.model import (
     PAIRWISE_BLOCK,
     PARAM_FIELDS,
     ModelParams,
-    batch_counts,
-    batch_layout,
     forward,
     forward_examples,
     forward_masked,
@@ -222,34 +220,6 @@ def test_load_rejects_non_object_header(tmp_path):
     path.write_bytes(b"PBL1[1, 2]\n")
     with pytest.raises(ValueError, match="corrupted header"):
         load(path)
-
-
-# mask_id 5: ids repeat within every batch; mask_id 300: they are mostly distinct.
-@pytest.mark.parametrize("mask_id", [5, 300])
-@pytest.mark.parametrize("with_mask", [False, True])
-def test_batch_layout_pads_each_arm_after_its_real_rows(with_mask, mask_id):
-    rng = np.random.default_rng(5)
-    K, n, bs = 3, 10, 4  # steps of 4, 4 and 2 sequences per arm
-    lengths = rng.integers(1, 7, size=2 * n)
-    ids = rng.integers(0, mask_id, size=lengths.sum())
-    seqs = np.split(ids, np.cumsum(lengths)[:-1])
-    orders = np.stack([rng.permutation(n), n + rng.permutation(n), n + rng.permutation(n)])  # arms 1, 2 share
-    layout = batch_layout(ids, lengths, orders, bs, mask_id, with_mask)
-    for b in range(3):
-        batch = orders[:, b * bs : (b + 1) * bs]
-        rows, counts, last = batch_counts(layout, b, batch.shape[1])
-        U = rows.size // K
-        real = [sorted({int(t) for s in batch[k] for t in seqs[s]} | ({mask_id} if with_mask else set()))
-                for k in range(K)]
-        assert U == max(len(r) for r in real)
-        for k in range(K):
-            # Arm k's rows in the stacked table, then its scratch row as padding.
-            arm_rows = rows[k * U : (k + 1) * U] - k * (mask_id + 2)
-            assert arm_rows.tolist() == real[k] + [mask_id + 1] * (U - len(real[k]))
-            assert last[k] == k * U + len(real[k]) - 1
-            expected = [[np.count_nonzero(seqs[s] == r) for r in real[k]] for s in batch[k]]
-            assert np.array_equal(counts[k, :, : len(real[k])], expected)
-            assert not counts[k, :, len(real[k]) :].any()
 
 
 # ---------------------------------------------------------------- the one token packer

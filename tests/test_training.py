@@ -10,7 +10,7 @@ import pytest
 
 from pblab import training
 from pblab.corpus import CorpusSpec, Example, generate_corpus
-from pblab.model import PARAM_FIELDS, ModelParams, batch_counts, batch_layout, init_params
+from pblab.model import PARAM_FIELDS, ModelParams, init_params
 from pblab.sampler import plan_counts, preset, sample_paired, split_eval
 from pblab.seeds import derive_rng
 from pblab.training import (
@@ -18,6 +18,8 @@ from pblab.training import (
     _head_views,
     _loss_and_grad,
     _row_grads,
+    batch_counts,
+    batch_layout,
     compute_weights,
     count_cells,
     evaluate,
@@ -178,6 +180,22 @@ def test_grad_check_weighted_and_entropy(corpus223):
     weights = compute_weights(count_cells(examples, 2, 3))
     res = grad_check(params, examples[:6], weights=weights, mask_entropy_coeff=1.0,
                      n_samples=120, seed=2)
+    assert res.max_rel_error < 1e-4
+
+
+def with_mask_tokens(examples, mask_id, every=1):
+    """The examples with the first token of every ``every``-th one replaced by the mask id."""
+    return [Example(ex.id, ex.language, ex.label, (mask_id, *ex.tokens[1:]) if i % every == 0 else ex.tokens)
+            for i, ex in enumerate(examples)]
+
+
+def test_grad_check_batch_holding_the_mask_id_with_entropy(corpus223):
+    """The mask row as a batch token and as the entropy input at once: its gradient is the sum of both, and every
+    coordinate (the mask row's too) is checked."""
+    vocab, examples = corpus223
+    params, batch = random_params(vocab), with_mask_tokens(examples[:6], vocab.mask_id, every=2)
+    res = grad_check(params, batch, mask_entropy_coeff=1.0, n_samples=10**6, seed=2)
+    assert res.n_checked == sum(getattr(params, name).size for name in PARAM_FIELDS)
     assert res.max_rel_error < 1e-4
 
 
@@ -357,6 +375,34 @@ def test_train_step_writes_only_batch_rows(corpus223, lam):
     assert changed == read
 
 
+def test_train_step_updates_a_mask_token_row_then_the_entropy_term(corpus223, monkeypatch):
+    """Training data holding the mask id at lambda != 0: one step leaves the mask row at x - lr * g_tok, rounded to
+    float32, minus lr * g_mask, rounded again; g_tok and g_mask are computed here from the step's own inputs."""
+    vocab, examples = corpus223
+    init = random_params(vocab, seed=4)
+    init.embedding[:-1] = 0.0  # so the one sequence that reads the mask row has mean embedding x / its length
+    monkeypatch.setattr(training, "init_params", lambda *args, **kwargs: init.copy())
+    batch = examples[:1] + with_mask_tokens(examples[1:2], vocab.mask_id) + examples[2:12]  # one mask token
+    config = TrainConfig(epochs=1, batch_size=len(batch), mask_entropy_coeff=0.5, lr=0.3, seed=3, embed_dim=8,
+                         hidden_dim=6)
+    params, report = train(batch, examples[32:40], vocab, config)  # one epoch of one step
+    assert report.selected_epoch == 0
+    order = derive_rng(config.seed, "train", "shuffle").permutation(len(batch))  # the step's batch order
+    at, length = int(np.flatnonzero(order == 1)[0]), len(batch[1].tokens)
+    head = {name: getattr(init, name).astype(np.float64)[None] for name in PARAM_FIELDS[1:]}
+    grads = {name: np.empty_like(arr) for name, arr in head.items()}
+    x_m = init.embedding[vocab.mask_id].astype(np.float64)
+    x = np.zeros((1, len(batch), config.embed_dim))
+    x[0, at] = x_m / length
+    labels = np.array([[batch[i].label for i in order]])
+    _, g_x, g_mask = _loss_and_grad(head, x, x_m[None], labels, np.ones((1, len(batch))), config.mask_entropy_coeff,
+                                    grads)
+    g_tok = g_x[0, at] / length
+    want = ((x_m - g_tok * config.lr).astype(np.float32) - g_mask[0] * config.lr).astype(np.float32)
+    assert np.array_equal(params.embedding[vocab.mask_id], want)
+    assert not np.array_equal(want, (x_m - (g_tok + g_mask[0]) * config.lr).astype(np.float32))  # one sum differs
+
+
 # ---------------------------------------------------------------- lockstep arms
 
 @pytest.fixture(scope="module")
@@ -479,6 +525,31 @@ def test_train_arms_memory_is_the_table_and_the_snapshots():
 
 # ---------------------------------------------------------------- epochs in blocks of steps
 
+# mask_id 5: ids repeat within every batch; mask_id 300: they are mostly distinct.
+@pytest.mark.parametrize("mask_id", [5, 300])
+def test_batch_layout_pads_each_arm_after_its_real_rows(mask_id):
+    rng = np.random.default_rng(5)
+    K, n, bs = 3, 10, 4  # steps of 4, 4 and 2 sequences per arm
+    lengths = rng.integers(1, 7, size=2 * n)
+    ids = rng.integers(0, mask_id, size=lengths.sum())
+    seqs = np.split(ids, np.cumsum(lengths)[:-1])
+    orders = np.stack([rng.permutation(n), n + rng.permutation(n), n + rng.permutation(n)])  # arms 1, 2 share
+    layout = batch_layout(ids, lengths, orders, bs, mask_id)
+    for b in range(3):
+        batch = orders[:, b * bs : (b + 1) * bs]
+        rows, counts = batch_counts(layout, b, K, batch.shape[1])
+        U = rows.size // K
+        real = [sorted({int(t) for s in batch[k] for t in seqs[s]}) for k in range(K)]
+        assert U == max(len(r) for r in real)
+        for k in range(K):
+            # Arm k's rows in the stacked table, then its scratch row as padding.
+            arm_rows = rows[k * U : (k + 1) * U] - k * (mask_id + 2)
+            assert arm_rows.tolist() == real[k] + [mask_id + 1] * (U - len(real[k]))
+            expected = [[np.count_nonzero(seqs[s] == r) for r in real[k]] for s in batch[k]]
+            assert np.array_equal(counts[k, :, : len(real[k])], expected)
+            assert not counts[k, :, len(real[k]) :].any()
+
+
 def whole_epoch_oracle(table, head32, head64, shapes, packed, orders, offsets, weights, config, epoch,
                        steps_per_epoch):
     """``training._train_epoch`` as it was: one ``batch_layout`` for every step, and the visited lengths,
@@ -486,29 +557,32 @@ def whole_epoch_oracle(table, head32, head64, shapes, packed, orders, offsets, w
     seqs, w_ex = orders + offsets, np.take_along_axis(weights, orders, axis=1)
     bs, lam = config.batch_size, config.mask_entropy_coeff
     ids, lengths, labels = packed
-    layout = batch_layout(ids, lengths, seqs, bs, table.shape[1] - 2, lam != 0.0)
+    K, mask_id, d = table.shape[0], table.shape[1] - 2, table.shape[2]
+    layout = batch_layout(ids, lengths, seqs, bs, mask_id)
     lengths, labels = lengths[seqs][:, :, None].astype(np.float64), labels[seqs]
-    flat, d = table.reshape(-1, table.shape[2]), table.shape[2]
+    flat = table.reshape(-1, d)
     grad64 = np.empty_like(head64)
     head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
-    losses = np.empty((table.shape[0], steps_per_epoch))
+    losses = np.empty((K, steps_per_epoch))
     for b in range(steps_per_epoch):
         step = epoch * steps_per_epoch + b
         cols = slice(b * bs, (b + 1) * bs)
         lens = lengths[:, cols]
-        rows, counts, last = batch_counts(layout, b, lens.shape[1])
+        rows, counts = batch_counts(layout, b, K, lens.shape[1])
         emb = np.take(flat, rows, axis=0).astype(np.float64)
-        x = counts @ emb.reshape(counts.shape[0], -1, d)
+        x = counts @ emb.reshape(K, -1, d)
         x /= lens
-        losses[:, b], g_x, g_mask = _loss_and_grad(head, x, emb[last] if lam != 0.0 else None,
-                                                   labels[:, cols], w_ex[:, cols], lam, grads)
+        x_m = table[:, mask_id].astype(np.float64) if lam != 0.0 else None
+        losses[:, b], g_x, g_mask = _loss_and_grad(head, x, x_m, labels[:, cols], w_ex[:, cols], lam, grads)
         if g_x is None:
             raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
         lr = learning_rate(config.lr, step, config.epochs * steps_per_epoch)
-        g_rows = _row_grads(counts, lens, g_x, g_mask, last)
+        g_rows = _row_grads(counts, lens, g_x)
         g_rows *= lr
         np.subtract(emb, g_rows, out=emb)
         flat[rows] = emb
+        if g_mask is not None:
+            table[:, mask_id] -= g_mask * lr
         grad64 *= lr
         np.subtract(head64, grad64, out=head32, casting="same_kind")
         head64[...] = head32
