@@ -420,6 +420,8 @@ def shap_subset(test, max_datapoints: int):
     cells: dict = {}
     for ex in sorted(test, key=lambda ex: (ex.language, ex.label, ex.id)):
         cells.setdefault(ex.language, {}).setdefault(ex.label, []).append(ex)
+    if not cells:
+        raise ValueError("empty dataset")
     per_lang = max_datapoints // len(cells)
     if per_lang < 1:
         raise ValueError(f"max_datapoints={max_datapoints} is below n_languages={len(cells)}: "

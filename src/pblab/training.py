@@ -170,31 +170,27 @@ def _loss_and_grad(head: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.
 
 
 def batch_layout(ids: np.ndarray, lengths: np.ndarray, orders: np.ndarray, batch_size: int, mask_id: int):
-    """Every lockstep step of K arms as one padded block of embedding rows plus its token-count cells.
+    """Every lockstep step of K arms as the step's distinct token ids plus its token-count cells.
 
     ``ids``/``lengths`` are a packed layout (``pack_tokens``); ``orders`` is
     (K, n), and arm k's batch b holds sequences
-    ``orders[k, b * batch_size:][:batch_size]``. Rows index the arms' tables
-    stacked as one (K * (mask_id + 2), d) table: arm k's row i is
-    ``k * (mask_id + 2) + i``, and its row ``mask_id + 1`` is a scratch row
-    that no batch reads. Step b's rows ``rows[row_ptr[b]:row_ptr[b + 1]]``
-    are a (K, U_b) block: each arm's distinct token rows ascending, then its
-    scratch row as padding up to the widest arm's count. Padding after the
-    real rows keeps every sum in the order of an arm's step alone, and a pad
-    aliasing a real row would overwrite that row's update in the scatter.
-    The step's (K, B_b, U_b) count tensor N is the bincount of
-    ``cells[tok_ptr[b]:tok_ptr[b + 1]]``: ``N[k] @ emb[k] / lengths`` is arm
-    k's mean embeddings, and ``N[k].T @ (dx / lengths)`` maps a gradient on
-    them back onto its rows. A K = 1 layout has no padding. One sort over
-    (step, arm, id) keys serves every step. The arrays are int32 whenever
-    every key fits; the ``del``s keep the transient memory to a few
-    token-length arrays.
+    ``orders[k, b * batch_size:][:batch_size]``. Step b's ids
+    ``ids_b = rows[row_ptr[b]:row_ptr[b + 1]]`` are the U_b distinct token
+    ids of all K batches, ascending, and every arm gathers, updates and
+    scatters those same rows of its own table. The step's (K, B_b, U_b)
+    count tensor N is the bincount of ``cells[tok_ptr[b]:tok_ptr[b + 1]]``:
+    ``N[k] @ table[k, ids_b] / lengths`` is arm k's mean embeddings, and
+    ``N[k].T @ (dx / lengths)`` maps a gradient on them back onto the rows.
+    An id that only other arms' batches read has count 0 in arm k, so its
+    row gets a +0.0 gradient and the write-back keeps its bits. At K = 1 the
+    ids are the batch's own. One sort over (step, id) keys serves every
+    step. The arrays are int32 whenever every key and cell fits; the
+    ``del``s keep the transient memory to a few token-length arrays.
     """
     K, n = orders.shape
-    width, stride = mask_id + 1, mask_id + 2
+    width = mask_id + 1
     n_batches = -(-n // batch_size)
-    n_groups = n_batches * K  # group g = b * K + k: arm k's batch b
-    dtype = np.int32 if max(n_groups * width, K * stride) < 2**31 else np.int64
+    dtype = np.int32 if max(n_batches, K * min(batch_size, n)) * width < 2**31 else np.int64
     # Sequences in step order: step b holds arm 0's batch, then arm 1's, and so on; j becomes each
     # sequence's place in its step.
     j = np.arange(K * n)
@@ -203,16 +199,14 @@ def batch_layout(ids: np.ndarray, lengths: np.ndarray, orders: np.ndarray, batch
     size = np.minimum(batch_size, n - b * batch_size)  # B_b, the step's batch size
     k = j // size
     seq = orders[k, b * batch_size + j - k * size]
-    group = (b * K + k).astype(dtype)
     sel = lengths[seq]
     ends = np.cumsum(sel)
-    # Token t of the step-ordered layout is ids[t + shift of its sequence]; its key is group * width + id.
+    # Token t of the step-ordered layout is ids[t + shift of its sequence]; its key is step * width + id.
     at = np.arange(int(ends[-1]), dtype=dtype)
     at += np.repeat((np.cumsum(lengths)[seq] - ends).astype(dtype), sel)
-    keys = np.repeat(group * width, sel)
+    keys = np.repeat((b * width).astype(dtype), sel)
     keys += ids[at]
     del at
-    group_base = np.arange(n_groups + 1, dtype=dtype) * width
     # Sorting the keys gives the rows; each key's place among them is scattered back in place.
     perm = keys.argsort()
     rows = keys[perm]
@@ -222,38 +216,27 @@ def batch_layout(ids: np.ndarray, lengths: np.ndarray, orders: np.ndarray, batch
     rank -= 1
     keys[perm] = rank
     del perm, first, rank
-    group_ptr = np.searchsorted(rows, group_base).astype(dtype)
-    width_g = np.diff(group_ptr)
-    width_b = width_g.reshape(n_batches, K).max(axis=1)
-    row_ptr = np.concatenate([[0], np.cumsum(K * width_b)])
-    # Group g's block of U_b rows starts at block[g]; its real rows go first, the scratch row fills the rest.
-    g_batch, g_arm = np.divmod(np.arange(n_groups), K)
-    block = row_ptr[g_batch] + g_arm * width_b[g_batch]
-    padded = np.repeat((g_arm * stride + width).astype(dtype), width_b[g_batch])
-    at = np.arange(rows.size, dtype=dtype)
-    at += np.repeat((block - group_ptr[:-1]).astype(dtype), width_g)
-    rows -= np.repeat((group_base[:-1] - g_arm * stride).astype(dtype), width_g)  # key -> row of the stacked table
-    padded[at] = rows
-    del at
-    # A token's cell is (its sequence's place in the step) * U_b + (its row's place among its group's rows).
+    row_ptr = np.searchsorted(rows, np.arange(n_batches + 1, dtype=dtype) * width)
+    rows %= width  # key -> token id
+    # A token's cell is (its sequence's place in the step) * U_b + (its id's place among the step's ids).
     cells = keys
-    cells += np.repeat((j * width_b[b] - group_ptr[group]).astype(dtype), sel)
+    cells += np.repeat((j * np.diff(row_ptr)[b] - row_ptr[b]).astype(dtype), sel)
     tok_ptr = np.concatenate([[0], ends])[np.minimum(np.arange(n_batches + 1) * batch_size * K, K * n)]
-    return padded, row_ptr.tolist(), cells, tok_ptr.tolist()
+    return rows, row_ptr.tolist(), cells, tok_ptr.tolist()
 
 
 def batch_counts(layout, b: int, K: int, n_seqs: int):
-    """Step b's (K * U,) table rows and its (K, n_seqs, U) float64 token counts."""
+    """Step b's (U,) token ids and its (K, n_seqs, U) float64 token counts."""
     rows, row_ptr, cells, tok_ptr = layout
     rows = rows[row_ptr[b] : row_ptr[b + 1]]
-    counts = np.bincount(cells[tok_ptr[b] : tok_ptr[b + 1]], minlength=n_seqs * rows.size)
+    counts = np.bincount(cells[tok_ptr[b] : tok_ptr[b + 1]], minlength=K * n_seqs * rows.size)
     return rows, counts.reshape(K, n_seqs, -1).astype(np.float64)
 
 
 def _row_grads(counts: np.ndarray, lengths: np.ndarray, g_x: np.ndarray) -> np.ndarray:
-    """The (K * U, d) gradient on a step's embedding rows (consumes ``g_x``)."""
+    """The (K, U, d) gradient on a step's embedding rows (consumes ``g_x``)."""
     g_x /= lengths
-    return (counts.transpose(0, 2, 1) @ g_x).reshape(-1, g_x.shape[2])
+    return counts.transpose(0, 2, 1) @ g_x
 
 
 def _head_views(buf: np.ndarray, shapes: dict) -> dict:
@@ -320,16 +303,16 @@ def train_arms(datasets, val, vocab, configs):
     Every arm gets what training it alone would give, bit for bit: its own
     embedding table, init and shuffle streams from its ``config.seed``, class
     weights, validation-based selection and report. The arms' parameters are
-    stacked: the embedding tables as one (K, V + 2, d) array, each arm's
-    table a view into it, and the hidden/output weights as one (K, P)
-    buffer. So each step gathers, updates and scatters every arm's batch rows
-    and head at once, and the per-epoch validation is one pass. The arms
+    stacked: the embedding tables as one (K, V + 1, d) array, arm k's table
+    the view ``table[k]``, and the hidden/output weights as one (K, P)
+    buffer. So each step gathers, updates and scatters the step's rows and
+    every head at once, and the per-epoch validation is one pass. The arms
     must share every field but ``ARM_FIELDS``, and their train size;
     anything else is a ``ValueError``.
 
     An arm's returned parameters are the snapshot from the epoch with the
     lowest validation loss (earliest epoch on ties). Divergence (non-finite
-    loss) raises with epoch/step. A step rewrites only the embedding rows its
+    loss) raises with epoch/step. A step changes only the embedding rows its
     batch reads (plus the mask row when the entropy loss is on); the rest of
     the table stays bit-identical. The entropy loss's update of the mask row
     comes after the token rows' update. So where a batch holds the mask id as
@@ -374,17 +357,16 @@ def train_arms(datasets, val, vocab, configs):
     val_ids, val_lengths = pack_tokens([ex.tokens for ex in val], mask_id)
     val_labels = _labels_and_weights(val, None)[0]
 
-    # Row mask_id + 1 of each arm's table is the scratch row that pads a step's rows (``batch_layout``).
-    table = np.zeros((K, mask_id + 2, first.embed_dim), dtype=np.float32)
+    table = np.empty((K, mask_id + 1, first.embed_dim), dtype=np.float32)
     shapes = {name: getattr(inits[0], name).shape for name in HEAD_FIELDS}
     head32 = np.empty((K, sum(math.prod(shape) for shape in shapes.values())), dtype=np.float32)
     views32 = _head_views(head32, shapes)
     for k, init in enumerate(inits):
-        table[k, :-1] = init.embedding
+        table[k] = init.embedding
         for name in HEAD_FIELDS:
             views32[name][k] = getattr(init, name)
     del inits, init  # from here the stacked arrays are the only copy of the parameters
-    arms = [ModelParams(table[k, :-1], *(views32[name][k] for name in HEAD_FIELDS)) for k in range(K)]
+    arms = [ModelParams(table[k], *(views32[name][k] for name in HEAD_FIELDS)) for k in range(K)]
     head64 = head32.astype(np.float64)  # what the step computes with; always equal to head32
 
     shuffles = [derive_rng(config.seed, "train", "shuffle") for config in configs]
@@ -417,18 +399,19 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, w
     """One epoch of lockstep SGD, arm k visiting sequences ``orders[k] + offsets[k]`` of ``packed``; returns the
     (K, steps) losses.
 
-    ``table`` is the arms' stacked (K, V + 2, d) float32 embedding table,
+    ``table`` is the arms' stacked (K, V + 1, d) float32 embedding table,
     ``head32``/``head64`` their (K, P) head in float32 and float64,
     ``packed`` the (ids, lengths, labels) of every dataset, and ``weights``
     the (K, n) example weights in each arm's data order. Each step is one
-    gather, forward/backward and scatter for all K arms; parameters stay on
-    the float32 grid (checkpoint dtype). The layout and the visited lengths,
-    labels and weights are built for one block of whole steps at a time, of
-    at most BLOCK_TOKENS tokens over all arms (a larger step is a block of
-    its own). A step's rows, counts and arithmetic do not depend on the
-    block it is in, so every step computes what a whole-epoch layout gives.
-    The arms' mask rows ``table[:, mask_id]`` are read and updated outside
-    the layout, after the token rows' scatter (when lambda != 0).
+    gather, forward/backward and scatter for all K arms, of the rows of the
+    step's shared ids (``batch_layout``); parameters stay on the float32
+    grid (checkpoint dtype). The layout and the visited lengths, labels and
+    weights are built for one block of whole steps at a time, of at most
+    BLOCK_TOKENS tokens over all arms (a larger step is a block of its own).
+    A step's rows, counts and arithmetic do not depend on the block it is
+    in, so every step computes what a whole-epoch layout gives. The arms'
+    mask rows ``table[:, mask_id]`` are read and updated outside the layout,
+    after the token rows' scatter (when lambda != 0).
     """
     ids, lengths, labels = packed
     seqs = orders + offsets
@@ -437,8 +420,7 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, w
     # Step b reads the epoch's tokens tok_ptr[b]:tok_ptr[b + 1], over all arms.
     step_tokens = np.add.reduceat(lengths[seqs].sum(axis=0), np.arange(0, seqs.shape[1], bs))
     tok_ptr = np.concatenate([[0], np.cumsum(step_tokens)])
-    K, mask_id, d = table.shape[0], table.shape[1] - 2, table.shape[2]
-    flat = table.reshape(-1, d)
+    K, mask_id = table.shape[0], table.shape[1] - 1
     grad64 = np.empty_like(head64)
     head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
     losses = np.empty((K, steps_per_epoch))
@@ -455,8 +437,8 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, w
         cols = slice((b - b0) * bs, (b - b0 + 1) * bs)
         lens = block_lengths[:, cols]
         rows, counts = batch_counts(layout, b - b0, K, lens.shape[1])
-        emb = np.take(flat, rows, axis=0).astype(np.float64)
-        x = counts @ emb.reshape(K, -1, d)
+        emb = np.take(table, rows, axis=1).astype(np.float64)
+        x = counts @ emb
         x /= lens
         x_m = table[:, mask_id].astype(np.float64) if lam != 0.0 else None
         losses[:, b], g_x, g_mask = _loss_and_grad(head, x, x_m, block_labels[:, cols], w_ex[:, cols], lam, grads)
@@ -466,7 +448,7 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, w
         g_rows = _row_grads(counts, lens, g_x)
         g_rows *= lr
         np.subtract(emb, g_rows, out=emb)
-        flat[rows] = emb
+        table[:, rows] = emb
         if g_mask is not None:
             table[:, mask_id] -= g_mask * lr
         grad64 *= lr
@@ -561,7 +543,7 @@ def grad_check(params: ModelParams, batch_examples, weights: np.ndarray | None =
     lam = mask_entropy_coeff
     ids, lengths = pack_tokens([ex.tokens for ex in batch_examples], params.mask_id)
     layout = batch_layout(ids, lengths, np.arange(lengths.size)[None], lengths.size, params.mask_id)
-    rows, counts = batch_counts(layout, 0, 1, lengths.size)  # one arm: no padding, rows are token ids
+    rows, counts = batch_counts(layout, 0, 1, lengths.size)  # rows: the batch's distinct token ids
     lengths = lengths[None, :, None]
     labels, w_ex = _labels_and_weights(batch_examples, weights)
     arrs = {name: getattr(params, name).astype(np.float64)[None] for name in PARAM_FIELDS}  # K = 1
@@ -574,7 +556,7 @@ def grad_check(params: ModelParams, batch_examples, weights: np.ndarray | None =
     grads = {name: np.empty_like(arrs[name]) for name in HEAD_FIELDS}
     _, g_x, g_mask = loss_at(grads)
     grads["embedding"] = np.zeros_like(arrs["embedding"])
-    grads["embedding"][0, rows] = _row_grads(counts, lengths, g_x)
+    grads["embedding"][0, rows] = _row_grads(counts, lengths, g_x)[0]
     if g_mask is not None:  # after the token rows: the mask id may be a token of the batch too
         grads["embedding"][0, -1] += g_mask[0]
 

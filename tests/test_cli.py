@@ -12,7 +12,7 @@ from pblab.training import TrainConfig
 from pblab.corpus import load_jsonl, load_vocab
 from pblab.model import init_params
 from pblab.model import load as load_checkpoint
-from pblab.seeds import derive_int, derive_rng
+from pblab.seeds import derive_rng
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +325,23 @@ def test_shapdiff_cap_below_a_cell_explains_every_language(corpus_dir, tmp_path,
     record = json.loads(lines[0])
     assert record["type"] == "ValueError" and "max_datapoints=1 is below n_languages=2" in record["error"]
     assert not (tmp_path / "sd1").exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "4"], ids=["no cap", "max-datapoints 4"])
+def test_shapdiff_empty_data_exits_1_before_any_output(corpus_dir, tmp_path, capsys, cap):
+    run, empty, sd_out = tmp_path / "run", tmp_path / "empty.jsonl", tmp_path / "sd"
+    assert main(["train", "--data", str(corpus_dir / "corpus.jsonl"), "--val", str(corpus_dir / "corpus.jsonl"),
+                 "--vocab", str(corpus_dir / "vocab.json"), "--epochs", "0", "--out", str(run)]) == 0
+    empty.write_text("")
+    capsys.readouterr()
+    rc = main(["shap-diff", "--checkpoint-bal", str(run / "checkpoint.pbl"),
+               "--checkpoint-cmp", str(run / "checkpoint.pbl"), "--data", str(empty),
+               "--vocab", str(corpus_dir / "vocab.json"), "--max-datapoints", cap, "--out", str(sd_out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "empty dataset", "type": "ValueError"}
+    assert not sd_out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--exact-limit", "17"], ["--exact-limit", "-1"], ["--n-permutations", "0"]],

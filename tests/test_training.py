@@ -11,7 +11,7 @@ import pytest
 from pblab import training
 from pblab.corpus import CorpusSpec, Example, generate_corpus
 from pblab.model import PARAM_FIELDS, ModelParams, init_params
-from pblab.sampler import plan_counts, preset, sample_paired, split_eval
+from pblab.sampler import preset, sample_paired, split_eval
 from pblab.seeds import derive_rng
 from pblab.training import (
     TrainConfig,
@@ -517,7 +517,7 @@ def test_train_arms_memory_is_the_table_and_the_snapshots():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = K * (V + 2) * d * 4
+    table = K * (V + 1) * d * 4
     copies = sum(getattr(params, name).nbytes for params, _ in trained for name in PARAM_FIELDS)
     assert peak < 1.5 * table + copies
     assert peak < table + copies + copies / K  # no snapshot reallocated while the others are held
@@ -527,7 +527,7 @@ def test_train_arms_memory_is_the_table_and_the_snapshots():
 
 # mask_id 5: ids repeat within every batch; mask_id 300: they are mostly distinct.
 @pytest.mark.parametrize("mask_id", [5, 300])
-def test_batch_layout_pads_each_arm_after_its_real_rows(mask_id):
+def test_batch_layout_gives_each_step_the_union_of_its_batches_ids(mask_id):
     rng = np.random.default_rng(5)
     K, n, bs = 3, 10, 4  # steps of 4, 4 and 2 sequences per arm
     lengths = rng.integers(1, 7, size=2 * n)
@@ -538,16 +538,33 @@ def test_batch_layout_pads_each_arm_after_its_real_rows(mask_id):
     for b in range(3):
         batch = orders[:, b * bs : (b + 1) * bs]
         rows, counts = batch_counts(layout, b, K, batch.shape[1])
-        U = rows.size // K
-        real = [sorted({int(t) for s in batch[k] for t in seqs[s]}) for k in range(K)]
-        assert U == max(len(r) for r in real)
-        for k in range(K):
-            # Arm k's rows in the stacked table, then its scratch row as padding.
-            arm_rows = rows[k * U : (k + 1) * U] - k * (mask_id + 2)
-            assert arm_rows.tolist() == real[k] + [mask_id + 1] * (U - len(real[k]))
-            expected = [[np.count_nonzero(seqs[s] == r) for r in real[k]] for s in batch[k]]
-            assert np.array_equal(counts[k, :, : len(real[k])], expected)
-            assert not counts[k, :, len(real[k]) :].any()
+        assert rows.tolist() == sorted({int(t) for s in batch.ravel() for t in seqs[s]})
+        expected = [[[np.count_nonzero(seqs[s] == r) for r in rows] for s in batch[k]] for k in range(K)]
+        assert np.array_equal(counts, expected)
+        for k in range(K):  # an id no sequence of arm k's batch holds has no count in arm k
+            read = {int(t) for s in batch[k] for t in seqs[s]}
+            assert not counts[k][:, [r not in read for r in rows.tolist()]].any()
+
+
+def test_lockstep_step_keeps_the_bits_of_a_row_only_another_arm_reads():
+    """Arm 0 holds -0.0 in a row that only arm 1's batch reads: the step gathers and scatters that row in
+    arm 0's table too, with a +0.0 gradient, and -0.0 - +0.0 keeps the sign bit."""
+    V, d, h = 6, 4, 3
+    rng = np.random.default_rng(11)
+    ids, lengths = np.array([0, 1, 2], dtype=np.uint16), np.array([2, 1], dtype=np.int32)
+    labels, offsets = np.array([0, 1]), np.array([[0], [1]])
+    orders = np.zeros((2, 1), dtype=int)  # one step: arm 0 reads ids 0 and 1 (sequence 0), arm 1 id 2 (sequence 1)
+    table = rng.normal(size=(2, V + 1, d)).astype(np.float32)
+    table[0, 2] = -0.0
+    shapes = {"hidden_w": (d, h), "hidden_b": (h,), "out_w": (h, 3), "out_b": (3,)}
+    head32 = rng.normal(size=(2, sum(math.prod(shape) for shape in shapes.values()))).astype(np.float32)
+    config = TrainConfig(epochs=1, batch_size=1, lr=0.5, embed_dim=d, hidden_dim=h)
+    before = table.copy()
+    training._train_epoch(table, head32, head32.astype(np.float64), shapes, (ids, lengths, labels), orders,
+                          offsets, np.ones((2, 1)), config, 0, 1)
+    assert np.signbit(table[0, 2]).all()
+    changed = [[i for i in range(V + 1) if table[k, i].tobytes() != before[k, i].tobytes()] for k in range(2)]
+    assert changed == [[0, 1], [2]]
 
 
 def whole_epoch_oracle(table, head32, head64, shapes, packed, orders, offsets, weights, config, epoch,
@@ -557,10 +574,9 @@ def whole_epoch_oracle(table, head32, head64, shapes, packed, orders, offsets, w
     seqs, w_ex = orders + offsets, np.take_along_axis(weights, orders, axis=1)
     bs, lam = config.batch_size, config.mask_entropy_coeff
     ids, lengths, labels = packed
-    K, mask_id, d = table.shape[0], table.shape[1] - 2, table.shape[2]
+    K, mask_id = table.shape[0], table.shape[1] - 1
     layout = batch_layout(ids, lengths, seqs, bs, mask_id)
     lengths, labels = lengths[seqs][:, :, None].astype(np.float64), labels[seqs]
-    flat = table.reshape(-1, d)
     grad64 = np.empty_like(head64)
     head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
     losses = np.empty((K, steps_per_epoch))
@@ -569,8 +585,8 @@ def whole_epoch_oracle(table, head32, head64, shapes, packed, orders, offsets, w
         cols = slice(b * bs, (b + 1) * bs)
         lens = lengths[:, cols]
         rows, counts = batch_counts(layout, b, K, lens.shape[1])
-        emb = np.take(flat, rows, axis=0).astype(np.float64)
-        x = counts @ emb.reshape(K, -1, d)
+        emb = table[:, rows].astype(np.float64)
+        x = counts @ emb
         x /= lens
         x_m = table[:, mask_id].astype(np.float64) if lam != 0.0 else None
         losses[:, b], g_x, g_mask = _loss_and_grad(head, x, x_m, labels[:, cols], w_ex[:, cols], lam, grads)
@@ -580,7 +596,7 @@ def whole_epoch_oracle(table, head32, head64, shapes, packed, orders, offsets, w
         g_rows = _row_grads(counts, lens, g_x)
         g_rows *= lr
         np.subtract(emb, g_rows, out=emb)
-        flat[rows] = emb
+        table[:, rows] = emb
         if g_mask is not None:
             table[:, mask_id] -= g_mask * lr
         grad64 *= lr
