@@ -56,9 +56,15 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TO
     """Multinomial logistic regression by Newton's method, from zero.
 
     Objective: mean cross-entropy + l2/(2n) * ||W||^2, intercept unregularized.
-    Each step is halved until the objective does not rise. Stops at max
-    |gradient| <= tol; raises ValueError if NEWTON_STEPS steps do not get there.
-    Returns stacked (d+1, K) weights, last row intercept, K the largest id + 1.
+    Each Newton system is an LU solve: with l2 > 0 the ridge covers every
+    weight direction and the intercepts' common shift is pinned, so the
+    Hessian is positive definite. Where it is singular (no ridge, one too
+    small to move its diagonal, or a pivot that rounds to zero) the step is
+    the minimum-norm least-squares solution. Each step is halved until the
+    objective does not rise. Stops at max |gradient| <= tol; raises
+    ValueError on non-finite features, or if NEWTON_STEPS steps do not get
+    there. Returns stacked (d+1, K) weights, last row intercept, K the
+    largest id + 1.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -66,6 +72,8 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TO
         raise ValueError("features/labels shape mismatch")
     if y.size and y.min() < 0:
         raise ValueError(f"language ids must be >= 0, got {int(y.min())}")
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite features: every pooled feature must be a finite number")
     counts = np.bincount(y)  # not np.unique, whose call without return_counts imports numpy.ma
     if np.count_nonzero(counts) < 2:
         raise ValueError("need at least 2 languages to fit the probe")
@@ -90,11 +98,24 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TO
         # weighs Xb by P_b (0 - P_a), bitwise P_a (0 - P_b), so it is block (a, b) itself: each is built once, a <= b.
         blocks = {(a, b): Xb.T @ (Xb * (P[:, [a]] * ((a == b) - P[:, [b]]))) for a in range(K) for b in range(a, K)}
         H = np.block([[blocks[min(a, b), max(a, b)] for b in range(K)] for a in range(K)])
-        H = H / n + np.diag(np.tile(ridge, K))
+        H = H / n
+        unridged = H.diagonal().copy()
+        H += np.diag(np.tile(ridge, K))
+        # The data term is also flat along "shift every class's weights alike"; only the ridge curves that. With l2 > 0
+        # H is positive definite and LU solves it exactly to rounding, unless the ridge is too small to move the
+        # diagonal entries it is added to.
+        definite = np.count_nonzero(H.diagonal() != unridged) == K * d
         # H is singular along "shift every intercept alike", which the gradient has no part of;
         # adding that direction to H leaves the step none either, so the intercepts sum to zero.
         H[d::d + 1, d::d + 1] += 1.0
-        step = np.linalg.lstsq(H, -grad.T.ravel(), rcond=None)[0].reshape(K, d + 1).T
+        rhs = -grad.T.ravel()
+        try:
+            if not definite:  # no ridge, or one below the diagonal's rounding: LU's step is unbounded where H is flat
+                raise np.linalg.LinAlgError
+            step = np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError:  # H is singular, and only the minimum-norm step is defined
+            step = np.linalg.lstsq(H, rhs, rcond=None)[0]
+        step = step.reshape(K, d + 1).T
         t = 1.0
         while (f_trial := objective(W + t * step)) > f:
             t /= 2

@@ -289,6 +289,19 @@ def test_probe_and_shapdiff_cli(corpus_dir, tmp_path):
     assert all(float(r.split(",")[3]) == 0.0 for r in rows[1:])
 
 
+def test_probe_without_a_ridge_takes_the_least_squares_step_and_writes_its_report(corpus_dir, tmp_path):
+    """At --l2 0 the probe's Hessian is singular, so every Newton step is the minimum-norm least-squares step."""
+    run = tmp_path / "run"
+    data, vocab = str(corpus_dir / "corpus.jsonl"), str(corpus_dir / "vocab.json")
+    assert main(["train", "--data", data, "--val", data, "--vocab", vocab, "--epochs", "2", "--seed", "1",
+                 "--out", str(run)]) == 0
+    out = tmp_path / "probe"
+    assert main(["probe", "--checkpoint", str(run / "checkpoint.pbl"), "--data", data, "--vocab", vocab,
+                 "--k", "3", "--l2", "0", "--out", str(out)]) == 0
+    report = json.loads((out / "probe.json").read_text())
+    assert report["l2"] == 0.0 and len(report["fold_accuracies"]) == 3
+
+
 def test_shapdiff_explains_in_id_order_whatever_the_file_order(corpus_dir, tmp_path):
     """Without a --max-datapoints cap too, shap-diff explains its data in id order: a shuffled copy of --data gives
     byte-identical outputs (in file order, a sum over datapoints could differ in its last bits)."""

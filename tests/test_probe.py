@@ -132,13 +132,16 @@ def test_fit_deterministic():
     assert np.array_equal(fit_logreg(X, y), fit_logreg(X, y))
 
 
-def reference_fit_logreg(X, y, l2=1.0, tol=1e-6):
+def reference_fit_logreg(X, y, l2=1.0, tol=1e-6, lstsq_only=False):
     """The Newton loop in its plainest form: K from np.unique, all K^2 Hessian blocks and the objective at each new W
-    computed again as the next step's f. Returns the weights and the number of times the line search halved a step."""
+    computed again as the next step's f. A step is an LU solve where the ridge moves every weight's diagonal entry of H
+    and a least-squares solve elsewhere, or a least-squares solve throughout with ``lstsq_only``. Returns the weights,
+    the number of times the line search halved a step, and each step's (H, right-hand side, whether LU solved it)."""
     K = int(np.unique(y).max()) + 1
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
     ridge = np.append(np.full(d, l2 / n), 0.0)
+    weights = np.tile(np.arange(d + 1) < d, K)
 
     def objective(W):
         Z = Xb @ W
@@ -146,16 +149,19 @@ def reference_fit_logreg(X, y, l2=1.0, tol=1e-6):
         return (np.log(np.exp(Z).sum(axis=1)) - Z[np.arange(n), y]).mean() + 0.5 * ridge @ (W * W).sum(axis=1)
 
     W = np.zeros((d + 1, K))
-    halvings = 0
+    halvings, systems = 0, []
     for _ in range(50):
         P = softmax(Xb @ W)
         grad = Xb.T @ (P - np.eye(K)[y]) / n + ridge[:, None] * W
         if np.abs(grad).max() <= tol:
-            return W, halvings
-        H = np.block([[Xb.T @ (Xb * (P[:, [a]] * ((a == b) - P[:, [b]]))) for b in range(K)] for a in range(K)])
-        H = H / n + np.diag(np.tile(ridge, K))
+            return W, halvings, systems
+        data = np.block([[Xb.T @ (Xb * (P[:, [a]] * ((a == b) - P[:, [b]]))) for b in range(K)] for a in range(K)]) / n
+        H = data + np.diag(np.tile(ridge, K))
+        lu = not lstsq_only and (np.diag(H) != np.diag(data))[weights].all()
         H[d::d + 1, d::d + 1] += 1.0
-        step = np.linalg.lstsq(H, -grad.T.ravel(), rcond=None)[0].reshape(K, d + 1).T
+        rhs = -grad.T.ravel()
+        systems.append((H, rhs, lu))
+        step = (np.linalg.solve(H, rhs) if lu else np.linalg.lstsq(H, rhs, rcond=None)[0]).reshape(K, d + 1).T
         t, f = 1.0, objective(W)
         while objective(W + t * step) > f:
             t /= 2
@@ -176,8 +182,11 @@ def reference_cross_validate(X, y, k, seed, l2):
     return weights, accs
 
 
-@pytest.mark.parametrize("K, seed, l2", [(2, 0, 1.0), (2, 1, 1e-3), (3, 2, 1.0), (3, 3, 1e-3), (4, 4, 1.0),
-                                         (4, 5, 1e-3)])
+CARRIED = [(2, 0, 1.0), (2, 1, 1e-3), (3, 2, 1.0), (3, 3, 1e-3), (4, 4, 1.0), (4, 5, 1e-3)]  # K, seed, l2
+MATCHED = [("2 languages", 1e-3), ("3 languages", 1.0), ("ids 0 and 2", 1.0), ("3 languages", 1e9), ("halving", 1e-3)]
+
+
+@pytest.mark.parametrize("K, seed, l2", CARRIED)
 def test_fit_carries_the_accepted_objective_bit_for_bit(K, seed, l2):
     """Bit for bit the reference loop's weights: the accepted trial's objective is carried to the next step, and each
     Hessian block (b, a) below the diagonal is block (a, b), built once."""
@@ -192,17 +201,19 @@ def halving_case():
     return rng.normal(0, 20, (17, 3)) + y[:, None] * rng.normal(0, 3, 3), y
 
 
-@pytest.mark.parametrize("case, l2", [
-    ("2 languages", 1e-3), ("3 languages", 1.0), ("ids 0 and 2", 1.0), ("3 languages", 1e9), ("halving", 1e-3)])
+def matched_case(case):
+    if case == "halving":
+        return halving_case()
+    X, y = overlapping(3 if case == "3 languages" else 2, n=120, seed=7)
+    return X, 2 * y if case == "ids 0 and 2" else y
+
+
+@pytest.mark.parametrize("case, l2", MATCHED)
 def test_fit_and_cross_validate_match_the_reference_bit_for_bit(case, l2, monkeypatch):
     """np.bincount counts and boolean training masks leave every W and fold accuracy as the reference computes them;
     each fold's fit is a call of the module's ``fit_logreg``, where a tracer wrapping that attribute sees it."""
-    if case == "halving":
-        X, y = halving_case()
-        assert reference_fit_logreg(X, y, l2=l2)[1] > 0
-    else:
-        X, y = overlapping(3 if case == "3 languages" else 2, n=120, seed=7)
-        y = 2 * y if case == "ids 0 and 2" else y
+    X, y = matched_case(case)
+    assert case != "halving" or reference_fit_logreg(X, y, l2=l2)[1] > 0
     assert np.array_equal(fit_logreg(X, y, l2=l2), reference_fit_logreg(X, y, l2=l2)[0])
 
     fold_weights = []
@@ -220,10 +231,69 @@ def test_fit_and_cross_validate_match_the_reference_bit_for_bit(case, l2, monkey
     assert report.n_per_language == [int((y == lang).sum()) for lang in sorted(set(y.tolist()))]
 
 
+def test_lu_step_is_the_lstsq_step_at_every_reference_iterate():
+    """Where the ridge registers, the LU step is the least-squares step to within 1e-8 of its largest entry, at every
+    iterate of the bit-for-bit reference fits."""
+    cases = [(*overlapping(K, seed=seed), l2) for K, seed, l2 in CARRIED]
+    cases += [(*matched_case(case), l2) for case, l2 in MATCHED]
+    for X, y, l2 in cases:
+        for H, rhs, lu in reference_fit_logreg(X, y, l2=l2)[2]:
+            assert lu
+            exact = np.linalg.lstsq(H, rhs, rcond=None)[0]
+            assert np.abs(np.linalg.solve(H, rhs) - exact).max() <= 1e-8 * np.abs(exact).max()
+
+
+def design(kind, K):
+    X, y = overlapping(K)
+    if kind == "constant column":
+        X[:, 0] = 1.5
+    elif kind == "duplicated column":
+        X[:, 1] = X[:, 0]
+    elif kind == "identical rows":
+        X[:] = X[0]
+    return X, y
+
+
+@pytest.mark.parametrize("kind", ["full rank", "constant column", "duplicated column", "identical rows"])
+@pytest.mark.parametrize("l2", [0.0, 1e-300, 1e-20, 1e-12, 1e-6, 1.0])
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_no_or_a_vanishing_ridge_predicts_as_the_lstsq_loop(K, l2, kind):
+    """Without a ridge, or with one below the rounding of H's diagonal, H is singular: LU's step could be any size
+    along the flat directions, so the fit takes the minimum-norm step there. Every fit converges (fit_logreg raises
+    otherwise) and predicts every training row as the least-squares-only loop does."""
+    X, y = design(kind, K)
+    W_lstsq = reference_fit_logreg(X, y, l2=l2, lstsq_only=True)[0]
+    assert np.array_equal(predict_logreg(fit_logreg(X, y, l2=l2), X), predict_logreg(W_lstsq, X))
+
+
 @pytest.mark.parametrize("fit", [fit_logreg, cross_validate])
 def test_negative_language_id_is_a_value_error(fit):
     with pytest.raises(ValueError, match=r"^language ids must be >= 0, got -1$"):
         fit(np.ones((40, 3)), [-1, 0] * 20)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fit", [fit_logreg, cross_validate])
+def test_non_finite_features_are_a_value_error_before_any_newton_step(fit, value, capfd):
+    X, y = overlapping(3)
+    X[7, 2] = value
+    with pytest.raises(ValueError, match="^non-finite features"):
+        fit(X, y)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_probe_model_rejects_a_model_whose_features_are_not_finite(capfd):
+    spec = CorpusSpec(n_languages=2, n_classes=3, n_min=3, n_max=6, p_signal=0.4, seed=1)
+    vocab, examples = generate_corpus(spec, 10)
+    rng = np.random.default_rng(0)
+    params = ModelParams(
+        embedding=rng.normal(0, 0.5, (vocab.size + 1, 8)),
+        hidden_w=rng.normal(0, 0.5, (8, 7)), hidden_b=np.full(7, np.nan),
+        out_w=rng.normal(0, 0.5, (7, 3)), out_b=np.zeros(3),
+    )
+    with pytest.raises(ValueError, match="^non-finite features"):
+        probe_model(params, examples, k=2)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_cross_validate_separable():

@@ -151,15 +151,17 @@ def test_thread_count_changes_no_output_byte(tmp_path):
     assert counts == [1, min(2, len(os.sched_getaffinity(0)))]
 
 
-def test_a_seed_and_the_probe_command_leave_numpy_ma_unloaded(tmp_path):
-    """np.unique without return_counts imports numpy.ma (about 1.2 MB); neither run_seed nor ``pblab probe`` on its
-    outputs loads it."""
+def seed_then_probe(tmp_path, preamble: str) -> list:
+    """Lines printed by a fresh interpreter that runs ``preamble``, then run_seed on ``tiny_config``, prints
+    ``'numpy.ma' in sys.modules``, runs ``pblab probe`` at the default l2 on the seed's outputs and prints its exit code
+    and ``'numpy.ma' in sys.modules`` again."""
     from test_experiment import tiny_config
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps(tiny_config(tmp_path / "unused").to_dict()))
     seed = tmp_path / "seed_0"
-    out = run_python(
+    return run_python(
+        preamble +
         "import sys\n"
         "from pathlib import Path\n"
         "from pblab.experiment import load_config, run_seed\n"
@@ -168,8 +170,24 @@ def test_a_seed_and_the_probe_command_leave_numpy_ma_unloaded(tmp_path):
         "from pblab.cli import main\n"
         f"print(main(['probe', '--checkpoint', {str(seed / 'arms' / 'imbalanced' / 'checkpoint.pbl')!r}, '--data', "
         f"{str(seed / 'corpus' / 'corpus.jsonl')!r}, '--vocab', {str(seed / 'corpus' / 'vocab.json')!r}, '--out', "
-        f"{str(tmp_path / 'probe')!r}]), 'numpy.ma' in sys.modules)")
-    assert out.splitlines()[0] == "False" and out.splitlines()[-1] == "0 False"
+        f"{str(tmp_path / 'probe')!r}]), 'numpy.ma' in sys.modules)").splitlines()
+
+
+def test_a_seed_and_the_probe_command_leave_numpy_ma_unloaded(tmp_path):
+    """np.unique without return_counts imports numpy.ma (about 1.2 MB); neither run_seed nor ``pblab probe`` on its
+    outputs loads it."""
+    out = seed_then_probe(tmp_path, "")
+    assert out[0] == "False" and out[-1] == "0 False"
+
+
+def test_a_seed_and_the_probe_command_never_call_lstsq(tmp_path):
+    """With a ridge the probe's Newton steps are LU solves: np.linalg.lstsq, whose SVD code adds about 1 MB to the
+    process, is never called by run_seed or by ``pblab probe`` at the default l2."""
+    out = seed_then_probe(tmp_path, "import numpy\n"
+                                    "def lstsq(*args, **kwargs):\n"
+                                    "    raise AssertionError('np.linalg.lstsq was called')\n"
+                                    "numpy.linalg.lstsq = lstsq\n")
+    assert out[-1] == "0 False"
 
 
 def test_readme_library_example_runs():
