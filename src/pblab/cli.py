@@ -107,8 +107,8 @@ def cmd_shap_diff(args, manifest: Manifest) -> str:
     explain_mod.check_pair(bal, cmp)
     # The experiment's deal under a cap, else id order: either way the file's line order does not matter.
     data = shap_subset(data, args.max_datapoints) if args.max_datapoints else sorted(data, key=lambda ex: ex.id)
-    stage_explain({"bal": bal, "cmp": cmp}, "bal", {"shapdiff": "cmp"}, data, engine, args.theta, manifest.root,
-                  manifest, target_labels=args.target_label)
+    stage_explain({"bal": bal, "cmp": cmp}, {"shapdiff": "cmp"}, data, engine, args.theta, manifest.root, manifest,
+                  target_labels=args.target_label)
     return f"wrote {manifest.root / 'shapdiff.csv'}"
 
 

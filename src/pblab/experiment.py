@@ -36,7 +36,8 @@ from .jsonio import write_csv, write_json
 from .seeds import check_root_seed, derive_int
 
 # The arms, the only place they are defined: name -> (the sample_paired subset it trains on, its
-# training.WEIGHTINGS mode, the stem of its shapdiff report against the first row, the reference arm).
+# training.WEIGHTINGS mode, the stem of its shapdiff report). The first row is the reference arm that every
+# report compares against, so its stem is None.
 ARMS = {
     "balanced": ("balanced", "none", None),
     "imbalanced": ("imbalanced", "none", "bal_vs_imbal"),
@@ -396,13 +397,13 @@ def stage_probe(models: dict, dataset, corpus_tag: str, probe: probe_mod.ProbeCo
     return reports
 
 
-def stage_explain(models: dict, ref: str, pairs: dict, data, engine: explain_mod.EngineConfig, theta: float,
-                  out: Path, manifest: Manifest, target_labels=None) -> dict:
+def stage_explain(models: dict, pairs: dict, data, engine: explain_mod.EngineConfig, theta: float, out: Path,
+                  manifest: Manifest, target_labels=None) -> dict:
     """Explain each model, {tag: params}, at each of ``target_labels`` (all labels when None) once; then for each
-    {stem: compared tag} write the report of the compared model against the reference model ``ref``, <stem>.csv and
-    its <stem>.json sidecar. The reference model's values define the token categories, and every report keys its
-    base values "bal", whatever the tag of ``ref``."""
-    expl = {}
+    {stem: compared tag} write the report of the compared model against the reference model, the first of
+    ``models``, <stem>.csv and its <stem>.json sidecar. The reference model's values define the token categories,
+    and every report keys its base values "bal", whatever the reference model's tag."""
+    ref, expl = next(iter(models)), {}
     for tag, params in models.items():
         with manifest.stage("explain", arm=tag):
             expl[tag] = explain_mod.explain_arm(params, data, engine, target_labels)
@@ -494,8 +495,8 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         engine = ExplainConfig(**config.explain, seed=derive_int(seed, "shapdiff"))
         shap_data = shap_subset(test, engine.max_datapoints)
         pairs = {stem: arm for arm, (*_, stem) in ARMS.items() if stem}
-        reports = stage_explain(arm_params, next(iter(ARMS)), pairs, shap_data, engine, engine.theta,
-                                seed_dir / "shapdiff", manifest, target_labels=engine.target_labels)
+        reports = stage_explain(arm_params, pairs, shap_data, engine, engine.theta, seed_dir / "shapdiff", manifest,
+                                target_labels=engine.target_labels)
         record["shapdiff"] = {"n_datapoints": len(shap_data)}
         for tag, report in reports.items():
             record["shapdiff"][tag] = {

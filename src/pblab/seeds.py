@@ -6,16 +6,21 @@ perturbs the draws of any other consumer.
 """
 
 import hashlib
+import operator
 
 import numpy as np
 
 
 def check_root_seed(seed: int) -> int:
     """``seed`` as an int, or a ValueError unless it is a root seed: an integer in [0, 2**64), the one 64-bit
-    word of every stream's entropy, so that no two root seeds share their streams."""
-    if not 0 <= int(seed) < 2**64:
+    word of every stream's entropy, so that no two root seeds share their streams. A bool, a float or a string
+    is not one: ``int`` would put True and 1.5 on seed 1's streams and "7" on seed 7's."""
+    if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):  # what operator.index takes
+        raise ValueError(f"seed {seed!r} must be an integer")
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} must be in [0, 2**64)")
-    return int(seed)
+    return seed
 
 
 def derive_seed_sequence(root_seed: int, *path) -> np.random.SeedSequence:

@@ -106,12 +106,13 @@ HEAD_FIELDS = PARAM_FIELDS[1:]  # every parameter array but the embedding table
 ARM_FIELDS = ("seed", "weighting")
 
 
+def _langs_and_labels(examples):
+    return tuple(np.array([getattr(ex, name) for ex in examples], dtype=np.int64) for name in ("language", "label"))
+
+
 def _labels_and_weights(examples, weights: np.ndarray | None):
-    labels = np.array([ex.label for ex in examples], dtype=np.int64)
-    if weights is None:
-        return labels, np.ones(labels.size)
-    langs = np.array([ex.language for ex in examples], dtype=np.int64)
-    return labels, weights[langs, labels]
+    langs, labels = _langs_and_labels(examples)
+    return labels, np.ones(labels.size) if weights is None else weights[langs, labels]
 
 
 def _loss_and_grad(head: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.ndarray, lam: float,
@@ -290,10 +291,7 @@ def learning_rate(lr0: float, step: int, total_steps: int) -> float:
 
 
 def train(data, val, vocab, config: TrainConfig):
-    """SGD over shuffled mini-batches; returns (params, report).
-
-    The one-arm case of ``train_arms``.
-    """
+    """SGD over shuffled mini-batches, the one-arm case of ``train_arms``; returns (params, report)."""
     return train_arms([data], val, vocab, [config])[0]
 
 
@@ -301,14 +299,15 @@ def train_arms(datasets, val, vocab, configs):
     """Train K models in lockstep, arm k on ``datasets[k]`` with ``configs[k]``; returns [(params, report)].
 
     Every arm gets what training it alone would give, bit for bit: its own
-    embedding table, init and shuffle streams from its ``config.seed``, class
-    weights, validation-based selection and report. The arms' parameters are
-    stacked: the embedding tables as one (K, V + 1, d) array, arm k's table
-    the view ``table[k]``, and the hidden/output weights as one (K, P)
-    buffer. So each step gathers, updates and scatters the step's rows and
-    every head at once, and the per-epoch validation is one pass. The arms
-    must share every field but ``ARM_FIELDS``, and their train size;
-    anything else is a ``ValueError``.
+    embedding table, init and shuffle streams from its ``config.seed``, (L, C)
+    loss-weight table, validation-based selection and report. The arms'
+    parameters are stacked: the embedding tables as one (K, V + 1, d) array,
+    arm k's table the view ``table[k]``, the hidden/output weights as one
+    (K, P) buffer and the weight tables as one (K, L, C) array, read at an
+    example's (language, label). So each step gathers, updates and scatters
+    the step's rows and every head at once, and the per-epoch validation is
+    one pass. The arms must share every field but ``ARM_FIELDS``, and their
+    train size; anything else is a ``ValueError``.
 
     An arm's returned parameters are the snapshot from the epoch with the
     lowest validation loss (earliest epoch on ties). Divergence (non-finite
@@ -349,13 +348,12 @@ def train_arms(datasets, val, vocab, configs):
     distinct = {id(data): data for data in datasets}
     pooled = [ex for data in distinct.values() for ex in data]
     ids, lengths = pack_tokens([ex.tokens for ex in pooled], mask_id)
-    labels = _labels_and_weights(pooled, None)[0]
-    offsets = np.array([list(distinct).index(id(data)) * n for data in datasets])[:, None]
-    cells = [count_cells(data, vocab.n_languages, vocab.n_classes) for data in datasets]
-    weights = np.stack([_labels_and_weights(data, WEIGHTINGS[config.weighting](counts))[1]
-                        for data, config, counts in zip(datasets, configs, cells)])
+    langs, labels = _langs_and_labels(pooled)
+    offsets = [list(distinct).index(id(data)) * n for data in datasets]  # each arm's first sequence in the pool
+    weights = np.stack([WEIGHTINGS[config.weighting](count_cells(data, vocab.n_languages, vocab.n_classes))
+                        for data, config in zip(datasets, configs)])
     val_ids, val_lengths = pack_tokens([ex.tokens for ex in val], mask_id)
-    val_labels = _labels_and_weights(val, None)[0]
+    _, val_labels = _langs_and_labels(val)
 
     table = np.empty((K, mask_id + 1, first.embed_dim), dtype=np.float32)
     shapes = {name: getattr(inits[0], name).shape for name in HEAD_FIELDS}
@@ -370,13 +368,12 @@ def train_arms(datasets, val, vocab, configs):
     head64 = head32.astype(np.float64)  # what the step computes with; always equal to head32
 
     shuffles = [derive_rng(config.seed, "train", "shuffle") for config in configs]
-    steps_per_epoch = math.ceil(n / first.batch_size)
     best = [arm.copy() for arm in arms]  # each arm's snapshot of its best epoch so far
     for epoch in range(first.epochs):
-        orders = np.stack([rng.permutation(n) for rng in shuffles])
+        seqs = np.stack([offset + rng.permutation(n) for offset, rng in zip(offsets, shuffles)])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails the next loss check
-            epoch_losses = _train_epoch(table, head32, head64, shapes, (ids, lengths, labels), orders, offsets,
-                                        weights, first, epoch, steps_per_epoch)
+            epoch_losses = _train_epoch(table, head32, head64, shapes, (ids, lengths, langs, labels), seqs, weights,
+                                        first, epoch)
             val_losses = _packed_loss(table, mask_id, _head_views(head64, shapes), val_ids, val_lengths,
                                       val_labels, 1.0, 0.0)
         for k, report in enumerate(reports):
@@ -394,15 +391,15 @@ def train_arms(datasets, val, vocab, configs):
     return list(zip(best, reports))
 
 
-def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, weights, config: TrainConfig,
-                 epoch: int, steps_per_epoch: int) -> np.ndarray:
-    """One epoch of lockstep SGD, arm k visiting sequences ``orders[k] + offsets[k]`` of ``packed``; returns the
-    (K, steps) losses.
+def _train_epoch(table, head32, head64, shapes: dict, packed, seqs, weights, config: TrainConfig,
+                 epoch: int) -> np.ndarray:
+    """One epoch of lockstep SGD, arm k visiting sequences ``seqs[k]`` of ``packed``; returns the (K, steps) losses.
 
     ``table`` is the arms' stacked (K, V + 1, d) float32 embedding table,
     ``head32``/``head64`` their (K, P) head in float32 and float64,
-    ``packed`` the (ids, lengths, labels) of every dataset, and ``weights``
-    the (K, n) example weights in each arm's data order. Each step is one
+    ``packed`` the (ids, lengths, langs, labels) of every dataset, ``seqs``
+    the (K, n) places in it of each arm's shuffled examples, their one index,
+    and ``weights`` the arms' (K, L, C) loss weights. Each step is one
     gather, forward/backward and scatter for all K arms, of the rows of the
     step's shared ids (``batch_layout``); parameters stay on the float32
     grid (checkpoint dtype). The layout and the visited lengths, labels and
@@ -413,27 +410,27 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, w
     mask rows ``table[:, mask_id]`` are read and updated outside the layout,
     after the token rows' scatter (when lambda != 0).
     """
-    ids, lengths, labels = packed
-    seqs = orders + offsets
+    ids, lengths, langs, labels = packed
     # A batch of n or more is one full batch; the cap keeps a batch size past int64 out of numpy.
     bs, lam = min(config.batch_size, seqs.shape[1]), config.mask_entropy_coeff
     # Step b reads the epoch's tokens tok_ptr[b]:tok_ptr[b + 1], over all arms.
     step_tokens = np.add.reduceat(lengths[seqs].sum(axis=0), np.arange(0, seqs.shape[1], bs))
     tok_ptr = np.concatenate([[0], np.cumsum(step_tokens)])
+    steps = step_tokens.size
     K, mask_id = table.shape[0], table.shape[1] - 1
     grad64 = np.empty_like(head64)
     head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
-    losses = np.empty((K, steps_per_epoch))
+    losses = np.empty((K, steps))
     b0 = b1 = 0  # the current block's steps
-    for b in range(steps_per_epoch):
+    for b in range(steps):
         if b == b1:
             b0, b1 = b, max(b + 1, int(np.searchsorted(tok_ptr, tok_ptr[b] + BLOCK_TOKENS, "right")) - 1)
             block = seqs[:, b0 * bs : b1 * bs]
             layout = batch_layout(ids, lengths, block, bs, mask_id)
             # Lengths are exact in float64, so dividing by them gives the same bits as dividing by the ints.
             block_lengths, block_labels = lengths[block][:, :, None].astype(np.float64), labels[block]
-            w_ex = np.take_along_axis(weights, orders[:, b0 * bs : b1 * bs], axis=1)
-        step = epoch * steps_per_epoch + b
+            w_ex = weights[np.arange(K)[:, None], langs[block], block_labels]
+        step = epoch * steps + b
         cols = slice((b - b0) * bs, (b - b0 + 1) * bs)
         lens = block_lengths[:, cols]
         rows, counts = batch_counts(layout, b - b0, K, lens.shape[1])
@@ -444,7 +441,7 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, orders, offsets, w
         losses[:, b], g_x, g_mask = _loss_and_grad(head, x, x_m, block_labels[:, cols], w_ex[:, cols], lam, grads)
         if g_x is None:
             raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
-        lr = learning_rate(config.lr, step, config.epochs * steps_per_epoch)
+        lr = learning_rate(config.lr, step, config.epochs * steps)
         g_rows = _row_grads(counts, lens, g_x)
         g_rows *= lr
         np.subtract(emb, g_rows, out=emb)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from pblab.cli import main
 from pblab.corpus import Example, load_jsonl, load_vocab
-from pblab.experiment import WEIGHT_FIELDS, ExperimentConfig, run_experiment, shap_subset
+from pblab.experiment import ARMS, WEIGHT_FIELDS, ExperimentConfig, run_experiment, shap_subset
 from pblab.model import load as load_checkpoint
 from pblab.sampler import preset, sample_paired
 from pblab.seeds import derive_int
@@ -119,7 +120,6 @@ def test_shapdiff_sidecar_keys(tiny_run):
 def test_cli_and_experiment_share_the_stages(tiny_run, tmp_path, capsys):
     """`pblab train` and `pblab eval` on the seed's own subsets and splits write the arms' artifacts byte for byte
     (a checkpoint's header apart, which names the arm in the experiment and the weighting in the CLI)."""
-    from pblab.cli import main
     from pblab.corpus import save_jsonl
     from pblab.sampler import split_eval
 
@@ -333,6 +333,25 @@ def test_every_stream_refuses_a_root_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
         derive_int(seed, "train", "balanced")
     assert derive_int(2**64 - 1, "train", "balanced") != derive_int(0, "train", "balanced")
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7"], ids=["float", "bool", "str"])
+def test_every_stream_refuses_a_root_seed_that_is_not_an_integer(seed):
+    """Read through int(), 1.5 and True would draw seed 1's streams and "7" seed 7's."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        derive_int(seed, "a")
+    assert derive_int(np.uint64(7), "a") == derive_int(np.int8(7), "a") == derive_int(7, "a")
+
+
+def test_cli_experiment_runs_a_config(tmp_path, capsys):
+    """`pblab experiment --config` exits 0, prints one accuracy line per arm and writes summary.json under --out."""
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps(tiny_config(tmp_path / "config_out").to_dict()))
+    assert main(["experiment", "--config", str(config_path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": accuracy ")[0] for line in lines] == list(ARMS)
+    assert json.loads((out / "summary.json").read_text())["failures"] == []
+    assert not (tmp_path / "config_out").exists()
 
 
 def test_each_arm_explained_once(tmp_path, monkeypatch):

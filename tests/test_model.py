@@ -197,6 +197,19 @@ def test_params_validation():
         params.validate()
 
 
+@pytest.mark.parametrize("name, shape", [("hidden_w", (3, 4)), ("hidden_b", (3,)), ("out_w", (4, 3))],
+                         ids=["hidden_w rows", "hidden_b", "out_w columns"])
+def test_params_validation_names_the_inconsistent_shape(name, shape):
+    """The dimensions are read off embedding (d), hidden_w (h) and out_b (C); an array that disagrees is named."""
+    params = ModelParams(
+        embedding=np.zeros((5, 4)), hidden_w=np.zeros((4, 4)), hidden_b=np.zeros(4),
+        out_w=np.zeros((4, 2)), out_b=np.zeros(2),
+    )
+    setattr(params, name, np.zeros(shape))
+    with pytest.raises(ValueError, match=f"^{name} shape inconsistent$"):
+        params.validate()
+
+
 @pytest.mark.parametrize("dims", [
     None,
     "not an object",

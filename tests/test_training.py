@@ -248,6 +248,13 @@ def test_train_deterministic_bitwise(corpus223):
     assert r1.to_dict() == r2.to_dict()
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "7"], ids=["float", "bool", "str"])
+def test_train_refuses_a_seed_that_is_not_an_integer(corpus223, seed):
+    vocab, examples = corpus223
+    with pytest.raises(ValueError, match="must be an integer"):
+        train(examples[:30], examples[30:40], vocab, TrainConfig(epochs=1, seed=seed))
+
+
 def test_train_selects_min_val_loss_epoch(corpus223):
     vocab, examples = corpus223
     _, report = train(examples[:120], examples[120:160], vocab, TrainConfig(epochs=5, seed=2))
@@ -552,30 +559,30 @@ def test_lockstep_step_keeps_the_bits_of_a_row_only_another_arm_reads():
     V, d, h = 6, 4, 3
     rng = np.random.default_rng(11)
     ids, lengths = np.array([0, 1, 2], dtype=np.uint16), np.array([2, 1], dtype=np.int32)
-    labels, offsets = np.array([0, 1]), np.array([[0], [1]])
-    orders = np.zeros((2, 1), dtype=int)  # one step: arm 0 reads ids 0 and 1 (sequence 0), arm 1 id 2 (sequence 1)
+    langs, labels = np.array([0, 0]), np.array([0, 1])
+    seqs = np.array([[0], [1]])  # one step: arm 0 reads ids 0 and 1 (sequence 0), arm 1 id 2 (sequence 1)
     table = rng.normal(size=(2, V + 1, d)).astype(np.float32)
     table[0, 2] = -0.0
     shapes = {"hidden_w": (d, h), "hidden_b": (h,), "out_w": (h, 3), "out_b": (3,)}
     head32 = rng.normal(size=(2, sum(math.prod(shape) for shape in shapes.values()))).astype(np.float32)
     config = TrainConfig(epochs=1, batch_size=1, lr=0.5, embed_dim=d, hidden_dim=h)
     before = table.copy()
-    training._train_epoch(table, head32, head32.astype(np.float64), shapes, (ids, lengths, labels), orders,
-                          offsets, np.ones((2, 1)), config, 0, 1)
+    training._train_epoch(table, head32, head32.astype(np.float64), shapes, (ids, lengths, langs, labels), seqs,
+                          np.ones((2, 1, 2)), config, 0)
     assert np.signbit(table[0, 2]).all()
     changed = [[i for i in range(V + 1) if table[k, i].tobytes() != before[k, i].tobytes()] for k in range(2)]
     assert changed == [[0, 1], [2]]
 
 
-def whole_epoch_oracle(table, head32, head64, shapes, packed, orders, offsets, weights, config, epoch,
-                       steps_per_epoch):
+def whole_epoch_oracle(table, head32, head64, shapes, packed, seqs, weights, config, epoch):
     """``training._train_epoch`` as it was: one ``batch_layout`` for every step, and the visited lengths,
     labels and weights of the whole epoch at once."""
-    seqs, w_ex = orders + offsets, np.take_along_axis(weights, orders, axis=1)
     bs, lam = config.batch_size, config.mask_entropy_coeff
-    ids, lengths, labels = packed
+    ids, lengths, langs, labels = packed
     K, mask_id = table.shape[0], table.shape[1] - 1
+    steps_per_epoch = math.ceil(seqs.shape[1] / bs)
     layout = batch_layout(ids, lengths, seqs, bs, mask_id)
+    w_ex = weights[np.arange(K)[:, None], langs[seqs], labels[seqs]]
     lengths, labels = lengths[seqs][:, :, None].astype(np.float64), labels[seqs]
     grad64 = np.empty_like(head64)
     head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
