@@ -27,7 +27,7 @@ from . import training as training_mod
 from .experiment import (Manifest, SyntheticCorpus, check_target_labels, config_schema, joint_from_config,
                          load_config, load_dataset, run_experiment, shap_subset, stage_corpus, stage_evaluate,
                          stage_explain, stage_probe, stage_sample, stage_train)
-from .seeds import derive_int
+from .seeds import check_root_seed, derive_int
 
 
 # gen-corpus's flag for each SyntheticCorpus field, in usage-line order, and defaults for the fields a config requires.
@@ -206,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "seed"):  # before any file is read
+            check_root_seed(args.seed)
         if args.func is cmd_experiment:
             return cmd_experiment(args)
         manifest = _manifest(args)

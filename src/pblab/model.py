@@ -90,19 +90,20 @@ class ForwardOutput:
 
 def init_params(vocab_size: int, n_classes: int, embed_dim: int = DEFAULT_DIM, hidden_dim: int = DEFAULT_DIM, *,
                 rng: np.random.Generator) -> ModelParams:
-    """Fresh parameters: zero embeddings, random hidden/output weights, zero biases.
+    """Fresh parameters: a float32 zero embedding table, and a head that alone draws from ``rng`` (``_init_head``).
 
     Zero embeddings make every input indistinguishable at initialization
     (uniform output probabilities), so any structure the latent space
     acquires is attributable to training.
     """
-    return ModelParams(
-        embedding=np.zeros((vocab_size + 1, embed_dim)),
-        hidden_w=rng.normal(0.0, 1.0 / np.sqrt(embed_dim), size=(embed_dim, hidden_dim)),
-        hidden_b=np.zeros(hidden_dim),
-        out_w=rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=(hidden_dim, n_classes)),
-        out_b=np.zeros(n_classes),
-    )
+    return ModelParams(np.zeros((vocab_size + 1, embed_dim), dtype=np.float32),
+                       *_init_head(n_classes, embed_dim, hidden_dim, rng))
+
+
+def _init_head(n_classes: int, embed_dim: int, hidden_dim: int, rng: np.random.Generator) -> tuple:
+    """The fresh head in ``PARAM_FIELDS`` order: random weights, ``hidden_w`` drawn before ``out_w``, zero biases."""
+    return (rng.normal(0.0, 1.0 / np.sqrt(embed_dim), size=(embed_dim, hidden_dim)), np.zeros(hidden_dim),
+            rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=(hidden_dim, n_classes)), np.zeros(n_classes))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

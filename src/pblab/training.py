@@ -17,9 +17,9 @@ from .model import (
     DEFAULT_DIM,
     PARAM_FIELDS,
     ModelParams,
+    _init_head,
     forward,
     forward_examples,
-    init_params,
     mean_embeddings,
     pack_tokens,
     softmax,
@@ -307,7 +307,9 @@ def train_arms(datasets, val, vocab, configs):
     example's (language, label). So each step gathers, updates and scatters
     the step's rows and every head at once, and the per-epoch validation is
     one pass. The arms must share every field but ``ARM_FIELDS``, and their
-    train size; anything else is a ``ValueError``.
+    train size; anything else is a ``ValueError``. The start is
+    ``init_params``': the stacked table is allocated as zeros and each arm's
+    init stream draws only its head, so no other copy of a table is made.
 
     An arm's returned parameters are the snapshot from the epoch with the
     lowest validation loss (earliest epoch on ties). Divergence (non-finite
@@ -334,16 +336,18 @@ def train_arms(datasets, val, vocab, configs):
     if any(len(data) != n for data in datasets):
         raise ValueError("arms trained in lockstep must have equal train sizes")
 
-    inits = [
-        init_params(vocab.size, vocab.n_classes, first.embed_dim, first.hidden_dim,
-                    rng=derive_rng(config.seed, "train", "init"))
-        for config in configs
-    ]
+    K, mask_id = len(configs), vocab.size
+    heads = [_init_head(vocab.n_classes, first.embed_dim, first.hidden_dim, derive_rng(config.seed, "train", "init"))
+             for config in configs]
+    shapes = {name: array.shape for name, array in zip(HEAD_FIELDS, heads[0])}
+    table = np.zeros((K, mask_id + 1, first.embed_dim), dtype=np.float32)
+    head32 = np.stack([np.concatenate(head, axis=None) for head in heads]).astype(np.float32)
+    views32 = _head_views(head32, shapes)
+    arms = [ModelParams(table[k], *(views32[name][k] for name in HEAD_FIELDS)) for k in range(K)]
     reports = [TrainReport() for _ in configs]
     if first.epochs == 0:
-        return list(zip(inits, reports))
+        return list(zip(arms, reports))
 
-    K, mask_id = len(configs), vocab.size
     # One packed layout holds each distinct dataset once: the imbalanced arms with and without weights share it.
     distinct = {id(data): data for data in datasets}
     pooled = [ex for data in distinct.values() for ex in data]
@@ -355,16 +359,6 @@ def train_arms(datasets, val, vocab, configs):
     val_ids, val_lengths = pack_tokens([ex.tokens for ex in val], mask_id)
     _, val_labels = _langs_and_labels(val)
 
-    table = np.empty((K, mask_id + 1, first.embed_dim), dtype=np.float32)
-    shapes = {name: getattr(inits[0], name).shape for name in HEAD_FIELDS}
-    head32 = np.empty((K, sum(math.prod(shape) for shape in shapes.values())), dtype=np.float32)
-    views32 = _head_views(head32, shapes)
-    for k, init in enumerate(inits):
-        table[k] = init.embedding
-        for name in HEAD_FIELDS:
-            views32[name][k] = getattr(init, name)
-    del inits, init  # from here the stacked arrays are the only copy of the parameters
-    arms = [ModelParams(table[k], *(views32[name][k] for name in HEAD_FIELDS)) for k in range(K)]
     head64 = head32.astype(np.float64)  # what the step computes with; always equal to head32
 
     shuffles = [derive_rng(config.seed, "train", "shuffle") for config in configs]

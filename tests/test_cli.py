@@ -192,6 +192,20 @@ def test_gen_corpus_negative_seed_exits_1_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["sample", "--preset", "uniform", "--n", "6"],
+    ["train", "--val", "missing.jsonl"],
+    ["probe", "--checkpoint", "missing.pbl"],
+    ["shap-diff", "--checkpoint-bal", "missing.pbl", "--checkpoint-cmp", "missing.pbl"],
+], ids=lambda command: command[0])
+def test_negative_seed_exits_1_before_any_file_is_read(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, "--data", str(tmp_path / "missing.jsonl"), "--seed", "-1", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [{"type": "ValueError", "error": "seed -1 must be in [0, 2**64)"}]
+    assert not out.exists()
+
+
 def test_experiment_print_schema(capsys):
     rc = main(["experiment", "--print-schema"])
     assert rc == 0

@@ -128,6 +128,21 @@ def test_init_params_uniform_at_start(vocab):
     assert np.allclose(out.probs, 1 / 3, atol=1e-12)
 
 
+def test_init_params_is_one_float32_table_and_draws_only_the_head():
+    """At V = 100,000 the only sizable allocation is the float32 zero table, and the head draws ``hidden_w``
+    then ``out_w`` from the stream, as a float64 normal draw rounded to float32."""
+    V, C, d, h = 100_000, 3, 32, 16
+    peak, params = traced_peak(lambda: init_params(V, C, d, h, rng=np.random.default_rng(9)))
+    assert peak < 1.1 * (V + 1) * d * 4
+    assert all(getattr(params, name).dtype == np.float32 for name in PARAM_FIELDS)
+    assert params.embedding.shape == (V + 1, d) and not params.embedding.any()
+    rng = np.random.default_rng(9)
+    hidden_w, out_w = rng.normal(0.0, 1 / math.sqrt(d), (d, h)), rng.normal(0.0, 1 / math.sqrt(h), (h, C))
+    assert np.array_equal(params.hidden_w, hidden_w.astype(np.float32))
+    assert np.array_equal(params.out_w, out_w.astype(np.float32))
+    assert not params.hidden_b.any() and not params.out_b.any()
+
+
 def test_save_load_bitwise(tmp_path, vocab):
     params = random_params(vocab)
     path = tmp_path / "m.pbl"

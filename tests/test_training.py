@@ -10,7 +10,7 @@ import pytest
 
 from pblab import training
 from pblab.corpus import CorpusSpec, Example, generate_corpus
-from pblab.model import PARAM_FIELDS, ModelParams, init_params
+from pblab.model import PARAM_FIELDS, ModelParams, init_params, pack_tokens
 from pblab.sampler import preset, sample_paired, split_eval
 from pblab.seeds import derive_rng
 from pblab.training import (
@@ -382,31 +382,32 @@ def test_train_step_writes_only_batch_rows(corpus223, lam):
     assert changed == read
 
 
-def test_train_step_updates_a_mask_token_row_then_the_entropy_term(corpus223, monkeypatch):
-    """Training data holding the mask id at lambda != 0: one step leaves the mask row at x - lr * g_tok, rounded to
+def test_train_step_updates_a_mask_token_row_then_the_entropy_term(corpus223):
+    """A batch holding the mask id at lambda != 0: one step leaves the mask row at x - lr * g_tok, rounded to
     float32, minus lr * g_mask, rounded again; g_tok and g_mask are computed here from the step's own inputs."""
     vocab, examples = corpus223
     init = random_params(vocab, seed=4)
-    init.embedding[:-1] = 0.0  # so the one sequence that reads the mask row has mean embedding x / its length
-    monkeypatch.setattr(training, "init_params", lambda *args, **kwargs: init.copy())
+    table = np.zeros((1, vocab.size + 1, 8), dtype=np.float32)
+    table[0, vocab.mask_id] = init.embedding[vocab.mask_id]  # so the one sequence that reads it has mean x / length
     batch = examples[:1] + with_mask_tokens(examples[1:2], vocab.mask_id) + examples[2:12]  # one mask token
-    config = TrainConfig(epochs=1, batch_size=len(batch), mask_entropy_coeff=0.5, lr=0.3, seed=3, embed_dim=8,
-                         hidden_dim=6)
-    params, report = train(batch, examples[32:40], vocab, config)  # one epoch of one step
-    assert report.selected_epoch == 0
-    order = derive_rng(config.seed, "train", "shuffle").permutation(len(batch))  # the step's batch order
-    at, length = int(np.flatnonzero(order == 1)[0]), len(batch[1].tokens)
+    config = TrainConfig(epochs=1, batch_size=len(batch), mask_entropy_coeff=0.5, lr=0.3, embed_dim=8, hidden_dim=6)
+    shapes = {name: getattr(init, name).shape for name in PARAM_FIELDS[1:]}
+    head32 = np.concatenate([getattr(init, name) for name in PARAM_FIELDS[1:]], axis=None)[None]
+    packed = (*pack_tokens([ex.tokens for ex in batch], vocab.mask_id), *training._langs_and_labels(batch))
+    training._train_epoch(table, head32, head32.astype(np.float64), shapes, packed, np.arange(len(batch))[None],
+                          np.ones((1, 2, 3)), config, 0)  # one epoch of one step, the batch in file order
+    at, length = 1, len(batch[1].tokens)
     head = {name: getattr(init, name).astype(np.float64)[None] for name in PARAM_FIELDS[1:]}
     grads = {name: np.empty_like(arr) for name, arr in head.items()}
     x_m = init.embedding[vocab.mask_id].astype(np.float64)
     x = np.zeros((1, len(batch), config.embed_dim))
     x[0, at] = x_m / length
-    labels = np.array([[batch[i].label for i in order]])
+    labels = np.array([[ex.label for ex in batch]])
     _, g_x, g_mask = _loss_and_grad(head, x, x_m[None], labels, np.ones((1, len(batch))), config.mask_entropy_coeff,
                                     grads)
     g_tok = g_x[0, at] / length
     want = ((x_m - g_tok * config.lr).astype(np.float32) - g_mask[0] * config.lr).astype(np.float32)
-    assert np.array_equal(params.embedding[vocab.mask_id], want)
+    assert np.array_equal(table[0, vocab.mask_id], want)
     assert not np.array_equal(want, (x_m - (g_tok + g_mask[0]) * config.lr).astype(np.float32))  # one sum differs
 
 
@@ -503,11 +504,11 @@ def test_lockstep_step_writes_only_each_arms_batch_rows(corpus223, lam):
 
 
 def test_train_arms_memory_is_the_table_and_the_snapshots():
-    """V = 100,000 and a validation set of more tokens than table rows: no float64 copy of the stacked
-    table, and each best-epoch snapshot is refreshed in place, not reallocated."""
+    """V = 100,000 and a validation set of more tokens than table rows, at K = 1 and 3: no float64 copy of the
+    stacked table, no init table beside it, and each best-epoch snapshot is refreshed in place, not reallocated."""
     import tracemalloc
 
-    V, K, d = 100_000, 3, 32
+    V, d = 100_000, 32
     vocab = SimpleNamespace(size=V, n_classes=3, n_languages=2)
     rng = np.random.default_rng(6)
 
@@ -517,17 +518,21 @@ def test_train_arms_memory_is_the_table_and_the_snapshots():
 
     data, val = examples(96, 8), examples(420, 250)
     assert sum(len(ex.tokens) for ex in val) > V + 1
-    configs = [TrainConfig(epochs=3, batch_size=16, seed=k, embed_dim=d, hidden_dim=d) for k in range(K)]
-    tracemalloc.start()
-    try:
-        trained = train_arms([data] * K, val, vocab, configs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    table = K * (V + 1) * d * 4
-    copies = sum(getattr(params, name).nbytes for params, _ in trained for name in PARAM_FIELDS)
-    assert peak < 1.5 * table + copies
-    assert peak < table + copies + copies / K  # no snapshot reallocated while the others are held
+    for K in (1, 3):
+        configs = [TrainConfig(epochs=3, batch_size=16, seed=k, embed_dim=d, hidden_dim=d) for k in range(K)]
+        tracemalloc.start()
+        try:
+            trained = train_arms([data] * K, val, vocab, configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = K * (V + 1) * d * 4
+        copies = sum(getattr(params, name).nbytes for params, _ in trained for name in PARAM_FIELDS)
+        assert peak < 1.5 * table + copies, K
+        # Under half an arm's table beyond the stacked table and the snapshots: no arm's init table, and no
+        # snapshot reallocated while the others are held.
+        assert peak < table + copies + copies / (2 * K), K
+        del trained
 
 
 # ---------------------------------------------------------------- epochs in blocks of steps
