@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import ModelParams, forward_examples, softmax
+from .model import ModelParams, forward_examples
 from .seeds import derive_rng
 
 DEFAULT_L2 = 1.0
@@ -80,18 +80,19 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TO
     K = counts.size
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
-    ridge = np.append(np.full(d, l2 / n), 0.0)
+    ridge, onehot = np.append(np.full(d, l2 / n), 0.0), np.eye(K)[y]
 
-    def objective(W):
+    def objective(W):  # the objective at W and the softmax of Xb @ W, whose exponentials it computes
         Z = Xb @ W
         Z -= Z.max(axis=1, keepdims=True)
-        return (np.log(np.exp(Z).sum(axis=1)) - Z[np.arange(n), y]).mean() + 0.5 * ridge @ (W * W).sum(axis=1)
+        E = np.exp(Z)
+        S = E.sum(axis=1, keepdims=True)
+        return (np.log(S[:, 0]) - Z[np.arange(n), y]).mean() + 0.5 * ridge @ (W * W).sum(axis=1), E / S
 
     W = np.zeros((d + 1, K))
-    f = objective(W)
+    f, P = objective(W)
     for _ in range(NEWTON_STEPS):
-        P = softmax(Xb @ W)
-        grad = Xb.T @ (P - np.eye(K)[y]) / n + ridge[:, None] * W
+        grad = Xb.T @ (P - onehot) / n + ridge[:, None] * W
         if np.abs(grad).max() <= tol:
             return W
         # Hessian block (a, b) is Xb^T diag(P_a (1[a=b] - P_b)) Xb / n, plus the ridge on the diagonal. Block (b, a)
@@ -117,9 +118,9 @@ def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TO
             step = np.linalg.lstsq(H, rhs, rcond=None)[0]
         step = step.reshape(K, d + 1).T
         t = 1.0
-        while (f_trial := objective(W + t * step)) > f:
+        while (trial := objective(W + t * step))[0] > f:
             t /= 2
-        W, f = W + t * step, f_trial  # the accepted trial's value is the objective at the new W
+        W, (f, P) = W + t * step, trial  # the accepted trial is the objective and softmax at the new W
     raise ValueError(f"probe fit did not reach max |gradient| <= {tol} in {NEWTON_STEPS} Newton steps")
 
 

@@ -22,12 +22,11 @@ from .model import (
     forward_examples,
     mean_embeddings,
     pack_tokens,
-    softmax,
 )
 from .seeds import derive_rng
 
 PROB_CLAMP = 1e-12
-BLOCK_TOKENS = 2**15  # tokens, over all arms, of the steps one ``batch_layout`` covers at a time
+BLOCK_TOKENS = 2**15  # tokens over all arms plus presence cells of the steps one ``batch_layout`` covers
 
 
 def count_cells(examples, n_languages: int, n_classes: int) -> np.ndarray:
@@ -115,52 +114,67 @@ def _labels_and_weights(examples, weights: np.ndarray | None):
     return labels, np.ones(labels.size) if weights is None else weights[langs, labels]
 
 
-def _loss_and_grad(head: dict, x: np.ndarray, x_m, labels: np.ndarray, w_ex: np.ndarray, lam: float,
+def _head_terms(head: dict) -> tuple:
+    """Views of float64 (K, ...) head arrays as ``_loss_and_grad`` reads them: transposes and (K, 1, n) biases too."""
+    w_h, b_h, w_o, b_o = (head[n] for n in HEAD_FIELDS)
+    return w_h, w_h.transpose(0, 2, 1), b_h[:, None], w_o, w_o.transpose(0, 2, 1), b_o[:, None]
+
+
+def _loss_and_grad(terms: tuple, x: np.ndarray, x_m, true: np.ndarray, w_ex: np.ndarray, lam: float,
                    grads: dict | None = None):
     """Weighted CE + lambda * masked-input entropy of K models, and its exact gradient.
 
-    Every array is stacked over the K models: ``head`` holds the float64
-    (K, ...) hidden/output arrays, ``x`` the (K, B, d) mean embeddings,
-    ``x_m`` the (K, d) mask rows, the mean embedding of an all-mask input of
-    any length (read, and needed, only when lambda != 0), and
-    ``labels``/``w_ex`` are (K, B). Returns (values, g_x, g_mask): the K loss
-    values and, with ``grads`` given (float64 arrays shaped like ``head``,
-    which receive the head gradient) and every value finite, dL/dx and, when
-    lambda != 0, dL/dx_m; otherwise None in their place. Probabilities are
-    clamped to PROB_CLAMP inside logs and the gradient honors the clamp. Each
-    model's numbers are bit-identical to those of a pass over that model alone.
+    Every array is stacked over the K models: ``terms`` is ``_head_terms``
+    of the float64 (K, ...) head arrays, ``x`` the (K, B, d) mean embeddings,
+    ``x_m`` the (K, d) mask rows, the mean embedding of an all-mask input
+    (read, and needed, only when lambda != 0), ``true`` the (K, B) flat places
+    of the labels in (K, B, C) and ``w_ex`` the weights ((K, B), or broadcast
+    to that without ``grads``). Returns (values, g_x, g_mask): the K loss
+    values and, with ``grads`` given (arrays shaped like the head, which
+    receive its gradient) and every value finite, dL/dx and, when lambda !=
+    0, dL/dx_m; otherwise None in their place. Probabilities are clamped to
+    PROB_CLAMP inside logs and the gradient honors the clamp. Each model's
+    numbers are those of a pass over it alone.
     """
-    w_h, b_h, w_o, b_o = (head[n] for n in HEAD_FIELDS)
-    K, B = labels.shape
-    w_hT, w_oT = w_h.transpose(0, 2, 1), w_o.transpose(0, 2, 1)
-    hid = np.tanh(x @ w_h + b_h[:, None])
-    probs = softmax(hid @ w_o + b_o[:, None])
-    true = (np.arange(K)[:, None], np.arange(B), labels)
-    p_true = probs[true]
-    values = np.add.reduce(w_ex * -np.log(np.maximum(p_true, PROB_CLAMP)), axis=1) / B  # np.mean, bit for bit
+    w_h, w_hT, b_h, w_o, w_oT, b_o = terms
+    B = true.shape[1]
 
+    def forward(x):  # the tanh layer and the softmax, each in place
+        hid = x @ w_h
+        np.tanh(np.add(hid, b_h, out=hid), out=hid)
+        z = hid @ w_o + b_o
+        top = z[..., :1]  # the row max, exact in any order: np.maximum over the columns beats a reduce over C
+        for c in range(1, z.shape[2]):
+            top = np.maximum(top, z[..., c : c + 1])
+        np.exp(np.subtract(z, top, out=z), out=z)
+        return hid, np.divide(z, np.add.reduce(z, axis=2, keepdims=True), out=z)
+
+    hid, probs = forward(x)
+    p_true = probs.take(true)
+    clamped = np.minimum.reduce(p_true, axis=None) <= PROB_CLAMP  # else the clamp changes nothing
+    values = np.add.reduce(w_ex * -np.log(np.maximum(p_true, PROB_CLAMP) if clamped else p_true), axis=1) / B
     if lam != 0.0:
-        hid_m = np.tanh(x_m[:, None] @ w_h + b_h[:, None])
-        q = softmax(hid_m @ w_o + b_o[:, None])
-        values = values + lam * np.sum(q * np.log(np.maximum(q, PROB_CLAMP)), axis=2)[:, 0]
+        hid_m, q = forward(x_m[:, None])
+        log_q = np.log(np.maximum(q, PROB_CLAMP))
+        values = values + lam * np.sum(q * log_q, axis=2)[:, 0]
 
-    if grads is None or not np.isfinite(values).all():
+    if grads is None or not all(map(math.isfinite, values.tolist())):
         return values, None, None
 
     # CE branch: examples whose clamped p_true hit the floor have zero gradient.
-    w_act = w_ex * (p_true > PROB_CLAMP)
-    dz = probs * w_act[:, :, None] / B
-    dz[true] -= w_act / B
+    w_act = w_ex * (p_true > PROB_CLAMP) if clamped else w_ex
+    dz = np.divide(np.multiply(probs, w_act[:, :, None], out=probs), B, out=probs)
+    dz.reshape(-1)[true] -= w_act / B
     np.matmul(hid.transpose(0, 2, 1), dz, out=grads["out_w"])
     np.add.reduce(dz, axis=1, out=grads["out_b"])
-    da = (dz @ w_oT) * (1.0 - hid**2)
+    da = (dz @ w_oT) * np.subtract(1.0, np.square(hid, out=hid), out=hid)
     np.matmul(x.transpose(0, 2, 1), da, out=grads["hidden_w"])
     np.add.reduce(da, axis=1, out=grads["hidden_b"])
     g_x = da @ w_hT
     if lam == 0.0:
         return values, g_x, None
 
-    g = np.log(np.maximum(q, PROB_CLAMP)) + (q > PROB_CLAMP)
+    g = log_q + (q > PROB_CLAMP)
     dz_m = lam * q * (g - g @ q.transpose(0, 2, 1))
     grads["out_w"] += hid_m.transpose(0, 2, 1) * dz_m
     grads["out_b"] += dz_m[:, 0]
@@ -184,68 +198,55 @@ def batch_layout(ids: np.ndarray, lengths: np.ndarray, orders: np.ndarray, batch
     ``N[k].T @ (dx / lengths)`` maps a gradient on them back onto the rows.
     An id that only other arms' batches read has count 0 in arm k, so its
     row gets a +0.0 gradient and the write-back keeps its bits. At K = 1 the
-    ids are the batch's own. One sort over (step, id) keys serves every
-    step. The arrays are int32 whenever every key and cell fits; the
-    ``del``s keep the transient memory to a few token-length arrays.
+    ids are the batch's own. Each key step * (V + 1) + id marks a presence
+    table of steps x (V + 1) cells, whose nonzero cells are the distinct keys
+    in order: no sort, and a cost of the tokens plus the cells. Cells are
+    int32 when they all fit; the ``del``s bound the transient memory.
     """
     K, n = orders.shape
     width = mask_id + 1
     n_batches = -(-n // batch_size)
     dtype = np.int32 if max(n_batches, K * min(batch_size, n)) * width < 2**31 else np.int64
-    # Sequences in step order: step b holds arm 0's batch, then arm 1's, and so on; j becomes each
-    # sequence's place in its step.
-    j = np.arange(K * n)
-    b = j // (batch_size * K)
-    j -= b * batch_size * K
-    size = np.minimum(batch_size, n - b * batch_size)  # B_b, the step's batch size
-    k = j // size
-    seq = orders[k, b * batch_size + j - k * size]
+    # Sequences in step order: step b holds arm 0's batch, then arm 1's, and so on; j is each sequence's
+    # place in its step.
+    full = n // batch_size * batch_size
+    seq = np.concatenate([orders[:, :full].reshape(K, -1, batch_size).transpose(1, 0, 2).ravel(),
+                          orders[:, full:].ravel()])
+    b, j = np.divmod(np.arange(K * n), batch_size * K)
     sel = lengths[seq]
     ends = np.cumsum(sel)
     # Token t of the step-ordered layout is ids[t + shift of its sequence]; its key is step * width + id.
-    at = np.arange(int(ends[-1]), dtype=dtype)
-    at += np.repeat((np.cumsum(lengths)[seq] - ends).astype(dtype), sel)
-    keys = np.repeat((b * width).astype(dtype), sel)
-    keys += ids[at]
+    at = np.arange(ends[-1])
+    at += np.repeat(np.cumsum(lengths)[seq] - ends, sel)
+    keys = np.repeat(b * width, sel)
+    keys += ids.take(at)
     del at
-    # Sorting the keys gives the rows; each key's place among them is scattered back in place.
-    perm = keys.argsort()
-    rows = keys[perm]
-    first = np.concatenate([[True], rows[1:] != rows[:-1]])
-    rows = rows[first]
-    rank = np.cumsum(first, dtype=dtype)
-    rank -= 1
-    keys[perm] = rank
-    del perm, first, rank
-    row_ptr = np.searchsorted(rows, np.arange(n_batches + 1, dtype=dtype) * width)
-    rows %= width  # key -> token id
+    # Marking the keys in a presence table over the steps gives the distinct keys in order, without a sort.
+    present = np.zeros(n_batches * width, dtype=bool)
+    present[keys] = True
+    rows = np.flatnonzero(present)
+    row_ptr = np.searchsorted(rows, np.arange(n_batches + 1) * width)
+    place = np.empty(present.size, dtype=dtype)  # each distinct key's place among them; other cells unread
+    place[rows] = np.arange(rows.size, dtype=dtype)
     # A token's cell is (its sequence's place in the step) * U_b + (its id's place among the step's ids).
-    cells = keys
+    cells = place.take(keys)
+    del present, place, keys
     cells += np.repeat((j * np.diff(row_ptr)[b] - row_ptr[b]).astype(dtype), sel)
+    rows %= width  # key -> token id
     tok_ptr = np.concatenate([[0], ends])[np.minimum(np.arange(n_batches + 1) * batch_size * K, K * n)]
     return rows, row_ptr.tolist(), cells, tok_ptr.tolist()
 
 
 def batch_counts(layout, b: int, K: int, n_seqs: int):
-    """Step b's (U,) token ids and its (K, n_seqs, U) float64 token counts."""
+    """Step b's (U,) token ids and its (K, n_seqs, U) float64 token counts (sums of 1.0, so exact)."""
     rows, row_ptr, cells, tok_ptr = layout
-    rows = rows[row_ptr[b] : row_ptr[b + 1]]
-    counts = np.bincount(cells[tok_ptr[b] : tok_ptr[b + 1]], minlength=K * n_seqs * rows.size)
-    return rows, counts.reshape(K, n_seqs, -1).astype(np.float64)
-
-
-def _row_grads(counts: np.ndarray, lengths: np.ndarray, g_x: np.ndarray) -> np.ndarray:
-    """The (K, U, d) gradient on a step's embedding rows (consumes ``g_x``)."""
-    g_x /= lengths
-    return counts.transpose(0, 2, 1) @ g_x
+    rows, cells = rows[row_ptr[b] : row_ptr[b + 1]], cells[tok_ptr[b] : tok_ptr[b + 1]]
+    return rows, np.bincount(cells, np.ones(cells.size), K * n_seqs * rows.size).reshape(K, n_seqs, -1)
 
 
 def _head_views(buf: np.ndarray, shapes: dict) -> dict:
-    """Per-field (K, ...) views of a (K, P) buffer that holds the head arrays back to back.
-
-    Splitting the unit-stride last axis of a column slice never copies, so
-    writes through a view land in ``buf``.
-    """
+    """Per-field (K, ...) views of a (K, P) buffer that holds the head arrays back to back. Splitting the
+    unit-stride last axis of a column slice never copies, so writes through a view land in ``buf``."""
     views, at = {}, 0
     for name, shape in shapes.items():
         size = math.prod(shape)
@@ -255,16 +256,13 @@ def _head_views(buf: np.ndarray, shapes: dict) -> dict:
 
 
 def _packed_loss(table: np.ndarray, mask_id: int, head: dict, ids, lengths, labels, w_ex, lam: float) -> np.ndarray:
-    """The K loss values of models (``table[k]``, head arrays [k]) on one packed set of sequences.
-
-    ``table`` is a C-contiguous (K, R, d) array (np.take copies a strided one whole) with the mask row at
-    ``mask_id``; ``head`` holds float64 (K, ...) arrays.
-    """
+    """The K loss values of models (``table[k]``, head arrays [k]) on one packed set of sequences. ``table`` is a
+    C-contiguous (K, R, d) array (np.take copies a strided one whole) with the mask row at ``mask_id``; ``head``
+    holds float64 (K, ...) arrays."""
     K, n = table.shape[0], lengths.size
-    values, _, _ = _loss_and_grad(
-        head, mean_embeddings(table, ids, lengths), table[:, mask_id].astype(np.float64),
-        np.broadcast_to(labels, (K, n)), np.broadcast_to(w_ex, (K, n)), lam,
-    )
+    true = np.arange(K * n).reshape(K, n) * head["out_b"].shape[-1] + labels
+    values, _, _ = _loss_and_grad(_head_terms(head), mean_embeddings(table, ids, lengths),
+                                  table[:, mask_id].astype(np.float64), true, w_ex, lam)
     if not np.isfinite(values).all():
         raise FloatingPointError(f"non-finite loss {values.tolist()!r} on batch of {n}")
     return values
@@ -315,11 +313,10 @@ def train_arms(datasets, val, vocab, configs):
     lowest validation loss (earliest epoch on ties). Divergence (non-finite
     loss) raises with epoch/step. A step changes only the embedding rows its
     batch reads (plus the mask row when the entropy loss is on); the rest of
-    the table stays bit-identical. The entropy loss's update of the mask row
-    comes after the token rows' update. So where a batch holds the mask id as
-    a token (``pack_tokens`` accepts it; generated and loaded data never hold
-    it), that row is x - lr * g_tok and then - lr * g_mask, each rounded to
-    float32, not x - lr * (g_tok + g_mask).
+    the table keeps its bits. The mask row's entropy update comes after the
+    token rows' update: where a batch holds the mask id as a token (generated
+    and loaded data never do), that row is x - lr * g_tok and then
+    - lr * g_mask, each rounded to float32, not x - lr * (g_tok + g_mask).
     """
     if not configs or len(datasets) != len(configs):
         raise ValueError("train_arms needs one dataset per config, and at least one arm")
@@ -396,49 +393,50 @@ def _train_epoch(table, head32, head64, shapes: dict, packed, seqs, weights, con
     and ``weights`` the arms' (K, L, C) loss weights. Each step is one
     gather, forward/backward and scatter for all K arms, of the rows of the
     step's shared ids (``batch_layout``); parameters stay on the float32
-    grid (checkpoint dtype). The layout and the visited lengths, labels and
-    weights are built for one block of whole steps at a time, of at most
-    BLOCK_TOKENS tokens over all arms (a larger step is a block of its own).
-    A step's rows, counts and arithmetic do not depend on the block it is
-    in, so every step computes what a whole-epoch layout gives. The arms'
-    mask rows ``table[:, mask_id]`` are read and updated outside the layout,
-    after the token rows' scatter (when lambda != 0).
+    grid (checkpoint dtype). The head's views are built once an epoch; the
+    layout and the visited lengths, labels, weights and true-class places
+    once a block of whole steps, whose tokens over all arms plus steps x
+    (V + 1) presence cells are at most BLOCK_TOKENS (a larger step is a block
+    of its own). A step's arithmetic does not depend on its block, so it is
+    what a whole-epoch layout gives. The mask rows ``table[:, mask_id]`` are
+    read and updated outside the layout, after the rows' scatter.
     """
     ids, lengths, langs, labels = packed
     # A batch of n or more is one full batch; the cap keeps a batch size past int64 out of numpy.
     bs, lam = min(config.batch_size, seqs.shape[1]), config.mask_entropy_coeff
-    # Step b reads the epoch's tokens tok_ptr[b]:tok_ptr[b + 1], over all arms.
-    step_tokens = np.add.reduceat(lengths[seqs].sum(axis=0), np.arange(0, seqs.shape[1], bs))
-    tok_ptr = np.concatenate([[0], np.cumsum(step_tokens)])
-    steps = step_tokens.size
     K, mask_id = table.shape[0], table.shape[1] - 1
+    # Step b costs its tokens over all arms plus its V + 1 presence cells; steps b0:b1 cost cost[b1] - cost[b0].
+    step_tokens = np.add.reduceat(lengths[seqs].sum(axis=0), np.arange(0, seqs.shape[1], bs))
+    cost = np.concatenate([[0], np.cumsum(step_tokens + (mask_id + 1))])
+    steps = step_tokens.size
     grad64 = np.empty_like(head64)
-    head, grads = _head_views(head64, shapes), _head_views(grad64, shapes)
+    head, grads = _head_terms(_head_views(head64, shapes)), _head_views(grad64, shapes)
     losses = np.empty((K, steps))
     b0 = b1 = 0  # the current block's steps
     for b in range(steps):
         if b == b1:
-            b0, b1 = b, max(b + 1, int(np.searchsorted(tok_ptr, tok_ptr[b] + BLOCK_TOKENS, "right")) - 1)
+            b0, b1 = b, max(b + 1, int(np.searchsorted(cost, cost[b] + BLOCK_TOKENS, "right")) - 1)
             block = seqs[:, b0 * bs : b1 * bs]
             layout = batch_layout(ids, lengths, block, bs, mask_id)
             # Lengths are exact in float64, so dividing by them gives the same bits as dividing by the ints.
             block_lengths, block_labels = lengths[block][:, :, None].astype(np.float64), labels[block]
             w_ex = weights[np.arange(K)[:, None], langs[block], block_labels]
+            # Column c is place i of a step of B = min(bs, columns from the step's first on): y at (k * B + i) * C + y.
+            c = np.arange(block.shape[1])
+            i = c % bs
+            true = (np.arange(K)[:, None] * np.minimum(bs, c.size - c + i) + i) * shapes["out_b"][0] + block_labels
         step = epoch * steps + b
         cols = slice((b - b0) * bs, (b - b0 + 1) * bs)
         lens = block_lengths[:, cols]
         rows, counts = batch_counts(layout, b - b0, K, lens.shape[1])
-        emb = np.take(table, rows, axis=1).astype(np.float64)
-        x = counts @ emb
-        x /= lens
+        emb = table.take(rows, axis=1).astype(np.float64)
+        x = counts @ emb / lens
         x_m = table[:, mask_id].astype(np.float64) if lam != 0.0 else None
-        losses[:, b], g_x, g_mask = _loss_and_grad(head, x, x_m, block_labels[:, cols], w_ex[:, cols], lam, grads)
+        losses[:, b], g_x, g_mask = _loss_and_grad(head, x, x_m, true[:, cols], w_ex[:, cols], lam, grads)
         if g_x is None:
             raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
         lr = learning_rate(config.lr, step, config.epochs * steps)
-        g_rows = _row_grads(counts, lens, g_x)
-        g_rows *= lr
-        np.subtract(emb, g_rows, out=emb)
+        emb -= counts.transpose(0, 2, 1) @ np.divide(g_x, lens, out=g_x) * lr  # the rows' gradient, times lr
         table[:, rows] = emb
         if g_mask is not None:
             table[:, mask_id] -= g_mask * lr
@@ -538,16 +536,16 @@ def grad_check(params: ModelParams, batch_examples, weights: np.ndarray | None =
     lengths = lengths[None, :, None]
     labels, w_ex = _labels_and_weights(batch_examples, weights)
     arrs = {name: getattr(params, name).astype(np.float64)[None] for name in PARAM_FIELDS}  # K = 1
+    terms, true = _head_terms(arrs), (np.arange(labels.size) * params.n_classes + labels)[None]
 
     def loss_at(grads=None):
         emb = arrs["embedding"][0]
-        return _loss_and_grad(arrs, counts @ emb[rows] / lengths, emb[-1][None], labels[None], w_ex[None], lam,
-                              grads)
+        return _loss_and_grad(terms, counts @ emb[rows] / lengths, emb[-1][None], true, w_ex[None], lam, grads)
 
     grads = {name: np.empty_like(arrs[name]) for name in HEAD_FIELDS}
     _, g_x, g_mask = loss_at(grads)
     grads["embedding"] = np.zeros_like(arrs["embedding"])
-    grads["embedding"][0, rows] = _row_grads(counts, lengths, g_x)[0]
+    grads["embedding"][0, rows] = (counts.transpose(0, 2, 1) @ (g_x / lengths))[0]
     if g_mask is not None:  # after the token rows: the mask id may be a token of the batch too
         grads["embedding"][0, -1] += g_mask[0]
 

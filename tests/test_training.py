@@ -10,14 +10,16 @@ import pytest
 
 from pblab import training
 from pblab.corpus import CorpusSpec, Example, generate_corpus
-from pblab.model import PARAM_FIELDS, ModelParams, init_params, pack_tokens
+from pblab.model import PARAM_FIELDS, ModelParams, init_params, pack_tokens, softmax
 from pblab.sampler import preset, sample_paired, split_eval
 from pblab.seeds import derive_rng
 from pblab.training import (
+    BLOCK_TOKENS,
+    PROB_CLAMP,
     TrainConfig,
+    _head_terms,
     _head_views,
     _loss_and_grad,
-    _row_grads,
     batch_counts,
     batch_layout,
     compute_weights,
@@ -403,8 +405,8 @@ def test_train_step_updates_a_mask_token_row_then_the_entropy_term(corpus223):
     x = np.zeros((1, len(batch), config.embed_dim))
     x[0, at] = x_m / length
     labels = np.array([[ex.label for ex in batch]])
-    _, g_x, g_mask = _loss_and_grad(head, x, x_m[None], labels, np.ones((1, len(batch))), config.mask_entropy_coeff,
-                                    grads)
+    _, g_x, g_mask = reference_loss_and_grad(head, x, x_m[None], labels, np.ones((1, len(batch))),
+                                             config.mask_entropy_coeff, grads)
     g_tok = g_x[0, at] / length
     want = ((x_m - g_tok * config.lr).astype(np.float32) - g_mask[0] * config.lr).astype(np.float32)
     assert np.array_equal(table[0, vocab.mask_id], want)
@@ -537,8 +539,8 @@ def test_train_arms_memory_is_the_table_and_the_snapshots():
 
 # ---------------------------------------------------------------- epochs in blocks of steps
 
-# mask_id 5: ids repeat within every batch; mask_id 300: they are mostly distinct.
-@pytest.mark.parametrize("mask_id", [5, 300])
+# mask_id 5: ids repeat within every batch; mask_id 300 and 8000: they are mostly distinct.
+@pytest.mark.parametrize("mask_id", [5, 300, 8000])
 def test_batch_layout_gives_each_step_the_union_of_its_batches_ids(mask_id):
     rng = np.random.default_rng(5)
     K, n, bs = 3, 10, 4  # steps of 4, 4 and 2 sequences per arm
@@ -579,14 +581,94 @@ def test_lockstep_step_keeps_the_bits_of_a_row_only_another_arm_reads():
     assert changed == [[0, 1], [2]]
 
 
+# ---------------------------------------------------------------- the sort-based step, kept as the oracle
+
+def sorted_batch_layout(ids, lengths, orders, batch_size, mask_id):
+    """``batch_layout`` by one argsort of the (step, id) keys: the rows are the sorted distinct keys."""
+    K, n = orders.shape
+    width = mask_id + 1
+    n_batches = -(-n // batch_size)
+    dtype = np.int32 if max(n_batches, K * min(batch_size, n)) * width < 2**31 else np.int64
+    j = np.arange(K * n)
+    b = j // (batch_size * K)
+    j -= b * batch_size * K
+    size = np.minimum(batch_size, n - b * batch_size)
+    k = j // size
+    seq = orders[k, b * batch_size + j - k * size]
+    sel = lengths[seq]
+    ends = np.cumsum(sel)
+    at = np.arange(int(ends[-1]), dtype=dtype)
+    at += np.repeat((np.cumsum(lengths)[seq] - ends).astype(dtype), sel)
+    keys = np.repeat((b * width).astype(dtype), sel)
+    keys += ids[at]
+    perm = keys.argsort()
+    rows = keys[perm]
+    first = np.concatenate([[True], rows[1:] != rows[:-1]])
+    rows = rows[first]
+    rank = np.cumsum(first, dtype=dtype)
+    rank -= 1
+    keys[perm] = rank
+    row_ptr = np.searchsorted(rows, np.arange(n_batches + 1, dtype=dtype) * width)
+    rows %= width
+    cells = keys
+    cells += np.repeat((j * np.diff(row_ptr)[b] - row_ptr[b]).astype(dtype), sel)
+    tok_ptr = np.concatenate([[0], ends])[np.minimum(np.arange(n_batches + 1) * batch_size * K, K * n)]
+    return rows, row_ptr.tolist(), cells, tok_ptr.tolist()
+
+
+def int_batch_counts(layout, b, K, n_seqs):
+    """``batch_counts`` as an integer bincount cast to float64."""
+    rows, row_ptr, cells, tok_ptr = layout
+    rows = rows[row_ptr[b] : row_ptr[b + 1]]
+    counts = np.bincount(cells[tok_ptr[b] : tok_ptr[b + 1]], minlength=K * n_seqs * rows.size)
+    return rows, counts.reshape(K, n_seqs, -1).astype(np.float64)
+
+
+def reference_loss_and_grad(head, x, x_m, labels, w_ex, lam, grads=None):
+    """``_loss_and_grad`` on the head dict and (K, B) labels, every term computed anew and out of place."""
+    w_h, b_h, w_o, b_o = (head[n] for n in training.HEAD_FIELDS)
+    K, B = labels.shape
+    w_hT, w_oT = w_h.transpose(0, 2, 1), w_o.transpose(0, 2, 1)
+    hid = np.tanh(x @ w_h + b_h[:, None])
+    probs = softmax(hid @ w_o + b_o[:, None])
+    true = (np.arange(K)[:, None], np.arange(B), labels)
+    p_true = probs[true]
+    values = np.add.reduce(w_ex * -np.log(np.maximum(p_true, PROB_CLAMP)), axis=1) / B
+    if lam != 0.0:
+        hid_m = np.tanh(x_m[:, None] @ w_h + b_h[:, None])
+        q = softmax(hid_m @ w_o + b_o[:, None])
+        values = values + lam * np.sum(q * np.log(np.maximum(q, PROB_CLAMP)), axis=2)[:, 0]
+    if grads is None or not np.isfinite(values).all():
+        return values, None, None
+    w_act = w_ex * (p_true > PROB_CLAMP)
+    dz = probs * w_act[:, :, None] / B
+    dz[true] -= w_act / B
+    np.matmul(hid.transpose(0, 2, 1), dz, out=grads["out_w"])
+    np.add.reduce(dz, axis=1, out=grads["out_b"])
+    da = (dz @ w_oT) * (1.0 - hid**2)
+    np.matmul(x.transpose(0, 2, 1), da, out=grads["hidden_w"])
+    np.add.reduce(da, axis=1, out=grads["hidden_b"])
+    g_x = da @ w_hT
+    if lam == 0.0:
+        return values, g_x, None
+    g = np.log(np.maximum(q, PROB_CLAMP)) + (q > PROB_CLAMP)
+    dz_m = lam * q * (g - g @ q.transpose(0, 2, 1))
+    grads["out_w"] += hid_m.transpose(0, 2, 1) * dz_m
+    grads["out_b"] += dz_m[:, 0]
+    da_m = (dz_m @ w_oT) * (1.0 - hid_m**2)
+    grads["hidden_w"] += x_m[:, :, None] * da_m
+    grads["hidden_b"] += da_m[:, 0]
+    return values, g_x, (w_h @ da_m.transpose(0, 2, 1))[:, :, 0]
+
+
 def whole_epoch_oracle(table, head32, head64, shapes, packed, seqs, weights, config, epoch):
-    """``training._train_epoch`` as it was: one ``batch_layout`` for every step, and the visited lengths,
-    labels and weights of the whole epoch at once."""
+    """``training._train_epoch`` as it was: one sort-based layout for every step, and the visited lengths,
+    labels and weights of the whole epoch at once, each step through the reference arithmetic above."""
     bs, lam = config.batch_size, config.mask_entropy_coeff
     ids, lengths, langs, labels = packed
     K, mask_id = table.shape[0], table.shape[1] - 1
     steps_per_epoch = math.ceil(seqs.shape[1] / bs)
-    layout = batch_layout(ids, lengths, seqs, bs, mask_id)
+    layout = sorted_batch_layout(ids, lengths, seqs, bs, mask_id)
     w_ex = weights[np.arange(K)[:, None], langs[seqs], labels[seqs]]
     lengths, labels = lengths[seqs][:, :, None].astype(np.float64), labels[seqs]
     grad64 = np.empty_like(head64)
@@ -596,16 +678,18 @@ def whole_epoch_oracle(table, head32, head64, shapes, packed, seqs, weights, con
         step = epoch * steps_per_epoch + b
         cols = slice(b * bs, (b + 1) * bs)
         lens = lengths[:, cols]
-        rows, counts = batch_counts(layout, b, K, lens.shape[1])
+        rows, counts = int_batch_counts(layout, b, K, lens.shape[1])
         emb = table[:, rows].astype(np.float64)
         x = counts @ emb
         x /= lens
         x_m = table[:, mask_id].astype(np.float64) if lam != 0.0 else None
-        losses[:, b], g_x, g_mask = _loss_and_grad(head, x, x_m, labels[:, cols], w_ex[:, cols], lam, grads)
+        losses[:, b], g_x, g_mask = reference_loss_and_grad(head, x, x_m, labels[:, cols], w_ex[:, cols], lam,
+                                                            grads)
         if g_x is None:
             raise FloatingPointError(f"non-finite loss at epoch {epoch} step {step}")
         lr = learning_rate(config.lr, step, config.epochs * steps_per_epoch)
-        g_rows = _row_grads(counts, lens, g_x)
+        g_x /= lens
+        g_rows = counts.transpose(0, 2, 1) @ g_x
         g_rows *= lr
         np.subtract(emb, g_rows, out=emb)
         table[:, rows] = emb
@@ -662,20 +746,84 @@ def test_train_arms_in_blocks_equals_whole_epoch_layout(monkeypatch, K, lam, n, 
 
 
 def test_train_arms_memory_is_one_block_of_steps():
-    """One epoch at 3 arms x 60,000 sequences of 4-10 tokens: about 1.26 M layout tokens, whose whole-epoch
-    layout peaked at 47 MB under tracemalloc; one block of steps at a time peaks at about 9 MB."""
+    """One epoch at 3 arms x 60,000 sequences of 4-10 tokens is about 1.26 M layout tokens, whose whole-epoch
+    layout peaked at 47 MB under tracemalloc; one block of steps at a time peaks at about 9 MB. In the
+    ingested-corpus train shape (one arm, V = 8,000, 22 tokens a record) a block's presence cells count
+    against the budget: the peak is 3.6 MiB, and 5.6 MiB if only its tokens counted."""
     import tracemalloc
 
-    K, V = 3, 1000
-    rng = np.random.default_rng(8)
-    data, val = random_examples(rng, 60_000, V, 4, 10), random_examples(rng, 300, V, 4, 10)
-    vocab = SimpleNamespace(size=V, n_classes=3, n_languages=2)
-    configs = [TrainConfig(epochs=1, batch_size=32, mask_entropy_coeff=0.1, seed=k,
-                           weighting="per_language" if k == 2 else "none") for k in range(K)]
-    tracemalloc.start()
-    try:
-        train_arms([data] * K, val, vocab, configs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    for K, V, n, lengths, bound_mib in [(3, 1000, 60_000, (4, 10), 16), (1, 8000, 2400, (3, 41), 4)]:
+        rng = np.random.default_rng(8)
+        data, val = random_examples(rng, n, V, *lengths), random_examples(rng, 300, V, *lengths)
+        vocab = SimpleNamespace(size=V, n_classes=3, n_languages=2)
+        configs = [TrainConfig(epochs=1, batch_size=32, mask_entropy_coeff=0.1, seed=k,
+                               weighting="per_language" if k == K - 1 else "none") for k in range(K)]
+        tracemalloc.start()
+        try:
+            train_arms([data] * K, val, vocab, configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, K
+
+
+@pytest.mark.parametrize("mask_id, n, lengths", [(5, 1500, (3, 20)), (300, 1500, (3, 12)), (8000, 200, (3, 40))],
+                         ids=["V5", "V300", "V8000"])
+def test_every_block_is_its_steps_distinct_ids_and_counts_within_the_budget(monkeypatch, mask_id, n, lengths):
+    """Each layout ``_train_epoch`` builds equals the sorted one, and per step holds the ``np.unique`` of the
+    step's tokens and each sequence's count of them. A block of more than one step costs its tokens plus
+    steps x (V + 1) presence cells, at most BLOCK_TOKENS, and here that budget splits every epoch."""
+    K, bs = 3, 16
+    rng = np.random.default_rng(mask_id)
+    vocab = SimpleNamespace(size=mask_id, n_classes=3, n_languages=2)
+    data = [random_examples(rng, n, mask_id, *lengths) for _ in range(2)]
+    configs = [TrainConfig(epochs=1, batch_size=bs, seed=k, embed_dim=4, hidden_dim=3) for k in range(K)]
+    blocks = []
+
+    def recorded(*args):
+        blocks.append((*args, batch_layout(*args)))
+        return blocks[-1][-1]
+
+    monkeypatch.setattr(training, "batch_layout", recorded)
+    train_arms([data[0], data[1], data[1]], data[0][:30], vocab, configs)
+    assert len(blocks) > 1 and sum(block[2].shape[1] for block in blocks) == n
+    for ids, lens, orders, _, _, layout in blocks:
+        want = sorted_batch_layout(ids, lens, orders, bs, mask_id)
+        assert all(np.array_equal(got, expected) for got, expected in zip(layout, want))
+        assert layout[2].dtype == want[2].dtype
+        steps = -(-orders.shape[1] // bs)
+        assert steps == 1 or lens[orders].sum() + steps * (mask_id + 1) <= BLOCK_TOKENS
+        starts = np.cumsum(lens) - lens
+        for b in range(steps):
+            batch = orders[:, b * bs : (b + 1) * bs]
+            tokens = [ids[starts[s] : starts[s] + lens[s]] for s in batch.ravel()]
+            rows, counts = batch_counts(layout, b, K, batch.shape[1])
+            assert np.array_equal(rows, np.unique(np.concatenate(tokens)))
+            want_counts = [np.bincount(t, minlength=mask_id + 1)[rows] for t in tokens]
+            assert counts.dtype == np.float64 and np.array_equal(counts, np.reshape(want_counts, counts.shape))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_an_example_below_the_clamp_gets_no_ce_gradient_and_the_pass_keeps_the_bits(lam):
+    """Arm 0's example 3 has a true-class probability under PROB_CLAMP: its row of dL/dx is zero, the
+    other rows are not, and every output equals the reference pass bit for bit."""
+    rng = np.random.default_rng(12)
+    K, B, d, h, C = 2, 6, 4, 3, 3
+    head = {"hidden_w": rng.normal(size=(K, d, h)), "hidden_b": rng.normal(size=(K, h)),
+            "out_w": rng.normal(size=(K, h, C)), "out_b": rng.normal(size=(K, C))}
+    head["out_b"][:, 2] = -60.0  # the tanh layer moves a logit by at most sum |out_w|, a few units
+    x, x_m = rng.normal(size=(K, B, d)), rng.normal(size=(K, d))
+    labels = rng.integers(0, 2, (K, B))
+    labels[0, 3] = 2
+    w_ex = rng.uniform(0.5, 2.0, (K, B))
+    probs = softmax(np.tanh(x @ head["hidden_w"] + head["hidden_b"][:, None]) @ head["out_w"] + head["out_b"][:, None])
+    assert probs[0, 3, 2] < PROB_CLAMP < probs[np.arange(K)[:, None], np.arange(B), labels].min(initial=1.0,
+                                                                                             where=labels < 2)
+    got, want = ({name: np.empty_like(array) for name, array in head.items()} for _ in range(2))
+    values, g_x, g_mask = _loss_and_grad(_head_terms(head), x, x_m, np.arange(K * B).reshape(K, B) * C + labels, w_ex,
+                                         lam, got)
+    ref_values, ref_g_x, ref_g_mask = reference_loss_and_grad(head, x, x_m, labels, w_ex, lam, want)
+    assert not g_x[0, 3].any() and np.abs(np.delete(g_x[0], 3, axis=0)).min() > 0
+    assert np.array_equal(values, ref_values) and np.array_equal(g_x, ref_g_x)
+    assert (g_mask is None) == (lam == 0.0) and (g_mask is None or np.array_equal(g_mask, ref_g_mask))
+    assert all(np.array_equal(got[name], want[name]) for name in head)
