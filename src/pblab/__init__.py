@@ -12,8 +12,8 @@ _EXPORTS = {
     "corpus": ("CorpusSpec", "Example", "Vocab", "generate_corpus", "ground_truth_category", "load_jsonl"),
     "explain": ("CumulativeDiffReport", "EngineConfig", "ShapExplanation",
                 "categorize", "cumulative_diff", "diff_report", "explain_arm", "shapley_exact", "shapley_sampled"),
-    "model": ("ForwardOutput", "ModelParams", "forward", "forward_masked", "init_params"),
-    "probe": ("ProbeReport", "cross_validate", "extract_features", "fit_logreg", "probe_model"),
+    "model": ("ForwardOutput", "ModelParams", "forward", "forward_examples", "forward_masked", "init_params"),
+    "probe": ("ProbeReport", "cross_validate", "fit_logreg", "probe_model"),
     "sampler": ("plan_counts", "preset", "sample_paired", "split_eval"),
     "training": ("EvalMetrics", "TrainConfig", "TrainReport",
                  "compute_weights", "evaluate", "grad_check", "loss", "train", "train_arms"),

@@ -89,8 +89,8 @@ def cmd_probe(args, manifest: Manifest) -> str:
     probe = _settings(probe_mod.ProbeConfig, args)
     vocab, data = load_dataset(args.data, args.vocab)
     params, _ = model_mod.load(args.checkpoint, vocab)
-    reports = stage_probe({"model": (params, args.seed)}, data, "data", probe, manifest.root / "probe.csv", manifest,
-                          json_path=manifest.root / "probe.json")
+    reports, _ = stage_probe({"model": (params, args.seed)}, data, "data", probe, manifest.root / "probe.csv",
+                             manifest, json_path=manifest.root / "probe.json")
     return f"probe mean accuracy {reports['model'].mean_accuracy}"
 
 

@@ -2,8 +2,8 @@
 
 For every seed: build (or load) the corpus, carve balanced validation/test splits, draw the balanced/imbalanced
 training pair, train the arms of ``ARMS`` (balanced, imbalanced, imbalanced + per-language class weights), then
-evaluate accuracy, language-probe separability on two corpora, and the cumulative attribution-difference reports.
-Per-seed outputs live in their own directory; an aggregator collects means/stds across seeds.
+probe language separability on two corpora, score accuracy on the probe's pass over the test split, and report the
+cumulative attribution differences. Per-seed outputs get a directory each; ``aggregate`` takes means/stds over seeds.
 
 Everything is a pure function of (config, seeds): two runs with the same config produce byte-identical CSVs. Each
 stage runs numpy's OpenBLAS on one thread (``Manifest.stage``), which changes no output byte.
@@ -372,29 +372,33 @@ def stage_train(arms, val, vocab, manifest: Manifest) -> list:
     return trained
 
 
-def stage_evaluate(params, test, vocab, out: Path, manifest: Manifest, arm: str | None = None):
-    """The metrics of ``params`` on ``test``, written to metrics.json and pred_dist.csv."""
+def stage_evaluate(params, test, vocab, out: Path, manifest: Manifest, arm: str | None = None, probs=None):
+    """The metrics of ``params`` on ``test``, written to metrics.json and pred_dist.csv. ``probs``, the class
+    probabilities of a pass of ``params`` over ``test`` already made, spare the stage its own pass."""
     with manifest.stage("evaluate", arm=arm):
-        metrics = training_mod.evaluate(params, test, n_languages=vocab.n_languages, n_classes=vocab.n_classes)
+        if probs is None:
+            probs, _ = model_mod.forward_examples(params, test)
+        metrics = training_mod.evaluate(probs, test, n_languages=vocab.n_languages, n_classes=vocab.n_classes)
         write_json(manifest.add(out / "metrics.json"), metrics.to_dict())
         write_csv(manifest.add(out / "pred_dist.csv"), *training_mod.pred_dist_table(metrics, vocab))
     return metrics
 
 
 def stage_probe(models: dict, dataset, corpus_tag: str, probe: probe_mod.ProbeConfig, csv_path: Path,
-                manifest: Manifest, json_path: Path | None = None) -> dict:
-    """The language probe of each model, {tag: (params, fold seed)}, on ``dataset``: every fold's accuracy
-    goes to ``csv_path`` and, with ``json_path`` given, the one model's report to that file."""
-    reports = {}
+                manifest: Manifest, json_path: Path | None = None) -> tuple:
+    """The language probe of each model, {tag: (params, fold seed)}, on the pooled vectors of its pass over ``dataset``:
+    fold accuracies to ``csv_path``, the report to ``json_path`` if given. Returns ({tag: report}, {tag: its probs})."""
+    reports, probs, langs = {}, {}, [ex.language for ex in dataset]
     for tag, (params, seed) in models.items():
         with manifest.stage("probe", arm=tag, corpus=corpus_tag):
-            reports[tag] = probe_mod.probe_model(params, dataset, k=probe.k, seed=seed, l2=probe.l2)
+            probs[tag], pooled = model_mod.forward_examples(params, dataset)
+            reports[tag] = probe_mod.cross_validate(pooled, langs, k=probe.k, seed=seed, l2=probe.l2)
     if json_path is not None:
         (report,) = reports.values()
         write_json(manifest.add(json_path), report.to_dict())
     write_csv(manifest.add(csv_path), probe_mod.CSV_HEADER,
               (row for tag, report in reports.items() for row in report.csv_rows(tag, corpus_tag)))
-    return reports
+    return reports, probs
 
 
 def stage_explain(models: dict, pairs: dict, data, engine: explain_mod.EngineConfig, theta: float, out: Path,
@@ -459,18 +463,6 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
              seed_dir / "arms" / arm, {"arm": arm, "seed": seed, "weights_hash": weights_hash})
             for arm, (subset, weighting, _) in ARMS.items()], val, vocab, manifest)
         arm_params = {arm: params for arm, (params, _) in zip(ARMS, trained)}
-        record["arms"] = {}
-        for arm, (params, report) in zip(ARMS, trained):
-            metrics = stage_evaluate(params, test, vocab, seed_dir / "arms" / arm, manifest, arm)
-            record["arms"][arm] = {
-                "accuracy": metrics.overall_accuracy,
-                "per_language_accuracy": metrics.per_language_accuracy,
-                "pred_dist": metrics.pred_dist.tolist(),
-                "selected_epoch": report.selected_epoch,
-                "spearman_vs_imbalanced_joint": training_mod.prediction_skew_spearman(metrics, joint),
-                "masked_probs": model_mod.forward(params, [params.mask_id]).probs.tolist(),
-                "masked_entropy": -training_mod.mask_entropy_loss(params),
-            }
 
         # Language-identification probe on the task test split and on a fresh uniform corpus.
         probe = probe_mod.ProbeConfig(**config.probe)
@@ -487,9 +479,25 @@ def run_seed(config: ExperimentConfig, seed: int, seed_dir: Path) -> dict:
         record["probe"] = {}
         for corpus_tag, dataset in probe_corpora.items():
             models = {arm: (arm_params[arm], derive_int(seed, "probe", arm, corpus_tag)) for arm in ARMS}
-            reports = stage_probe(models, dataset, corpus_tag, probe, seed_dir / "probe" / f"{corpus_tag}.csv",
-                                  manifest)
+            reports, probs = stage_probe(models, dataset, corpus_tag, probe,
+                                         seed_dir / "probe" / f"{corpus_tag}.csv", manifest)
             record["probe"][corpus_tag] = {arm: report.mean_accuracy for arm, report in reports.items()}
+            if dataset is test:  # evaluate scores this pass; no stage reads the holdout's probabilities
+                test_probs = probs
+        del probs
+        record["arms"] = {}
+        for arm, (params, report) in zip(ARMS, trained):
+            metrics = stage_evaluate(params, test, vocab, seed_dir / "arms" / arm, manifest, arm,
+                                     probs=test_probs.pop(arm))
+            record["arms"][arm] = {
+                "accuracy": metrics.overall_accuracy,
+                "per_language_accuracy": metrics.per_language_accuracy,
+                "pred_dist": metrics.pred_dist.tolist(),
+                "selected_epoch": report.selected_epoch,
+                "spearman_vs_imbalanced_joint": training_mod.prediction_skew_spearman(metrics, joint),
+                "masked_probs": model_mod.forward(params, [params.mask_id]).probs.tolist(),
+                "masked_entropy": -training_mod.mask_entropy_loss(params),
+            }
 
         # Attribution-difference reports against the reference arm.
         engine = ExplainConfig(**config.explain, seed=derive_int(seed, "shapdiff"))

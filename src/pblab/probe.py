@@ -45,13 +45,6 @@ class ProbeReport:
         return [(model, corpus, fold, repr(acc)) for fold, acc in enumerate(self.fold_accuracies)]
 
 
-def extract_features(params: ModelParams, dataset):
-    """One pooled vector per example -> (features (n, h), language ids (n,))."""
-    _, pooled = forward_examples(params, dataset)
-    langs = np.array([ex.language for ex in dataset], dtype=np.int64)
-    return pooled, langs
-
-
 def fit_logreg(features, labels, l2: float = DEFAULT_L2, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Multinomial logistic regression by Newton's method, from zero.
 
@@ -183,6 +176,6 @@ def cross_validate(features, labels, k: int = ProbeConfig.k, seed: int = 0, l2: 
 
 def probe_model(params: ModelParams, dataset, k: int = ProbeConfig.k, seed: int = 0,
                 l2: float = DEFAULT_L2) -> ProbeReport:
-    """Extract pooled features from ``dataset`` and cross-validate the language probe."""
-    features, langs = extract_features(params, dataset)
-    return cross_validate(features, langs, k=k, seed=seed, l2=l2)
+    """Cross-validate the language probe on the pooled vectors of one pass over ``dataset``."""
+    _, pooled = forward_examples(params, dataset)
+    return cross_validate(pooled, [ex.language for ex in dataset], k=k, seed=seed, l2=l2)

@@ -378,7 +378,8 @@ def train_arms(datasets, val, vocab, configs):
                                             val_loss=val_loss))
 
     for selected, report in zip(best, reports):
-        report.final = {"val_accuracy": evaluate(selected, val, vocab.n_languages, vocab.n_classes).overall_accuracy}
+        probs, _ = forward_examples(selected, val)
+        report.final = {"val_accuracy": evaluate(probs, val, vocab.n_languages, vocab.n_classes).overall_accuracy}
     return list(zip(best, reports))
 
 
@@ -457,19 +458,17 @@ class EvalMetrics:
         return {**vars(self), "pred_dist": self.pred_dist.tolist()}
 
 
-def evaluate(params: ModelParams, test, n_languages: int, n_classes: int) -> EvalMetrics:
-    """Accuracy overall and per language, plus the per-language predicted-label distribution.
-
-    The (n_languages, n_classes) table comes from the caller: a language with
-    no test examples keeps its row, as NaN, and a count of 0.
-    """
-    probs, _ = forward_examples(params, test)
+def evaluate(probs: np.ndarray, test, n_languages: int, n_classes: int) -> EvalMetrics:
+    """Accuracy overall and per language, plus the per-language predicted-label distribution, of ``probs``: the
+    (len(test), n_classes) class probabilities of one ``model.forward_examples`` pass over ``test``. The
+    (n_languages, n_classes) table comes from the caller: a language with no test examples keeps its row, as NaN,
+    and a count of 0."""
+    langs, labels = _langs_and_labels(test)
+    if probs.shape != (len(test), n_classes) or langs.max() >= n_languages:
+        raise ValueError(f"test set or probs does not fit the {n_languages} x {n_classes} table")
     preds = probs.argmax(axis=1)
-    langs = np.array([ex.language for ex in test], dtype=np.int64)
-    if langs.max() >= n_languages or n_classes != params.n_classes:
-        raise ValueError(f"test set or model does not fit the {n_languages} x {n_classes} table")
 
-    correct = preds == np.array([ex.label for ex in test], dtype=np.int64)
+    correct = preds == labels
     n_lang = np.bincount(langs, minlength=n_languages)
     cells = np.bincount(langs * n_classes + preds, minlength=n_languages * n_classes)
     with np.errstate(invalid="ignore"):  # 0/0: a language without examples gets NaN

@@ -5,7 +5,7 @@ import pytest
 
 from pblab.corpus import CorpusSpec, Vocab, generate_corpus, ground_truth_category
 from pblab.explain import EngineConfig, explain_arm, shapley_exact, shapley_sampled
-from pblab.model import init_params
+from pblab.model import forward_examples, init_params
 from pblab.probe import stratified_folds
 from pblab.sampler import split_eval
 from pblab.training import TrainConfig, compute_weights, evaluate, prediction_skew_spearman, train_arms
@@ -26,7 +26,8 @@ INGESTED = Vocab(token_strings=("a", "b"), lang_names=("fr",), label_names=("x",
     (lambda: stratified_folds(np.array([0, 0, 1, 1]), 5), r"k=5 must be in \[2, n=4\]"),
     (lambda: compute_weights(np.ones(3)), "counts must be a 2-d table"),
     (lambda: TrainConfig(weighting="bogus").validate(), "unknown weighting mode 'bogus'"),
-    (lambda: prediction_skew_spearman(evaluate(PARAMS, DATA, 2, 3), np.full((2, 2), 0.25)), "table shapes differ"),
+    (lambda: prediction_skew_spearman(evaluate(forward_examples(PARAMS, DATA)[0], DATA, 2, 3),
+                                      np.full((2, 2), 0.25)), "table shapes differ"),
     (lambda: ground_truth_category(INGESTED, 0, 0, 0), "vocabulary carries no ground-truth token sets"),
 ], ids=["shapley_exact label", "shapley_sampled label", "explain_arm no examples", "explain_arm no labels",
         "split_eval empty pool", "train_arms empty train set", "train_arms empty val set", "stratified_folds k > n",

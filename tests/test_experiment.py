@@ -74,9 +74,9 @@ def test_manifest_times_every_stage(tiny_run):
     arms = ["balanced", "imbalanced", "imbalanced_cw"]
     assert [(s["stage"], s["arm"], s["corpus"]) for s in stages] == (
         [("corpus", None, "original"), ("sample", None, None), ("train", None, None)]
-        + [("evaluate", arm, None) for arm in arms]
         + [("corpus", None, "holdout")]
         + [("probe", arm, tag) for tag in ("original", "holdout") for arm in arms]
+        + [("evaluate", arm, None) for arm in arms]
         + [("explain", arm, None) for arm in arms]
     )
 
@@ -377,19 +377,38 @@ def test_each_arm_explained_once(tmp_path, monkeypatch):
     assert len({id(params) for params in calls}) == 3
 
 
+def test_one_forward_pass_per_model_and_dataset(tmp_path, monkeypatch):
+    """A seed passes each arm over the validation split, the test split and the holdout once: evaluate scores
+    the probe stage's pass over the test split instead of making its own."""
+    from pblab import experiment, model, probe, training
+
+    real, calls = model.forward_examples, []
+
+    def counted(params, examples):
+        calls.append((id(params), id(examples)))
+        return real(params, examples)
+
+    for module in (model, training, probe, experiment):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counted)
+    assert run_experiment(tiny_config(tmp_path / "passes"))["failures"] == []
+    assert len(calls) == 9 and len(set(calls)) == 9
+
+
 def test_probe_holdout_is_exactly_holdout_per_language(tmp_path, monkeypatch):
     """500 over 3 labels is not floored to 498: the last label cell keeps 166 examples, the others 167,
     each its own cell's first examples."""
-    from pblab import probe
+    from pblab import model
 
     datasets = []
 
-    def recorded(params, dataset, **kwargs):
+    def recorded(params, dataset):
         datasets.append(dataset)
-        return real(params, dataset, **kwargs)
+        return real(params, dataset)
 
-    real = probe.probe_model
-    monkeypatch.setattr(probe, "probe_model", recorded)
+    real = model.forward_examples  # run_seed's probe passes; training's validation pass has its own binding
+    monkeypatch.setattr(model, "forward_examples", recorded)
     config = tiny_config(tmp_path / "holdout", probe={"k": 3, "holdout_per_language": 500})
     assert run_experiment(config)["failures"] == []
     holdout = datasets[3]  # original corpus for the three arms, then the holdout

@@ -116,10 +116,16 @@ def test_forward_examples_matches_single(vocab):
         CorpusSpec(n_languages=2, n_classes=3, n_min=4, n_max=8, p_signal=0.4, seed=3), 4
     )
     probs, pooled = forward_examples(params, examples[:10])
+    assert probs.shape == (10, 3) and pooled.shape == (10, 6)
     for i, ex in enumerate(examples[:10]):
         single = forward(params, ex.tokens)
         assert np.allclose(probs[i], single.probs, atol=1e-12)
         assert np.allclose(pooled[i], single.pooled, atol=1e-12)
+
+    _, dup_pooled = forward_examples(params, [examples[0], examples[0]])
+    assert np.array_equal(dup_pooled[0], dup_pooled[1])
+    with pytest.raises(ValueError, match="empty"):
+        forward_examples(params, [])
 
 
 def test_init_params_uniform_at_start(vocab):

@@ -6,7 +6,6 @@ from pblab.corpus import CorpusSpec, generate_corpus
 from pblab.model import ModelParams, softmax
 from pblab.probe import (
     cross_validate,
-    extract_features,
     fit_logreg,
     predict_logreg,
     probe_model,
@@ -20,26 +19,6 @@ def clusters(n_per=100, gap=6.0, d=8, seed=0):
     f0 = rng.normal(0, 0.3, (n_per, d)) + gap / 2
     f1 = rng.normal(0, 0.3, (n_per, d)) - gap / 2
     return np.vstack([f0, f1]), np.array([0] * n_per + [1] * n_per)
-
-
-def test_extract_features_shape_and_duplicates():
-    spec = CorpusSpec(n_languages=2, n_classes=3, n_min=3, n_max=6, p_signal=0.4, seed=1)
-    vocab, examples = generate_corpus(spec, 5)
-    rng = np.random.default_rng(0)
-    params = ModelParams(
-        embedding=rng.normal(0, 0.5, (vocab.size + 1, 8)),
-        hidden_w=rng.normal(0, 0.5, (8, 7)), hidden_b=np.zeros(7),
-        out_w=rng.normal(0, 0.5, (7, 3)), out_b=np.zeros(3),
-    )
-    feats, langs = extract_features(params, examples)
-    assert feats.shape == (len(examples), 7)
-    assert langs.shape == (len(examples),)
-
-    dup_feats, _ = extract_features(params, [examples[0], examples[0]])
-    assert np.array_equal(dup_feats[0], dup_feats[1])
-
-    with pytest.raises(ValueError, match="empty"):
-        extract_features(params, [])
 
 
 def test_fit_separable_training_accuracy():

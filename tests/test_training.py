@@ -10,7 +10,7 @@ import pytest
 
 from pblab import training
 from pblab.corpus import CorpusSpec, Example, generate_corpus
-from pblab.model import PARAM_FIELDS, ModelParams, init_params, pack_tokens, softmax
+from pblab.model import PARAM_FIELDS, ModelParams, forward_examples, init_params, pack_tokens, softmax
 from pblab.sampler import preset, sample_paired, split_eval
 from pblab.seeds import derive_rng
 from pblab.training import (
@@ -300,7 +300,7 @@ def test_evaluate_perfect_classifier():
     spec = CorpusSpec(n_languages=2, n_classes=3, n_min=4, n_max=8, p_signal=1.0,
                       p_noise=0.0, seed=31)
     vocab, examples = generate_corpus(spec, 20)
-    metrics = evaluate(perfect_params(vocab), examples, 2, 3)
+    metrics = evaluate(forward_examples(perfect_params(vocab), examples)[0], examples, 2, 3)
     assert metrics.overall_accuracy == 1.0
     true_dist = np.full((2, 3), 1 / 3)
     assert np.allclose(metrics.pred_dist, true_dist, atol=1e-12)
@@ -310,7 +310,7 @@ def test_evaluate_constant_classifier(corpus223):
     vocab, examples = corpus223
     params = init_params(vocab.size, 3, rng=np.random.default_rng(0))
     params.out_b = np.array([9.0, 0.0, 0.0], dtype=np.float32)
-    metrics = evaluate(params, examples, 2, 3)
+    metrics = evaluate(forward_examples(params, examples)[0], examples, 2, 3)
     assert np.allclose(metrics.pred_dist[:, 0], 1.0)
     assert np.allclose(metrics.pred_dist[:, 1:], 0.0)
 
@@ -358,15 +358,18 @@ def test_import_pblab_does_not_load_scipy():
 def test_evaluate_keeps_row_of_missing_language(corpus223):
     vocab, examples = corpus223
     first_language = [ex for ex in examples if ex.language == 0]
-    metrics = evaluate(random_params(vocab), first_language, 2, 3)
+    metrics = evaluate(forward_examples(random_params(vocab), first_language)[0], first_language, 2, 3)
     assert metrics.pred_dist.shape == (2, 3)
     assert not np.isnan(metrics.pred_dist[0]).any()
     assert np.isnan(metrics.pred_dist[1]).all()
     assert metrics.n_per_language == [len(first_language), 0]
-    with pytest.raises(ValueError, match="table"):
-        evaluate(random_params(vocab), examples, 1, 3)
-    with pytest.raises(ValueError, match="table"):
-        evaluate(random_params(vocab), examples, 2, 2)
+    probs, _ = forward_examples(random_params(vocab), examples)
+    with pytest.raises(ValueError, match="does not fit the 1 x 3 table"):
+        evaluate(probs, examples, 1, 3)
+    with pytest.raises(ValueError, match="does not fit the 2 x 2 table"):
+        evaluate(probs, examples, 2, 2)
+    with pytest.raises(ValueError, match="does not fit the 2 x 3 table"):
+        evaluate(probs, first_language, 2, 3)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
