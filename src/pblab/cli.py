@@ -1,9 +1,10 @@
 """Command-line surface: one subcommand per pipeline stage plus `experiment`.
 
 Exit codes: 0 success, 1 domain/data error (a JSON error record goes to
-stderr), 2 usage error. A stage subcommand is one call into experiment's stage
-layer: it writes its artifacts plus a manifest.json with the stage's timings
-into --out (default $PBLAB_OUT), and a command that fails writes no manifest.
+stderr), 2 usage error. A stage subcommand is one call into ``stages``: it
+writes its artifacts plus a manifest.json with the stage's timings into --out
+(default $PBLAB_OUT), and a command that fails writes no manifest. A run loads
+only its own command's modules.
 """
 
 import argparse
@@ -19,15 +20,9 @@ if "numpy" not in sys.modules:  # the CLI owns its process: one BLAS thread unle
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import corpus as corpus_mod
-from . import explain as explain_mod
-from . import model as model_mod
-from . import probe as probe_mod
-from . import sampler as sampler_mod
-from . import training as training_mod
-from .experiment import (Manifest, SyntheticCorpus, check_target_labels, config_schema, joint_from_config,
-                         load_config, load_dataset, run_experiment, shap_subset, stage_corpus, stage_evaluate,
-                         stage_explain, stage_probe, stage_sample, stage_train)
 from .seeds import check_root_seed, derive_int
+from .stages import (Manifest, SyntheticCorpus, load_dataset, shap_subset, stage_corpus, stage_evaluate,
+                     stage_explain, stage_probe, stage_sample, stage_train)
 
 
 # gen-corpus's flag for each SyntheticCorpus field, in usage-line order, and defaults for the fields a config requires.
@@ -43,7 +38,7 @@ SHARED = {"--checkpoint": {"required": True}, "--data": {"required": True}, "--v
 
 def _manifest(args) -> Manifest:
     """The command's manifest in --out (default $PBLAB_OUT, else "."), keyed by every argument but --out."""
-    payload = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    payload = {k: v for k, v in vars(args).items() if k != "out"}
     config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
     return Manifest(args.out or os.environ.get("PBLAB_OUT", "."), config_hash, getattr(args, "seed", None))
 
@@ -62,6 +57,7 @@ def cmd_gen_corpus(args, manifest: Manifest) -> str:
 
 
 def cmd_sample(args, manifest: Manifest) -> str:
+    from .sampler import joint_from_config
     vocab, pool = load_dataset(args.data, args.vocab)
     raw_joint = json.loads(Path(args.joint).read_text(encoding="utf-8")) if args.joint else {"preset": args.preset}
     joint = joint_from_config(raw_joint, vocab.n_languages, vocab.n_classes)
@@ -70,6 +66,7 @@ def cmd_sample(args, manifest: Manifest) -> str:
 
 
 def cmd_train(args, manifest: Manifest) -> str:
+    from . import training as training_mod
     config = _settings(training_mod.TrainConfig, args)
     vocab, data = load_dataset(args.data, args.vocab)
     _, val = corpus_mod.load_jsonl(args.val, vocab)
@@ -79,6 +76,7 @@ def cmd_train(args, manifest: Manifest) -> str:
 
 
 def cmd_eval(args, manifest: Manifest) -> str:
+    from . import model as model_mod
     vocab, data = load_dataset(args.data, args.vocab)
     params, _ = model_mod.load(args.checkpoint, vocab)
     metrics = stage_evaluate(params, data, vocab, manifest.root, manifest)
@@ -86,6 +84,7 @@ def cmd_eval(args, manifest: Manifest) -> str:
 
 
 def cmd_probe(args, manifest: Manifest) -> str:
+    from . import model as model_mod, probe as probe_mod
     probe = _settings(probe_mod.ProbeConfig, args)
     vocab, data = load_dataset(args.data, args.vocab)
     params, _ = model_mod.load(args.checkpoint, vocab)
@@ -95,13 +94,14 @@ def cmd_probe(args, manifest: Manifest) -> str:
 
 
 def cmd_shap_diff(args, manifest: Manifest) -> str:
+    from . import explain as explain_mod, model as model_mod
     engine = _settings(explain_mod.EngineConfig, args, seed=derive_int(args.seed, "shapdiff"))
     if not 0 < args.theta < math.inf:  # these checks too run before any file is read or written
         raise ValueError("theta must be > 0")
     if args.max_datapoints < 0:
         raise ValueError("max_datapoints must be >= 0 (0 = no cap)")
     if args.target_label is not None:
-        check_target_labels(args.target_label)
+        explain_mod.check_target_labels(args.target_label)
     vocab, data = load_dataset(args.data, args.vocab)
     bal, cmp = (model_mod.load(path, vocab)[0] for path in (args.checkpoint_bal, args.checkpoint_cmp))
     explain_mod.check_pair(bal, cmp)
@@ -113,6 +113,7 @@ def cmd_shap_diff(args, manifest: Manifest) -> str:
 
 
 def cmd_experiment(args) -> int:
+    from .experiment import config_schema, load_config, run_experiment
     if args.print_schema:
         print(json.dumps(config_schema(), indent=2))
         return 0
@@ -134,84 +135,93 @@ def _shared(p, *flags) -> None:
         p.add_argument(flag, **SHARED[flag])
 
 
-def _field_flags(p, cls, names=None, flags=None, defaults=None) -> None:
+def _field_flags(p, cls, names=None, flags=None, defaults=None, choices=None) -> None:
     """A flag per field of ``cls`` in ``names`` (all when None), in order: the field name dashed or, shown as such in
-    usage, its name in ``flags``; of the field's type and default, else the one in ``defaults``, else required."""
+    usage, its name in ``flags``; of the field's type and default, else the one in ``defaults``, else required; of the
+    values in ``choices`` under its name, if any."""
     by_name = {f.name: f for f in fields(cls)}
     for f in (by_name[name] for name in names or by_name):
         flag = (flags or {}).get(f.name, "--" + f.name.replace("_", "-"))
         default = (defaults or {}).get(f.name, f.default)
         p.add_argument(flag, dest=f.name, type=f.type, metavar=flag[2:].replace("-", "_").upper() if flags else None,
                        default=None if default is MISSING else default, required=default is MISSING,
-                       choices=list(training_mod.WEIGHTINGS) if f.name == "weighting" else None)
+                       choices=(choices or {}).get(f.name))
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {  # each subcommand's help line and the function that runs it
+    "gen-corpus": ("generate a synthetic multilingual corpus", cmd_gen_corpus),
+    "sample": ("draw the balanced/imbalanced training pair", cmd_sample),
+    "train": ("train the classifier", cmd_train),
+    "eval": ("evaluate a checkpoint", cmd_eval),
+    "probe": ("language-identification probe on pooled features", cmd_probe),
+    "shap-diff": ("cumulative attribution difference between two checkpoints", cmd_shap_diff),
+    "experiment": ("run the full multi-seed experiment from a config file", cmd_experiment),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every subcommand with its help line, and the flags of ``command`` alone (all when None), which import the
+    modules that define them. A subcommand's help and usage errors are the same either way."""
     parser = argparse.ArgumentParser(
         prog="pblab", description="Controlled experiments on per-language label imbalance in multilingual classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-corpus", help="generate a synthetic multilingual corpus")
-    _field_flags(p, SyntheticCorpus, CORPUS_FLAGS, flags=CORPUS_FLAGS, defaults=CORPUS_DEFAULTS)
-    _shared(p, "--out")
-    p.set_defaults(func=cmd_gen_corpus)
-
-    p = sub.add_parser("sample", help="draw the balanced/imbalanced training pair")
-    _shared(p, "--data", "--vocab")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=sampler_mod.PRESETS)
-    group.add_argument("--joint", help="JSON file with a joint table")
-    p.add_argument("--n", type=int, required=True)
-    _shared(p, "--seed", "--out")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("train", help="train the classifier")
-    _shared(p, "--data")
-    p.add_argument("--val", required=True)
-    _shared(p, "--vocab")
-    _field_flags(p, training_mod.TrainConfig)
-    _shared(p, "--out")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _shared(p, "--checkpoint", "--data", "--vocab", "--out")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("probe", help="language-identification probe on pooled features")
-    _shared(p, "--checkpoint", "--data", "--vocab")
-    _field_flags(p, probe_mod.ProbeConfig, ("k", "l2"))
-    _shared(p, "--seed", "--out")
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("shap-diff", help="cumulative attribution difference between two checkpoints")
-    p.add_argument("--checkpoint-bal", required=True)
-    p.add_argument("--checkpoint-cmp", required=True)
-    _shared(p, "--data", "--vocab")
-    p.add_argument("--theta", type=float, default=explain_mod.DEFAULT_THETA)
-    p.add_argument("--target-label", type=int, action="append", help="repeatable; defaults to all labels")
-    p.add_argument("--max-datapoints", type=int, default=0, help="0 = no cap")
-    _field_flags(p, explain_mod.EngineConfig, ("exact_limit", "n_permutations"))
-    _shared(p, "--seed", "--out")
-    p.set_defaults(func=cmd_shap_diff)
-
-    p = sub.add_parser("experiment", help="run the full multi-seed experiment from a config file")
-    p.add_argument("--config", default=None)
-    p.add_argument("--print-schema", action="store_true", help="print the config schema and exit")
-    p.add_argument("--out", **SHARED["--out"], help="override the config's out_dir")
-    p.set_defaults(func=cmd_experiment)
-
+    for name, (help_line, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command not in (None, name):
+            continue
+        if name == "gen-corpus":
+            _field_flags(p, SyntheticCorpus, CORPUS_FLAGS, flags=CORPUS_FLAGS, defaults=CORPUS_DEFAULTS)
+            _shared(p, "--out")
+        elif name == "sample":
+            from .sampler import PRESETS
+            _shared(p, "--data", "--vocab")
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--preset", choices=PRESETS)
+            group.add_argument("--joint", help="JSON file with a joint table")
+            p.add_argument("--n", type=int, required=True)
+            _shared(p, "--seed", "--out")
+        elif name == "train":
+            from .training import WEIGHTINGS, TrainConfig
+            _shared(p, "--data")
+            p.add_argument("--val", required=True)
+            _shared(p, "--vocab")
+            _field_flags(p, TrainConfig, choices={"weighting": list(WEIGHTINGS)})
+            _shared(p, "--out")
+        elif name == "eval":
+            _shared(p, "--checkpoint", "--data", "--vocab", "--out")
+        elif name == "probe":
+            from .probe import ProbeConfig
+            _shared(p, "--checkpoint", "--data", "--vocab")
+            _field_flags(p, ProbeConfig, ("k", "l2"))
+            _shared(p, "--seed", "--out")
+        elif name == "shap-diff":
+            from .explain import DEFAULT_THETA, EngineConfig
+            p.add_argument("--checkpoint-bal", required=True)
+            p.add_argument("--checkpoint-cmp", required=True)
+            _shared(p, "--data", "--vocab")
+            p.add_argument("--theta", type=float, default=DEFAULT_THETA)
+            p.add_argument("--target-label", type=int, action="append", help="repeatable; defaults to all labels")
+            p.add_argument("--max-datapoints", type=int, default=0, help="0 = no cap")
+            _field_flags(p, EngineConfig, ("exact_limit", "n_permutations"))
+            _shared(p, "--seed", "--out")
+        else:
+            p.add_argument("--config", default=None)
+            p.add_argument("--print-schema", action="store_true", help="print the config schema and exit")
+            p.add_argument("--out", **SHARED["--out"], help="override the config's out_dir")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The first argument that names a command is the one argparse runs: every argument before that is an option.
+    args = build_parser(next((arg for arg in argv if arg in COMMANDS), None)).parse_args(argv)
     try:
         if hasattr(args, "seed"):  # before any file is read
             check_root_seed(args.seed)
-        if args.func is cmd_experiment:
+        if args.command == "experiment":
             return cmd_experiment(args)
         manifest = _manifest(args)
-        message = args.func(args, manifest)  # a command that fails writes no manifest
+        message = COMMANDS[args.command][1](args, manifest)  # a command that fails writes no manifest
         manifest.write()
         print(message)
         return 0

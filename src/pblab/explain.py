@@ -196,6 +196,11 @@ class EngineConfig:
         return {"exact_limit": self.exact_limit, "n_permutations": self.n_permutations, "seed": self.seed}
 
 
+def check_target_labels(labels) -> None:
+    if not labels or min(labels) < 0 or len(set(labels)) < len(labels):
+        raise ValueError("target_labels must be a non-empty list of distinct label ids")
+
+
 @dataclass
 class CumulativeDiffReport:
     """Per-(language, label, category) means of the summed value differences.

@@ -2,6 +2,12 @@
 
 import csv
 import json
+import sys
+
+
+def is_number(value) -> bool:
+    """Whether a JSON value is a number a float holds: an int or a float, never a bool, of finite magnitude."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def write_json(path, obj) -> None:

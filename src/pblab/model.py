@@ -89,7 +89,7 @@ class ForwardOutput:
 
 
 def init_params(vocab_size: int, n_classes: int, embed_dim: int = DEFAULT_DIM, hidden_dim: int = DEFAULT_DIM, *,
-                rng: np.random.Generator) -> ModelParams:
+                rng: "np.random.Generator") -> ModelParams:
     """Fresh parameters: a float32 zero embedding table, and a head that alone draws from ``rng`` (``_init_head``).
 
     Zero embeddings make every input indistinguishable at initialization
@@ -100,7 +100,7 @@ def init_params(vocab_size: int, n_classes: int, embed_dim: int = DEFAULT_DIM, h
                        *_init_head(n_classes, embed_dim, hidden_dim, rng))
 
 
-def _init_head(n_classes: int, embed_dim: int, hidden_dim: int, rng: np.random.Generator) -> tuple:
+def _init_head(n_classes: int, embed_dim: int, hidden_dim: int, rng: "np.random.Generator") -> tuple:
     """The fresh head in ``PARAM_FIELDS`` order: random weights, ``hidden_w`` drawn before ``out_w``, zero biases."""
     return (rng.normal(0.0, 1.0 / np.sqrt(embed_dim), size=(embed_dim, hidden_dim)), np.zeros(hidden_dim),
             rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=(hidden_dim, n_classes)), np.zeros(n_classes))

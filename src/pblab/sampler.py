@@ -7,10 +7,12 @@ between models is attributable to the joint distribution alone.
 
 import numpy as np
 
-from .jsonio import write_json
+from .jsonio import is_number, write_json
 from .seeds import derive_rng
 
 PRESETS = ("uniform", "amazon_skew", "xnli_skew")
+JOINT_FORMS = (f"{{'preset': one of {list(PRESETS)}}} or "
+               "{'probs': L x C table of numbers, each row summing to 1/L and each column to 1/C}")
 SUM_TOL = 1e-9  # absolute tolerance on the table's total and (with a relative 1e-5) on its marginals
 
 
@@ -56,6 +58,26 @@ def preset(name: str, n_languages: int, n_classes: int) -> np.ndarray:
         probs = np.stack([desc, desc[::-1]]) / 2.0
     else:
         raise ValueError(f"unknown preset {name!r}")
+    return probs
+
+
+def joint_table(joint) -> np.ndarray | None:
+    """The checked table of a `joint` config section, or None when it names a preset."""
+    if type(joint) is dict and set(joint) == {"preset"} and joint["preset"] in PRESETS:
+        return None
+    probs = joint["probs"] if type(joint) is dict and set(joint) == {"probs"} else None
+    if type(probs) is list and probs and all(
+            type(row) is list and len(row) == len(probs[0]) and all(map(is_number, row)) for row in probs):
+        return check_joint(probs)
+    raise ValueError(f"config section 'joint' must be {JOINT_FORMS}, got {joint!r}")
+
+
+def joint_from_config(joint_cfg, L: int, C: int) -> np.ndarray:
+    probs = joint_table(joint_cfg)
+    if probs is None:
+        return preset(joint_cfg["preset"], L, C)
+    if probs.shape != (L, C):
+        raise ValueError(f"config section 'joint': table shape {probs.shape} does not match corpus ({L}, {C})")
     return probs
 
 

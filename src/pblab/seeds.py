@@ -23,7 +23,7 @@ def check_root_seed(seed: int) -> int:
     return seed
 
 
-def derive_seed_sequence(root_seed: int, *path) -> np.random.SeedSequence:
+def derive_seed_sequence(root_seed: int, *path) -> "np.random.SeedSequence":
     """Build a SeedSequence for ``root_seed`` qualified by a name path.
 
     Path elements may be strings or ints; they are joined and hashed, so
@@ -35,7 +35,7 @@ def derive_seed_sequence(root_seed: int, *path) -> np.random.SeedSequence:
     return np.random.SeedSequence([check_root_seed(root_seed), *words])
 
 
-def derive_rng(root_seed: int, *path) -> np.random.Generator:
+def derive_rng(root_seed: int, *path) -> "np.random.Generator":
     """Generator seeded by ``derive_seed_sequence(root_seed, *path)``."""
     return np.random.default_rng(derive_seed_sequence(root_seed, *path))
 

@@ -463,6 +463,8 @@ def evaluate(probs: np.ndarray, test, n_languages: int, n_classes: int) -> EvalM
     (len(test), n_classes) class probabilities of one ``model.forward_examples`` pass over ``test``. The
     (n_languages, n_classes) table comes from the caller: a language with no test examples keeps its row, as NaN,
     and a count of 0."""
+    if len(test) == 0:
+        raise ValueError("empty test set: there is nothing to evaluate")
     langs, labels = _langs_and_labels(test)
     if probs.shape != (len(test), n_classes) or langs.max() >= n_languages:
         raise ValueError(f"test set or probs does not fit the {n_languages} x {n_classes} table")

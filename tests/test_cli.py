@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pblab
-from pblab.cli import main
+from pblab.cli import COMMANDS, build_parser, main
 from pblab.experiment import ExperimentConfig, ExplainConfig, IngestedCorpus, SyntheticCorpus
 from pblab.probe import ProbeConfig
 from pblab.training import TrainConfig
@@ -70,6 +70,67 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--nope"])
     assert exc.value.code == 2
+
+
+TOP_USAGE = """usage: pblab [-h]
+             {gen-corpus,sample,train,eval,probe,shap-diff,experiment} ...
+"""
+
+
+def exit_and_output(capsys, run, argv) -> tuple:
+    """The exit code of ``run(argv)``, which must exit, and its (stdout, stderr)."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_commands_own_parser_gives_its_help(command, capsys, monkeypatch):
+    """``build_parser(command)`` adds that command's flags alone, and the command's help is the one it has among
+    every command's flags."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"]
+    assert exit_and_output(capsys, build_parser(command).parse_args, argv) == \
+        exit_and_output(capsys, build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["-h"], ["sample"], ["train", "--data", "x"], ["bogus", "sample"],
+    ["--foo", "sample", "--data", "d", "--preset", "uniform", "--n", "6"],  # parsed as sample, then rejected
+    ["train", "--data", "a", "--val", "b", "--weighting", "bad"],
+    ["probe", "--checkpoint", "c", "--data", "d", "--k", "x"],
+    ["sample", "--data", "d", "--preset", "uniform", "--joint", "j", "--n", "6"], ["--", "eval", "--help"],
+])
+def test_main_exits_as_the_parser_of_every_command(argv, capsys, monkeypatch):
+    """``main`` builds the flags of one command, yet its help and usage errors are those of the parser with every
+    command's flags."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exit_and_output(capsys, main, argv) == exit_and_output(capsys, build_parser().parse_args, argv)
+
+
+def test_top_level_help_and_an_unknown_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exit_and_output(capsys, main, ["--help"]) == (0, TOP_USAGE + """
+Controlled experiments on per-language label imbalance in multilingual
+classifiers
+
+positional arguments:
+  {gen-corpus,sample,train,eval,probe,shap-diff,experiment}
+    gen-corpus          generate a synthetic multilingual corpus
+    sample              draw the balanced/imbalanced training pair
+    train               train the classifier
+    eval                evaluate a checkpoint
+    probe               language-identification probe on pooled features
+    shap-diff           cumulative attribution difference between two
+                        checkpoints
+    experiment          run the full multi-seed experiment from a config file
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+    assert exit_and_output(capsys, main, ["bogus"]) == (2, "", TOP_USAGE + (
+        "pblab: error: argument command: invalid choice: 'bogus' (choose from 'gen-corpus', 'sample', 'train', "
+        "'eval', 'probe', 'shap-diff', 'experiment')\n"))
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

@@ -5,10 +5,11 @@ import pytest
 
 from pblab.cli import main
 from pblab.corpus import Example, load_jsonl, load_vocab
-from pblab.experiment import ARMS, WEIGHT_FIELDS, ExperimentConfig, run_experiment, shap_subset
+from pblab.experiment import ARMS, WEIGHT_FIELDS, ExperimentConfig, run_experiment
 from pblab.model import load as load_checkpoint
 from pblab.sampler import preset, sample_paired
 from pblab.seeds import derive_int
+from pblab.stages import shap_subset
 
 
 CORPUS = {"n_languages": 2, "n_classes": 3, "n_min": 3, "n_max": 7,

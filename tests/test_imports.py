@@ -1,5 +1,6 @@
-"""Every module-level import of the package and of the suite is used, and every parameter of a function of the
-package is read: a dead import or parameter is a name the reader must look up for nothing."""
+"""Every import of the package and of the suite is used, a function's own imports in that function, and every
+parameter of a function of the package is read: a dead import or parameter is a name the reader must look up for
+nothing."""
 
 import ast
 from pathlib import Path
@@ -11,17 +12,42 @@ PACKAGE = sorted((ROOT / "src" / "pblab").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
-def unused_imports(source: str) -> list:
-    """The names that the module-level imports of ``source`` bind and that nothing in it reads."""
-    tree = ast.parse(source)
+def _bound(statements) -> list:
+    """The names that the import statements among ``statements`` bind."""
     bound = []
-    for node in tree.body:
+    for node in statements:
         if isinstance(node, ast.Import):
             bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [name for name in bound if name not in read]
+    return bound
+
+
+def _read(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str) -> list:
+    """The names that the module-level imports of ``source`` bind and that nothing in it reads."""
+    tree = ast.parse(source)
+    read = _read(tree)
+    return [name for name in _bound(tree.body) if name not in read]
+
+
+def _own_nodes(node):
+    """The nodes under ``node`` that are not inside a function or class it defines."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def unused_function_imports(source: str) -> list:
+    """"function: name" for each name that an import of a ``def`` of ``source`` binds and that the function's body,
+    nested functions included, never reads; an import in a nested function is that function's."""
+    return [f"{node.name}: {name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for name in _bound(_own_nodes(node)) if name not in _read(node)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[f"{p.parent.name}/{p.name}" for p in MODULES])
@@ -32,6 +58,18 @@ def test_no_module_level_import_is_unused(path):
 def test_unused_imports_finds_a_dead_name_and_keeps_a_read_one():
     source = "import os\nimport numpy.linalg\nfrom json import dumps as d, loads\nprint(os.sep, numpy.pi, d)\n"
     assert unused_imports(source) == ["loads"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[f"{p.parent.name}/{p.name}" for p in MODULES])
+def test_no_function_level_import_is_unused(path):
+    assert unused_function_imports(path.read_text()) == []
+
+
+def test_unused_function_imports_finds_a_dead_name_and_keeps_a_read_one():
+    source = ("import os\ndef f():\n    import numpy.linalg\n    from . import model as m, probe\n"
+              "    def g():\n        from json import dumps, loads\n        return dumps, m\n    return numpy.pi, g\n"
+              "def h():\n    return os.sep, probe\n")
+    assert unused_function_imports(source) == ["f: probe", "g: loads"]
 
 
 def unused_parameters(source: str) -> list:

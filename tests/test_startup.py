@@ -1,5 +1,5 @@
-"""Start-up contract: what ``import pblab`` and ``import pblab.cli`` load and change, and what a pipeline stage does
-to numpy's OpenBLAS thread count, each in a fresh interpreter."""
+"""Start-up contract: what ``import pblab``, ``import pblab.cli`` and each stage command load and change, and what a
+pipeline stage does to numpy's OpenBLAS thread count, each in a fresh interpreter."""
 
 import json
 import os
@@ -79,7 +79,7 @@ def numpy_links_openblas_on_linux() -> bool:
 needs_openblas = pytest.mark.skipif(not numpy_links_openblas_on_linux(), reason="numpy's BLAS is not an OpenBLAS "
                                     "that /proc/self/maps can show")
 # A child's first lines: numpy loaded before pblab, and the thread count's getter and setter.
-WITH_COUNT = "import numpy\nfrom pblab.experiment import Manifest, _openblas\nget, set_ = _openblas()\n"
+WITH_COUNT = "import numpy\nfrom pblab.stages import Manifest, _openblas\nget, set_ = _openblas()\n"
 
 
 @needs_openblas
@@ -118,9 +118,9 @@ def test_stage_leaves_a_callers_count_alone():
 def test_stage_without_openblas_runs_and_records_null(tmp_path):
     out = run_python(
         "import json, pathlib\n"
-        "from pblab import experiment\n"
-        "experiment._openblas = lambda: None\n"
-        f"m = experiment.Manifest({str(tmp_path)!r}, 'hash')\n"
+        "from pblab import stages\n"
+        "stages._openblas = lambda: None\n"
+        f"m = stages.Manifest({str(tmp_path)!r}, 'hash')\n"
         "with m.stage('s'):\n"
         "    print('ran')\n"
         "m.write()\n"
@@ -149,6 +149,51 @@ def test_thread_count_changes_no_output_byte(tmp_path):
     assert len(outputs(capped)) > 20 and outputs(capped) == outputs(two)
     counts = [json.loads((root / "seed_0" / "manifest.json").read_text())["blas_threads"] for root in (capped, two)]
     assert counts == [1, min(2, len(os.sched_getaffinity(0)))]
+
+
+# The pblab modules that each stage command must not load: those of the other stages.
+NOT_LOADED = {
+    "sample": ("training", "model", "probe", "explain", "experiment"),
+    "train": ("probe", "explain", "sampler", "experiment"),
+    "eval": ("probe", "explain", "sampler", "experiment"),
+    "probe": ("training", "explain"),
+    "shap-diff": ("training", "probe"),
+}
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """A tiny corpus and two one-epoch checkpoints trained on it, written in this process."""
+    from pblab.cli import main
+
+    d = tmp_path_factory.mktemp("stage_inputs")
+    assert main(["gen-corpus", "--per-cell", "10", "--out", str(d)]) == 0
+    for seed in (0, 1):
+        assert main(["train", "--data", str(d / "corpus.jsonl"), "--val", str(d / "corpus.jsonl"), "--vocab",
+                     str(d / "vocab.json"), "--epochs", "1", "--seed", str(seed), "--out", str(d / str(seed))]) == 0
+    return d
+
+
+@pytest.mark.parametrize("command", NOT_LOADED)
+def test_a_stage_command_loads_only_its_own_stage(stage_inputs, tmp_path, command):
+    """A stage command, run in a fresh interpreter on tiny inputs, succeeds without loading another stage's module
+    or ``experiment``; ``pblab eval``, which draws nothing, never loads ``numpy.random``."""
+    d = stage_inputs
+    ckpt, other = (str(d / str(seed) / "checkpoint.pbl") for seed in (0, 1))
+    argv = [command, "--data", str(d / "corpus.jsonl"), "--vocab", str(d / "vocab.json"), "--out", str(tmp_path),
+            *{"sample": ["--preset", "xnli_skew", "--n", "12"], "train": ["--val", str(d / "corpus.jsonl")],
+              "eval": ["--checkpoint", ckpt], "probe": ["--checkpoint", ckpt],
+              "shap-diff": ["--checkpoint-bal", ckpt, "--checkpoint-cmp", other, "--max-datapoints", "4"]}[command]]
+    code, loaded, random = json.loads(run_python(
+        "import json, sys\n"
+        "from pblab.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('pblab.')], 'numpy.random' in sys.modules]))"
+    ).splitlines()[-1])
+    assert code == 0
+    assert {"pblab.cli", "pblab.stages"} <= set(loaded)
+    assert set(loaded).isdisjoint(f"pblab.{name}" for name in NOT_LOADED[command])
+    assert command != "eval" or not random
 
 
 def seed_then_probe(tmp_path, preamble: str) -> list:

@@ -372,6 +372,11 @@ def test_evaluate_keeps_row_of_missing_language(corpus223):
         evaluate(probs, first_language, 2, 3)
 
 
+def test_evaluate_rejects_an_empty_test_set():
+    with pytest.raises(ValueError, match="^empty test set"):
+        evaluate(np.empty((0, 3)), [], 2, 3)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_train_step_writes_only_batch_rows(corpus223, lam):
     vocab, examples = corpus223
